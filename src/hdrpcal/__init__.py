@@ -14,8 +14,8 @@ from .display import (AchromaticDisplay, ChromaticDisplay, Measurement,
                       achromatic_luminance, chromatic_xyz, fit_achromatic,
                       fit_chromatic, load_display, save_display,
                       solve_background_weights)
-from .harness import (SceneSample, generate_samples, load_samples, save_samples,
-                      simulate_characterization, validate_model)
+from .harness import (SampleBatch, SceneSample, generate_samples, load_samples,
+                      save_samples, simulate_characterization, validate_model)
 from .scene import (AmbientLight, DirectionalLight, RenderContext,
                     lambertian_unprocessed, light_direction_from_rotation,
                     post_process, render, unlit_unprocessed)
@@ -26,8 +26,9 @@ __all__ = [
     "AchromaticDisplay", "AmbientLight", "ChromaticDisplay", "CubeLUT",
     "CubeTonemap", "DeltaSweep", "DirectionalLight", "GammaCorrectionSpec",
     "IdentityTonemap", "KnotGrid", "Measurement", "RenderContext",
-    "SceneSample", "achromatic_luminance", "build_correction_cube",
-    "chromatic_xyz", "default_knot_grid", "estimate_knots_delta",
+    "SampleBatch", "SceneSample", "achromatic_luminance",
+    "build_correction_cube", "chromatic_xyz", "default_knot_grid",
+    "estimate_knots_delta",
     "estimate_knots_optimize", "estimate_scale_constant", "fit_achromatic",
     "fit_chromatic", "gamma_tonemap_achromatic", "gamma_tonemap_chromatic",
     "generate_samples", "lambertian_unprocessed",

@@ -30,7 +30,7 @@ from .cubelut import CubeLUT, KnotGrid, _trilinear, default_knot_grid
 from .display import AchromaticDisplay, ChromaticDisplay
 from .errors import (DegenerateDataError, EstimationError, FitError,
                      ValidationError)
-from .harness import predict_unprocessed, sample_arrays
+from .harness import SampleBatch, check_seed, predict_unprocessed
 from .scene import DEFAULT_SCALE_CONSTANT
 
 REFINE_POINTS = 2048
@@ -208,11 +208,12 @@ def estimate_scale_constant(samples, *, min_samples: int = 100) -> ScaleEstimate
     the inverse of the slope.  Channel observations at the framebuffer
     ceiling (v >= 1) are excluded: clipping makes them uninformative.
     """
-    samples = [s for s in samples if s.kind == "lambertian"]
+    batch = SampleBatch.of(samples)
+    samples = batch[batch.lambertian]
     if len(samples) < min_samples:
         raise FitError(f"need >= {min_samples} lambertian samples, got {len(samples)}")
     predicted = predict_unprocessed(samples, scale_constant=1.0)
-    v = sample_arrays(samples)["v"]
+    v = samples.v
     actual = srgb_decode3(v)
     # The ceiling test is tolerant: encode(1.0) lands one ulp under 1.
     keep = v < 1.0 - 1e-9
@@ -414,7 +415,8 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
     ``datasets`` is a list of (samples, CubeLUT) pairs, each rendered under
     a known cube.  Samples with any material component below
     ``material_floor`` are excluded (the rendering model is biased there),
-    and a fixed-seed holdout fraction is scored but never optimized on.
+    and a holdout fraction drawn from ``seed`` (a non-negative integer) is
+    scored but never optimized on.
     The search runs over log knot coordinates with a Nelder-Mead simplex
     plus restarts, then a derivative-free per-coordinate polish.
     """
@@ -423,19 +425,18 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
     if init.active_start != 3:
         raise EstimationError("optimization expects the standard active range")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     train_sets, holdout_sets = [], []
     n_excluded = n_train = n_holdout = 0
     for samples, lut in datasets:
-        samples = list(samples)
-        cols = sample_arrays(samples)
-        keep = np.all(cols["m"] >= material_floor, axis=1)
+        batch = SampleBatch.of(samples)
+        keep = np.all(batch.m >= material_floor, axis=1)
         n_excluded += int(np.sum(~keep))
-        kept = [s for s, k in zip(samples, keep) if k]
-        if not kept:
+        kept = batch[keep]
+        if not len(kept):
             continue
         u = predict_unprocessed(kept, scale_constant=scale_constant)
-        v = sample_arrays(kept)["v"]
+        v = kept.v
         curves = lut.separable_channels()
         payload = (tuple(c[2:] for c in curves) if curves is not None else lut)
         holdout = rng.random(len(kept)) < holdout_fraction

@@ -22,6 +22,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .calibrate import (DeltaSweep, GammaCorrectionSpec, build_correction_cube,
                         estimate_knots_delta, estimate_knots_optimize,
@@ -45,6 +47,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hdrpcal",
                      description="Render-pipeline model and display "
@@ -58,7 +71,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("simulate", formatter_class=fmt,
                        help="generate random rendered samples")
     p.add_argument("--samples", type=int, default=1000, help="number of samples")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--seed", type=_seed, default=0, help="random seed")
     p.add_argument("--material", choices=["lambert", "unlit"], default="lambert",
                    help="material kind")
     p.add_argument("--tonemap", default="none",
@@ -93,7 +106,7 @@ def _build_parser() -> _Parser:
                    help="initial knot CSV (optimize mode; default: built-in "
                         "delta estimates)")
     p.add_argument("--c", type=float, default=0.822, help="pipeline gain")
-    p.add_argument("--seed", type=int, default=0, help="holdout split seed")
+    p.add_argument("--seed", type=_seed, default=0, help="holdout split seed")
     p.add_argument("--out", default=None, help="output knot CSV")
 
     p = sub.add_parser("fit-display", formatter_class=fmt,
@@ -206,23 +219,48 @@ def _cmd_gen_delta_cubes(args) -> int:
 
 
 def _load_sweeps(path: str) -> list[DeltaSweep]:
-    rows = []
     with open(path) as fh:
         header = fh.readline().strip().replace(" ", "")
         if header != "m,u,t":
             raise ValidationError(f"sweep CSV: expected header 'm,u,t', got {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            m_s, u_s, t_s = line.split(",")
-            rows.append((int(m_s), float(u_s), float(t_s)))
-    sweeps = []
-    for m in sorted({r[0] for r in rows}):
-        pts = sorted((u, t) for mm, u, t in rows if mm == m)
-        sweeps.append(DeltaSweep(m=m, inputs=[p[0] for p in pts],
-                                 outputs=[p[1] for p in pts]))
-    return sweeps
+        raw = [line.strip() for line in fh.read().split("\n")]
+    lines = [line for line in raw if line and line[0] != "#"]
+    if not lines:
+        return []
+    try:
+        if {line.count(",") for line in lines} != {2}:
+            raise ValueError("wrong field count")
+        fields = ",".join(lines).split(",")
+        m = np.array(fields[0::3], dtype=np.int64)
+        u = np.array(fields[1::3], dtype=float)
+        t = np.array(fields[2::3], dtype=float)
+    except (ValueError, OverflowError):
+        _raise_bad_sweep_line(raw)
+        raise
+    order = np.lexsort((u, m))  # stable: by m, then u
+    m, u, t = m[order], u[order], t[order]
+    indices, starts = np.unique(m, return_index=True)
+    return [DeltaSweep(m=int(k), inputs=u_k, outputs=t_k)
+            for k, u_k, t_k in zip(indices, np.split(u, starts[1:]),
+                                   np.split(t, starts[1:]))]
+
+
+def _raise_bad_sweep_line(raw: list[str]) -> None:
+    """Raise for the first sweep row that is not three numeric fields;
+    ``raw`` holds the stripped lines after the header."""
+    for lineno, line in enumerate(raw, start=2):
+        if not line or line[0] == "#":
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ValidationError(f"sweep CSV line {lineno}: expected 3 fields, "
+                                  f"got {len(parts)}")
+        try:
+            np.array(parts[:1], dtype=np.int64)
+            np.array(parts[1:], dtype=float)
+        except (ValueError, OverflowError):
+            raise ValidationError(f"sweep CSV line {lineno}: expected an integer "
+                                  "m and numeric u, t") from None
 
 
 def _cmd_estimate_knots(args) -> int:

@@ -5,6 +5,18 @@ pipeline: each sample draws a material color, surface orientation, light
 colors, intensities and direction, renders the post-processed value through
 the in-package pipeline (the synthetic oracle), and records everything.
 
+Samples are held column-wise in a :class:`SampleBatch`, validated once when
+it is built; indexing or iterating a batch yields :class:`SceneSample`
+rows.  Every function that takes samples also accepts an iterable of rows
+and converts it to a batch on entry.
+
+Generation is counter-based and deterministic: sample *i* is computed from
+its own block of :data:`DRAWS_PER_SAMPLE` uniforms of one Philox stream
+keyed by the seed, so it depends only on (seed, *i*) and the first *k*
+samples do not depend on the requested count.  Seeds are non-negative
+integers.  The generated samples changed once, when generation moved from
+one seed sequence per sample to this single stream.
+
 Sample CSV schema (one header line, then one row per sample):
 
     kind,m_r,m_g,m_b,n_x,n_y,n_z,d_r,d_g,d_b,i_d,l_x,l_y,l_z,
@@ -16,7 +28,7 @@ and normal fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,10 +47,27 @@ CAMERA_DIRECTION = np.array([0.0, 0.0, -1.0])
 
 INGEST_NORM_TOL = 1e-6
 
+#: Width of the block of uniforms each generated sample consumes.
+DRAWS_PER_SAMPLE = 16
+
+_KINDS = ("lambertian", "unlit")
+_TRIPLETS = ("m", "n", "d", "l", "a", "v")
+#: Batch column -> SceneSample attribute, in CSV column order.
+_ROW_FIELDS = {"m": "material", "n": "normal", "d": "light_color",
+               "i_d": "light_intensity", "l": "light_direction",
+               "a": "ambient_color", "i_a": "ambient_intensity",
+               "e": "exposure", "v": "value"}
+_COLUMNS = ("lambertian", *_ROW_FIELDS)
+_CSV_ROW = "%s," + ",".join(["%.17g"] * 21) + "\n"
+_REPORT_ROW = "%s," + ",".join(["%.10g"] * 9) + "\n"
+
 
 @dataclass(frozen=True, eq=False)
 class SceneSample:
-    """One recorded observation of the rendering experiment."""
+    """One recorded observation of the rendering experiment.
+
+    Rows are checked when they enter a :class:`SampleBatch`, not here.
+    """
 
     kind: str
     material: np.ndarray
@@ -51,48 +80,118 @@ class SceneSample:
     exposure: float
     value: np.ndarray
 
+
+@dataclass(frozen=True, eq=False)
+class SampleBatch:
+    """Recorded observations as columns; row i of every column is sample i.
+
+    ``lambertian`` is the kind mask (False marks an unlit sample).  ``m``,
+    ``d`` and ``a`` are the material, directional-light and ambient colors,
+    ``n`` and ``l`` the normal and light direction, ``i_d`` and ``i_a`` the
+    intensities, ``e`` the exposure and ``v`` the recorded post-processed
+    value; triplet columns have shape (N, 3), the others (N,).  Columns are
+    checked for shape and finiteness once, copied and stored read-only.
+
+    A batch supports ``len``, ``+``, iteration and integer indexing (both
+    yielding :class:`SceneSample` rows), and slice or boolean-mask indexing
+    (yielding a batch).
+    """
+
+    lambertian: np.ndarray
+    m: np.ndarray
+    n: np.ndarray
+    d: np.ndarray
+    i_d: np.ndarray
+    l: np.ndarray
+    a: np.ndarray
+    i_a: np.ndarray
+    e: np.ndarray
+    v: np.ndarray
+
     def __post_init__(self):
-        if self.kind not in ("lambertian", "unlit"):
-            raise ValidationError(f"unknown sample kind {self.kind!r}")
-        for name in ("material", "normal", "light_color", "light_direction",
-                     "ambient_color", "value"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            if arr.shape != (3,) or not np.all(np.isfinite(arr)):
-                raise ValidationError(f"sample {name} must be a finite triplet")
+        lam = np.array(self.lambertian, dtype=bool)
+        if lam.ndim != 1:
+            raise ValidationError("sample kind mask must be one-dimensional")
+        columns = {"lambertian": lam}
+        for name in _ROW_FIELDS:
+            arr = np.array(getattr(self, name), dtype=float)
+            shape = (lam.size, 3) if name in _TRIPLETS else (lam.size,)
+            if arr.shape != shape:
+                raise ValidationError(f"sample column {name}: expected shape "
+                                      f"{shape}, got {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"sample column {name} must be finite")
+            columns[name] = arr
+        for name, arr in columns.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    @classmethod
+    def of(cls, samples) -> SampleBatch:
+        """``samples`` itself when it is a batch, else a batch of its rows."""
+        if isinstance(samples, SampleBatch):
+            return samples
+        rows = list(samples)
+        kinds = [s.kind for s in rows]
+        unknown = [k for k in kinds if k not in _KINDS]
+        if unknown:
+            raise ValidationError(f"unknown sample kind {unknown[0]!r}")
+        columns = {}
+        for name, attr in _ROW_FIELDS.items():
+            try:
+                arr = np.array([getattr(s, attr) for s in rows], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"sample {attr} must be numeric") from exc
+            width = (3,) if name in _TRIPLETS else ()
+            columns[name] = arr if rows else arr.reshape((0, *width))
+        return cls(lambertian=[k == "lambertian" for k in kinds], **columns)
 
-def sample_arrays(samples) -> dict[str, np.ndarray]:
-    """Column-stack sample fields into arrays for vectorized evaluation."""
-    samples = list(samples)
-    return {
-        "kind": np.array([s.kind for s in samples]),
-        "m": np.array([s.material for s in samples]).reshape(-1, 3),
-        "n": np.array([s.normal for s in samples]).reshape(-1, 3),
-        "d": np.array([s.light_color for s in samples]).reshape(-1, 3),
-        "i_d": np.array([s.light_intensity for s in samples], dtype=float),
-        "l": np.array([s.light_direction for s in samples]).reshape(-1, 3),
-        "a": np.array([s.ambient_color for s in samples]).reshape(-1, 3),
-        "i_a": np.array([s.ambient_intensity for s in samples], dtype=float),
-        "e": np.array([s.exposure for s in samples], dtype=float),
-        "v": np.array([s.value for s in samples]).reshape(-1, 3),
-    }
+    @property
+    def kinds(self) -> np.ndarray:
+        """Kind name of each sample."""
+        return np.where(self.lambertian, *_KINDS)
+
+    def __len__(self) -> int:
+        return self.lambertian.size
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            i = range(len(self))[key]
+            return SceneSample(kind=_KINDS[0] if self.lambertian[i] else _KINDS[1],
+                               **{attr: getattr(self, name)[i]
+                                  for name, attr in _ROW_FIELDS.items()})
+        return SampleBatch(**{name: getattr(self, name)[key] for name in _COLUMNS})
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __add__(self, other) -> SampleBatch:
+        other = SampleBatch.of(other)
+        return SampleBatch(**{name: np.concatenate([getattr(self, name),
+                                                    getattr(other, name)])
+                              for name in _COLUMNS})
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int; seeds must be non-negative integers."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def predict_unprocessed(samples, scale_constant: float = DEFAULT_SCALE_CONSTANT,
                         norm_tol: float = INGEST_NORM_TOL) -> np.ndarray:
     """Unprocessed values implied by each sample's scene parameters."""
-    cols = sample_arrays(samples)
-    u = np.zeros_like(cols["m"])
-    lam = cols["kind"] == "lambertian"
+    b = SampleBatch.of(samples)
+    lam = b.lambertian
+    u = np.zeros_like(b.m)
     if np.any(lam):
         u[lam] = lambertian_unprocessed_arrays(
-            cols["m"][lam], cols["n"][lam], cols["d"][lam], cols["i_d"][lam],
-            cols["l"][lam], cols["a"][lam], cols["i_a"][lam], cols["e"][lam],
-            scale_constant=scale_constant, norm_tol=norm_tol)
-    if np.any(~lam):
-        u[~lam] = unlit_unprocessed(cols["m"][~lam])
+            b.m[lam], b.n[lam], b.d[lam], b.i_d[lam], b.l[lam], b.a[lam],
+            b.i_a[lam], b.e[lam], scale_constant=scale_constant,
+            norm_tol=norm_tol)
+    if not np.all(lam):
+        u[~lam] = unlit_unprocessed(b.m[~lam])
     return u
 
 
@@ -106,18 +205,12 @@ def predict_values(samples, tonemap=None,
     return quantize_8bit(v) if quantize else v
 
 
-def _sample_rng(seed: int, index: int) -> np.random.Generator:
-    # Counter-based stream: sample i gets its own child sequence, so parallel
-    # or partial generation reproduces the sequential results bit for bit.
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-
-
-def _unit_sphere(rng: np.random.Generator) -> np.ndarray:
-    while True:
-        vec = rng.standard_normal(3)
-        norm = np.linalg.norm(vec)
-        if norm > 1e-12:
-            return vec / norm
+def _sphere(z_draw: np.ndarray, phi_draw: np.ndarray) -> np.ndarray:
+    """Unit vectors uniform on the sphere, from two uniforms each."""
+    z = 2.0 * z_draw - 1.0
+    phi = 2.0 * np.pi * phi_draw
+    r = np.sqrt(1.0 - z * z)
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
 def generate_samples(count: int, seed: int, kind: str = "lambertian",
@@ -126,18 +219,21 @@ def generate_samples(count: int, seed: int, kind: str = "lambertian",
                      *, ambient_color_max: float = 1.0,
                      directional_intensity_range: tuple[float, float] = (0.0, 2.0),
                      ambient_intensity_range: tuple[float, float] = (0.0, 2.0),
-                     exposure_choices=(0.0,)) -> list[SceneSample]:
+                     exposure_choices=(0.0,)) -> SampleBatch:
     """Generate ``count`` random scene samples, rendered by the model itself.
 
     Material and directional-light colors are uniform on [0, 1]^3; the
     ambient color is uniform on [0, ambient_color_max]^3; intensities are
     uniform on the given ranges; directions are uniform on the unit sphere
     (normals restricted to the camera-facing hemisphere); the exposure is
-    drawn from ``exposure_choices``.  Deterministic given ``seed``.
+    drawn from ``exposure_choices``.  Sample i depends only on the
+    arguments other than ``count`` and on its own block of
+    :data:`DRAWS_PER_SAMPLE` uniforms from one Philox stream seeded by
+    ``seed``, a non-negative integer.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
-    if kind not in ("lambertian", "unlit"):
+    if kind not in _KINDS:
         raise ValidationError(f"unknown material kind {kind!r}")
     for name, rng_pair in (("directional", directional_intensity_range),
                            ("ambient", ambient_intensity_range)):
@@ -145,57 +241,60 @@ def generate_samples(count: int, seed: int, kind: str = "lambertian",
             raise ValidationError(f"invalid {name} intensity range {rng_pair}")
     if ambient_color_max < 0:
         raise ValidationError("ambient_color_max must be >= 0")
-    exposure_choices = tuple(float(e) for e in exposure_choices)
-    if not exposure_choices:
+    choices = np.array([float(e) for e in exposure_choices])
+    if not choices.size:
         raise ValidationError("exposure_choices must be nonempty")
+    rng = np.random.Generator(np.random.Philox(check_seed(seed)))
+    draws = rng.random((count, DRAWS_PER_SAMPLE))
 
-    zeros = np.zeros(3)
-    records = []
-    for i in range(count):
-        rng = _sample_rng(seed, i)
-        m = rng.uniform(0.0, 1.0, 3)
-        if kind == "unlit":
-            records.append(SceneSample(
-                kind="unlit", material=m, normal=zeros, light_color=zeros,
-                light_intensity=0.0, light_direction=zeros, ambient_color=zeros,
-                ambient_intensity=0.0, exposure=0.0, value=zeros))
-            continue
-        n = _unit_sphere(rng)
-        if np.dot(n, CAMERA_DIRECTION) < 0:
-            n = -n
-        d = rng.uniform(0.0, 1.0, 3)
-        i_d = rng.uniform(*directional_intensity_range)
-        l = _unit_sphere(rng)
-        a = rng.uniform(0.0, ambient_color_max, 3)
-        i_a = rng.uniform(*ambient_intensity_range)
-        e = exposure_choices[rng.integers(len(exposure_choices))]
-        records.append(SceneSample(
-            kind="lambertian", material=m, normal=n, light_color=d,
-            light_intensity=i_d, light_direction=l, ambient_color=a,
-            ambient_intensity=i_a, exposure=e, value=zeros))
-
-    values = predict_values(records, tonemap=tonemap,
-                            scale_constant=scale_constant, quantize=quantize)
-    return [SceneSample(kind=s.kind, material=s.material, normal=s.normal,
-                        light_color=s.light_color, light_intensity=s.light_intensity,
-                        light_direction=s.light_direction, ambient_color=s.ambient_color,
-                        ambient_intensity=s.ambient_intensity, exposure=s.exposure,
-                        value=v)
-            for s, v in zip(records, values)]
+    zeros, zeros3 = np.zeros(count), np.zeros((count, 3))
+    if kind == "unlit":
+        cols = dict(n=zeros3, d=zeros3, i_d=zeros, l=zeros3, a=zeros3,
+                    i_a=zeros, e=zeros)
+    else:
+        n = _sphere(draws[:, 3], draws[:, 4])
+        n[n @ CAMERA_DIRECTION < 0] *= -1.0
+        d_lo, d_hi = directional_intensity_range
+        a_lo, a_hi = ambient_intensity_range
+        pick = np.minimum((draws[:, 15] * choices.size).astype(int),
+                          choices.size - 1)
+        cols = dict(n=n, d=draws[:, 5:8], i_d=d_lo + (d_hi - d_lo) * draws[:, 8],
+                    l=_sphere(draws[:, 9], draws[:, 10]),
+                    a=ambient_color_max * draws[:, 11:14],
+                    i_a=a_lo + (a_hi - a_lo) * draws[:, 14], e=choices[pick])
+    batch = SampleBatch(lambertian=np.full(count, kind == "lambertian"),
+                        m=draws[:, 0:3], v=zeros3, **cols)
+    return replace(batch, v=predict_values(batch, tonemap=tonemap,
+                                           scale_constant=scale_constant,
+                                           quantize=quantize))
 
 
 def save_samples(samples, file) -> None:
     """Write samples in the CSV schema; floats keep full precision."""
+    b = SampleBatch.of(samples)
+    nums = np.column_stack([getattr(b, name) for name in _ROW_FIELDS])
     file.write(SAMPLE_CSV_HEADER + "\n")
-    for s in samples:
-        fields = np.concatenate([
-            s.material, s.normal, s.light_color, [s.light_intensity],
-            s.light_direction, s.ambient_color, [s.ambient_intensity],
-            [s.exposure], s.value])
-        file.write(s.kind + "," + ",".join(f"{x:.17g}" for x in fields) + "\n")
+    file.write("".join(_CSV_ROW % (kind, *row)
+                       for kind, row in zip(b.kinds.tolist(), nums.tolist())))
 
 
-def load_samples(file) -> list[SceneSample]:
+#: Row problems in per-row precedence order: a rejected row reports the
+#: first one that applies.
+_ROW_PROBLEMS = (
+    "expected 22 columns, got {columns}",
+    "non-numeric field",
+    "unknown kind {kind!r}",
+    "non-finite field",
+    "material color outside [0, 1]",
+    "post-processed value outside [0, 1]",
+    "non-unit normal",
+    "non-unit light direction",
+    "light color outside [0, 1]",
+    "negative light parameters",
+)
+
+
+def load_samples(file) -> SampleBatch:
     """Read and validate samples; raises with offending line numbers.
 
     Ingested unit vectors are accepted within 1e-6 of unit norm (text
@@ -204,76 +303,79 @@ def load_samples(file) -> list[SceneSample]:
     header = file.readline().strip().replace(" ", "")
     if header != SAMPLE_CSV_HEADER:
         raise SampleFormatError("sample CSV header does not match schema")
-    samples = []
-    bad_rows: list[tuple[int, str]] = []
-    for lineno, line in enumerate(file, start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        problem = None
-        parts = line.split(",")
-        if len(parts) != 22:
-            problem = f"expected 22 columns, got {len(parts)}"
-        else:
-            kind = parts[0]
-            try:
-                nums = np.array([float(x) for x in parts[1:]])
-            except ValueError:
-                nums = None
-                problem = "non-numeric field"
-            if problem is None:
-                problem = _row_problem(kind, nums)
-                if problem is None:
-                    samples.append(_row_to_sample(kind, nums))
-        if problem is not None:
-            bad_rows.append((lineno, problem))
-    if bad_rows:
-        detail = "; ".join(f"line {ln}: {msg}" for ln, msg in bad_rows[:5])
-        raise SampleFormatError(f"rejected {len(bad_rows)} sample row(s): {detail}",
-                                rows=tuple(ln for ln, _ in bad_rows))
-    return samples
+    raw = [line.strip() for line in file.read().split("\n")]
+    lines = [line for line in raw if line and line[0] != "#"]
+    columns = np.array([line.count(",") + 1 for line in lines], dtype=int)
+    whole = columns == 22
+    kinds = np.full(len(lines), "", dtype=object)
+    nums = np.zeros((len(lines), 21))
+    non_numeric = np.zeros(len(lines), dtype=bool)
+    full = [line for line, ok in zip(lines, whole.tolist()) if ok]
+    if full:
+        fields = ",".join(full).split(",")
+        kinds[whole] = fields[0::22]
+        del fields[0::22]
+        try:
+            nums[whole] = np.array(fields, dtype=float).reshape(-1, 21)
+        except ValueError:
+            nums[whole], non_numeric[whole] = _parse_rows(full)
+
+    lam = kinds == "lambertian"
+    m, n, d, l, a, v = (nums[:, k:k + 3] for k in (0, 3, 6, 10, 13, 18))
+    i_d, i_a, e = nums[:, 9], nums[:, 16], nums[:, 17]
+    with np.errstate(over="ignore", invalid="ignore"):
+        n_norm = np.linalg.norm(n, axis=1)
+        l_norm = np.linalg.norm(l, axis=1)
+
+    def outside_unit(x):
+        return np.any((x < 0) | (x > 1), axis=1)
+
+    checks = np.column_stack([  # one column per _ROW_PROBLEMS entry
+        ~whole,
+        non_numeric,
+        ~lam & (kinds != "unlit"),
+        ~np.all(np.isfinite(nums), axis=1),
+        outside_unit(m),
+        outside_unit(v),
+        lam & (np.abs(n_norm - 1.0) > INGEST_NORM_TOL),
+        lam & (np.abs(l_norm - 1.0) > INGEST_NORM_TOL),
+        lam & outside_unit(d),
+        lam & (np.any(a < 0, axis=1) | (i_d < 0) | (i_a < 0)),
+    ])
+    rejected = np.flatnonzero(np.any(checks, axis=1))
+    if rejected.size:
+        linenos = [lineno for lineno, line in enumerate(raw, start=2)
+                   if line and line[0] != "#"]
+        first = np.argmax(checks, axis=1)
+        detail = "; ".join(
+            f"line {linenos[i]}: "
+            + _ROW_PROBLEMS[first[i]].format(columns=columns[i], kind=kinds[i])
+            for i in rejected[:5])
+        raise SampleFormatError(
+            f"rejected {rejected.size} sample row(s): {detail}",
+            rows=tuple(linenos[i] for i in rejected))
+
+    # Renormalize only when the text actually lost precision, so saved
+    # samples round-trip bit for bit.
+    for vec, norm in ((n, n_norm), (l, l_norm)):
+        off = lam & (np.abs(norm - 1.0) > 1e-12)
+        vec[off] /= norm[off, None]
+    return SampleBatch(lambertian=lam, m=m, n=n, d=d, i_d=i_d, l=l, a=a,
+                       i_a=i_a, e=e, v=v)
 
 
-def _row_problem(kind: str, nums: np.ndarray) -> str | None:
-    if kind not in ("lambertian", "unlit"):
-        return f"unknown kind {kind!r}"
-    if not np.all(np.isfinite(nums)):
-        return "non-finite field"
-    m, n = nums[0:3], nums[3:6]
-    d, i_d, l = nums[6:9], nums[9], nums[10:13]
-    a, i_a = nums[13:16], nums[16]
-    v = nums[18:21]
-    if np.any(m < 0) or np.any(m > 1):
-        return "material color outside [0, 1]"
-    if np.any(v < 0) or np.any(v > 1):
-        return "post-processed value outside [0, 1]"
-    if kind == "unlit":
-        return None
-    for vec, name in ((n, "normal"), (l, "light direction")):
-        if abs(np.linalg.norm(vec) - 1.0) > INGEST_NORM_TOL:
-            return f"non-unit {name}"
-    if np.any(d < 0) or np.any(d > 1):
-        return "light color outside [0, 1]"
-    if np.any(a < 0) or i_d < 0 or i_a < 0:
-        return "negative light parameters"
-    return None
-
-
-def _row_to_sample(kind: str, nums: np.ndarray) -> SceneSample:
-    n = nums[3:6]
-    l = nums[10:13]
-    if kind == "lambertian":
-        # Renormalize only when the text actually lost precision, so saved
-        # samples round-trip bit for bit.
-        if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-            n = n / np.linalg.norm(n)
-        if abs(np.linalg.norm(l) - 1.0) > 1e-12:
-            l = l / np.linalg.norm(l)
-    return SceneSample(kind=kind, material=nums[0:3], normal=n,
-                       light_color=nums[6:9], light_intensity=float(nums[9]),
-                       light_direction=l, ambient_color=nums[13:16],
-                       ambient_intensity=float(nums[16]), exposure=float(nums[17]),
-                       value=nums[18:21])
+def _parse_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Row-by-row conversion of 22-column lines, run only after the
+    column-wise conversion failed, to find the rows with a non-numeric
+    field."""
+    nums = np.zeros((len(lines), 21))
+    bad = np.zeros(len(lines), dtype=bool)
+    for i, line in enumerate(lines):
+        try:
+            nums[i] = [float(x) for x in line.split(",")[1:]]
+        except ValueError:
+            bad[i] = True
+    return nums, bad
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,10 +401,9 @@ class ValidationReport:
     def to_csv(self, file) -> None:
         file.write("kind,pred_r,pred_g,pred_b,actual_r,actual_g,actual_b,"
                    "err_r,err_g,err_b\n")
-        for kind, pred, act, err in zip(self.kinds, self.predicted,
-                                        self.actual, self.errors):
-            nums = np.concatenate([pred, act, err])
-            file.write(kind + "," + ",".join(f"{x:.10g}" for x in nums) + "\n")
+        nums = np.column_stack([self.predicted, self.actual, self.errors])
+        file.write("".join(_REPORT_ROW % (kind, *row) for kind, row
+                           in zip(self.kinds.tolist(), nums.tolist())))
         file.write(f"# median_abs_error_255 = {self.median_abs_255:.10g}\n")
         file.write(f"# filtered_median_abs_error_255 = "
                    f"{self.filtered_median_abs_255:.10g}\n")
@@ -334,30 +435,29 @@ def validate_model(samples, tonemap=None,
                    quantize: bool = False,
                    material_floor: float = 0.2) -> ValidationReport:
     """Compare model predictions against recorded sample values."""
-    samples = list(samples)
-    if not samples:
+    batch = SampleBatch.of(samples)
+    if not len(batch):
         raise ValidationError("validate_model needs at least one sample")
-    cols = sample_arrays(samples)
-    predicted = predict_values(samples, tonemap=tonemap,
+    predicted = predict_values(batch, tonemap=tonemap,
                                scale_constant=scale_constant, quantize=quantize)
-    errors = predicted - cols["v"]
+    errors = predicted - batch.v
     median = float(np.median(np.abs(errors)) * 255.0)
-    keep = np.all(cols["m"] >= material_floor, axis=1)
+    keep = np.all(batch.m >= material_floor, axis=1)
     n_excluded = int(np.sum(~keep))
     filtered = (float(np.median(np.abs(errors[keep])) * 255.0)
                 if np.any(keep) else float("nan"))
 
     edges = np.linspace(0.0, 1.0, 11)
     assoc = []
-    m_flat = cols["m"].ravel()
+    m_flat = batch.m.ravel()
     err_flat = np.abs(errors).ravel()
     for lo, hi in zip(edges[:-1], edges[1:]):
         mask = (m_flat >= lo) & (m_flat < hi if hi < 1.0 else m_flat <= hi)
         assoc.append([lo, hi, int(mask.sum()),
                       float(np.median(err_flat[mask]) * 255.0) if mask.any()
                       else float("nan")])
-    return ValidationReport(kinds=cols["kind"], material=cols["m"],
-                            predicted=predicted, actual=cols["v"], errors=errors,
+    return ValidationReport(kinds=batch.kinds, material=batch.m,
+                            predicted=predicted, actual=batch.v, errors=errors,
                             median_abs_255=median,
                             filtered_median_abs_255=filtered,
                             n_excluded=n_excluded, material_floor=material_floor,

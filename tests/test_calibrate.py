@@ -216,6 +216,12 @@ class TestEstimateScaleConstant:
         est_scaled = estimate_scale_constant(scaled)
         assert est_scaled.c == pytest.approx(est.c * alpha, rel=1e-6)
 
+    def test_rows_and_batch_agree(self):
+        samples = (generate_samples(300, seed=12, quantize=True)
+                   + generate_samples(40, seed=13, kind="unlit"))
+        assert estimate_scale_constant(list(samples)) == \
+            estimate_scale_constant(samples)
+
     def test_too_few_samples(self):
         samples = generate_samples(50, seed=9, kind="lambertian")
         with pytest.raises(FitError):
@@ -325,6 +331,23 @@ class TestEstimateKnotsOptimize:
         rel = np.abs(est.active_values - grid.active_values) / grid.active_values
         assert rel.max() < 0.02
         assert report.objective_final <= report.objective_init
+
+    def test_rows_and_batch_agree(self):
+        grid, datasets = study_datasets(quantize=True, seeds=(71, 72), count=150)
+        init = KnotGrid.from_active(grid.active_values * 1.02)
+        kwargs = dict(seed=4, simplex_max_evals=60, max_restarts=0,
+                      polish_sweeps=1)
+        est_b, rep_b = estimate_knots_optimize(datasets, init, **kwargs)
+        est_r, rep_r = estimate_knots_optimize(
+            [(list(samples), lut) for samples, lut in datasets], init, **kwargs)
+        assert np.array_equal(est_b.values, est_r.values, equal_nan=True)
+        assert vars(rep_b) == vars(rep_r)
+
+    @pytest.mark.parametrize("seed", [-1, 0.5])
+    def test_invalid_seed(self, seed):
+        grid, datasets = study_datasets(quantize=False, seeds=(51, 52), count=20)
+        with pytest.raises(ValidationError, match="seed"):
+            estimate_knots_optimize(datasets, grid, seed=seed)
 
     def test_requires_two_cubes(self):
         grid, datasets = study_datasets(quantize=False, seeds=(51, 52, 53))

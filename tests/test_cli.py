@@ -63,6 +63,11 @@ class TestSimulate:
     def test_unknown_flag_exit_64(self):
         assert run("simulate", "--frobnicate") == 64
 
+    def test_negative_seed_exit_64(self, capsys):
+        assert run("simulate", "--samples", "2", "--seed", "-1") == 64
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
+
 
 class TestFitC:
     def test_closed_loop(self, tmp_path, capsys):
@@ -120,6 +125,44 @@ class TestEstimateKnots:
             est = KnotGrid.from_csv(fh)
         rel = np.abs(est.active_values - grid.active_values) / grid.active_values
         assert rel.max() < 0.005
+
+    def test_delta_mode_row_order_irrelevant(self, tmp_path):
+        grid = default_knot_grid()
+        xs = np.geomspace(1e-5, 100, 400)
+        rows = []
+        for m in range(1, 33):
+            t = CubeTonemap(grid, make_delta_cube(m)).apply(
+                np.column_stack([xs, xs, xs]))[:, 0]
+            rows.extend(f"{m},{x:.17g},{y:.17g}" for x, y in zip(xs, t))
+        shuffled = [rows[i] for i in np.random.default_rng(5).permutation(len(rows))]
+        outputs = []
+        for name, body in (("ordered", rows), ("shuffled", shuffled)):
+            sweep_csv = tmp_path / f"{name}.csv"
+            sweep_csv.write_text("m,u,t\n" + "\n".join(body) + "\n")
+            out = tmp_path / f"{name}_knots.csv"
+            assert run("estimate-knots", "--mode", "delta", "--in", str(sweep_csv),
+                       "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_optimize_mode_negative_seed_exit_64(self, tmp_path, capsys):
+        # the seed is rejected while parsing, before any file is opened
+        assert run("estimate-knots", "--mode", "optimize",
+                   "--in", str(tmp_path / "s.csv"),
+                   "--cube", str(tmp_path / "any.cube"), "--seed", "-1") == 64
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("row,problem", [("4,0.5", "expected 3 fields, got 2"),
+                                             ("4,0.5,0.1,0", "expected 3 fields"),
+                                             ("4.0,0.5,0.1", "expected an integer"),
+                                             ("4,x,0.1", "expected an integer")])
+    def test_delta_mode_malformed_row_exit_2(self, tmp_path, capsys, row, problem):
+        sweep_csv = tmp_path / "sweeps.csv"
+        sweep_csv.write_text(f"m,u,t\n3,0.1,0.0\n# note\n{row}\n3,0.2,0.5\n")
+        assert run("estimate-knots", "--mode", "delta", "--in", str(sweep_csv)) == 2
+        err = capsys.readouterr().err
+        assert f"line 4: {problem}" in err and "Traceback" not in err
 
     def test_optimize_mode_requires_cubes(self, tmp_path):
         csv = tmp_path / "s.csv"

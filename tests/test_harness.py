@@ -9,9 +9,18 @@ from hdrpcal.cubelut import (CubeTonemap, DELTA_KNOTS, default_knot_grid,
                              separable_cube)
 from hdrpcal.display import AchromaticDisplay, ChromaticDisplay
 from hdrpcal.errors import SampleFormatError, ValidationError
-from hdrpcal.harness import (CAMERA_DIRECTION, SceneSample, generate_samples,
-                             load_samples, save_samples,
-                             simulate_characterization, validate_model)
+from hdrpcal.harness import (CAMERA_DIRECTION, SAMPLE_CSV_HEADER, SampleBatch,
+                             SceneSample, generate_samples, load_samples,
+                             save_samples, simulate_characterization,
+                             validate_model)
+
+COLUMNS = ("lambertian", "m", "n", "d", "i_d", "l", "a", "i_a", "e", "v")
+
+
+def assert_batches_identical(a, b):
+    assert len(a) == len(b)
+    for name in COLUMNS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def cube_tonemap():
@@ -78,10 +87,66 @@ class TestGeneration:
         with pytest.raises(ValidationError):
             generate_samples(0, seed=0)
 
+    def test_prefix_property_every_column(self):
+        tm = cube_tonemap()
+        for kind in ("lambertian", "unlit"):
+            long = generate_samples(20, seed=9, kind=kind, tonemap=tm,
+                                    exposure_choices=(-2.0, 0.0, 5.0))
+            short = generate_samples(8, seed=9, kind=kind, tonemap=tm,
+                                     exposure_choices=(-2.0, 0.0, 5.0))
+            assert_batches_identical(long[:8], short)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_invalid_seed(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            generate_samples(3, seed=seed)
+
     def test_quantized_values_on_grid(self):
         samples = generate_samples(50, seed=7, quantize=True)
         v = np.array([s.value for s in samples]) * 255
         assert np.allclose(v, np.round(v), atol=1e-9)
+
+
+class TestSampleBatch:
+    def test_indexing_and_iteration(self):
+        batch = generate_samples(6, seed=21)
+        row = batch[-1]
+        assert isinstance(row, SceneSample)
+        assert row.kind == "lambertian"
+        assert np.array_equal(row.normal, batch.n[5])
+        assert row.exposure == batch.e[5]
+        rows = list(batch)
+        assert len(rows) == 6
+        assert np.array_equal(rows[2].value, batch.v[2])
+        with pytest.raises(IndexError):
+            batch[6]
+        assert_batches_identical(batch[1:3], SampleBatch.of(rows[1:3]))
+        mask = np.array([True, False] * 3)
+        assert_batches_identical(batch[mask], SampleBatch.of(rows[0::2]))
+
+    def test_concatenation(self):
+        a = generate_samples(4, seed=22)
+        b = generate_samples(3, seed=23, kind="unlit")
+        both = a + b
+        assert len(both) == 7
+        assert both.kinds.tolist() == ["lambertian"] * 4 + ["unlit"] * 3
+        assert_batches_identical(both[4:], b)
+        assert_batches_identical(a + list(b), both)
+
+    def test_columns_read_only(self):
+        batch = generate_samples(3, seed=24)
+        with pytest.raises(ValueError):
+            batch.m[0, 0] = 0.5
+
+    def test_rows_validated_on_entry(self):
+        row = generate_samples(1, seed=25)[0]
+        fields = dict(vars(row))
+        with pytest.raises(ValidationError, match="kind"):
+            SampleBatch.of([SceneSample(**{**fields, "kind": "phong"})])
+        with pytest.raises(ValidationError, match="finite"):
+            SampleBatch.of([SceneSample(**{**fields, "exposure": float("nan")})])
+        with pytest.raises(ValidationError):
+            SampleBatch.of([SceneSample(**{**fields, "value": np.zeros(2)})])
 
 
 class TestSampleCsv:
@@ -98,6 +163,103 @@ class TestSampleCsv:
             assert t.value == pytest.approx(s.value, abs=1e-9)
             assert t.normal == pytest.approx(s.normal, abs=1e-9)
             assert t.exposure == s.exposure
+
+    def test_round_trip_bit_exact(self):
+        samples = (generate_samples(30, seed=8, quantize=True,
+                                    exposure_choices=(-3.0, 0.0, 7.0))
+                   + generate_samples(10, seed=9, kind="unlit"))
+        buf = io.StringIO()
+        save_samples(samples, buf)
+        back = load_samples(io.StringIO(buf.getvalue()))
+        assert_batches_identical(back, samples)
+        again = io.StringIO()
+        save_samples(back, again)
+        assert again.getvalue() == buf.getvalue()
+
+    def test_csv_matches_row_writer(self):
+        samples = (generate_samples(12, seed=32, quantize=True,
+                                    exposure_choices=(-1.5, 4.0))
+                   + generate_samples(3, seed=33, kind="unlit"))
+        reference = [SAMPLE_CSV_HEADER + "\n"]
+        for s in samples:
+            fields = np.concatenate([
+                s.material, s.normal, s.light_color, [s.light_intensity],
+                s.light_direction, s.ambient_color, [s.ambient_intensity],
+                [s.exposure], s.value])
+            reference.append(s.kind + "," + ",".join(f"{x:.17g}" for x in fields)
+                             + "\n")
+        for given in (samples, list(samples)):
+            buf = io.StringIO()
+            save_samples(given, buf)
+            assert buf.getvalue() == "".join(reference)
+
+    # One edit per row and the message the row-by-row reader gave for it,
+    # in that reader's per-row precedence.
+    BAD_ROWS = [
+        ({2: "1.5"}, "material color outside [0, 1]"),
+        ({22: "1"}, "expected 22 columns, got 23"),
+        ({0: "phong"}, "unknown kind 'phong'"),
+        ({19: "nan"}, "non-finite field"),
+        ({20: "-0.1"}, "post-processed value outside [0, 1]"),
+        ({5: "0.5"}, "non-unit normal"),
+        ({12: "0.2"}, "non-unit light direction"),
+        ({7: "1.2"}, "light color outside [0, 1]"),
+        ({14: "-1"}, "negative light parameters"),
+        ({10: "-1"}, "negative light parameters"),
+        ({17: "-1"}, "negative light parameters"),
+        ({5: "x"}, "non-numeric field"),
+        ({0: "phong", 3: "oops"}, "non-numeric field"),
+        ({2: "2", 5: "0.4"}, "material color outside [0, 1]"),
+        ({19: "inf", 20: "2"}, "non-finite field"),
+        ({5: "0.4", 8: "3"}, "non-unit normal"),
+    ]
+
+    @staticmethod
+    def _edited(line, edit):
+        parts = line.split(",")
+        for k, value in edit.items():
+            if k < len(parts):
+                parts[k] = value
+            else:
+                parts.append(value)
+        return ",".join(parts)
+
+    def test_bad_rows_reported_in_line_order(self):
+        samples = generate_samples(len(self.BAD_ROWS) + 2, seed=26)
+        buf = io.StringIO()
+        save_samples(samples, buf)
+        lines = buf.getvalue().splitlines()
+        for i, (edit, _) in enumerate(self.BAD_ROWS):
+            lines[i + 2] = self._edited(lines[i + 2], edit)
+        lines.insert(3, "# a comment")
+        lines.insert(5, "")
+        with pytest.raises(SampleFormatError) as info:
+            load_samples(io.StringIO("\n".join(lines) + "\n"))
+        rows = (3, 5) + tuple(range(7, 7 + len(self.BAD_ROWS) - 2))
+        assert info.value.rows == rows
+        detail = "; ".join(f"line {ln}: {msg}" for ln, (_, msg)
+                           in zip(rows[:5], self.BAD_ROWS))
+        assert str(info.value) == (
+            f"rejected {len(self.BAD_ROWS)} sample row(s): {detail} "
+            f"[rows: {', '.join(str(r) for r in rows)}]")
+
+    @pytest.mark.parametrize("edit,message", BAD_ROWS)
+    def test_single_bad_row_message(self, edit, message):
+        buf = io.StringIO()
+        save_samples(generate_samples(1, seed=27), buf)
+        line = self._edited(buf.getvalue().splitlines()[1], edit)
+        with pytest.raises(SampleFormatError) as info:
+            load_samples(io.StringIO(f"{SAMPLE_CSV_HEADER}\n{line}\n"))
+        assert str(info.value) == (
+            f"rejected 1 sample row(s): line 2: {message} [rows: 2]")
+
+    def test_unlit_rows_skip_lighting_checks(self):
+        buf = io.StringIO()
+        save_samples(generate_samples(1, seed=28, kind="unlit"), buf)
+        line = self._edited(buf.getvalue().splitlines()[1], {4: "7", 14: "-1"})
+        back = load_samples(io.StringIO(f"{SAMPLE_CSV_HEADER}\n{line}\n"))
+        assert back.kinds.tolist() == ["unlit"]
+        assert back.n[0, 0] == 7.0
 
     def test_bad_normal_rejected_with_row(self):
         samples = generate_samples(3, seed=10)
@@ -127,7 +289,7 @@ class TestSampleCsv:
         buf = io.StringIO()
         save_samples([], buf)
         buf.seek(0)
-        assert load_samples(buf) == []
+        assert len(load_samples(buf)) == 0
 
     def test_ingest_tolerance_renormalizes(self):
         samples = generate_samples(1, seed=12)
@@ -209,6 +371,39 @@ class TestValidateModel:
         text = buf.getvalue()
         assert "# median_abs_error_255" in text
         assert text.count("\n") == 1 + len(samples) + 4
+
+    def test_csv_matches_row_writer(self):
+        samples = generate_samples(12, seed=29, quantize=True) + \
+            generate_samples(3, seed=30, kind="unlit")
+        report = validate_model(samples, material_floor=0.3)
+        reference = io.StringIO()
+        reference.write("kind,pred_r,pred_g,pred_b,actual_r,actual_g,actual_b,"
+                        "err_r,err_g,err_b\n")
+        for kind, pred, act, err in zip(report.kinds, report.predicted,
+                                        report.actual, report.errors):
+            nums = np.concatenate([pred, act, err])
+            reference.write(kind + "," + ",".join(f"{x:.10g}" for x in nums)
+                            + "\n")
+        reference.write(f"# median_abs_error_255 = {report.median_abs_255:.10g}\n")
+        reference.write(f"# filtered_median_abs_error_255 = "
+                        f"{report.filtered_median_abs_255:.10g}\n")
+        reference.write(f"# excluded_by_material_floor = {report.n_excluded}\n")
+        reference.write(f"# material_floor = {report.material_floor:.10g}\n")
+        buf = io.StringIO()
+        report.to_csv(buf)
+        assert buf.getvalue() == reference.getvalue()
+
+    def test_rows_and_batch_agree(self):
+        tm = cube_tonemap()
+        samples = generate_samples(60, seed=31, tonemap=tm, quantize=True)
+        a = validate_model(samples, tonemap=tm)
+        b = validate_model(list(samples), tonemap=tm)
+        for name in ("kinds", "material", "predicted", "actual", "errors",
+                     "association"):
+            assert np.array_equal(getattr(a, name), getattr(b, name),
+                                  equal_nan=name == "association"), name
+        assert (a.median_abs_255, a.filtered_median_abs_255, a.n_excluded) == \
+            (b.median_abs_255, b.filtered_median_abs_255, b.n_excluded)
 
     def test_svg_well_formed(self):
         samples = generate_samples(30, seed=20, quantize=True)

@@ -7,13 +7,12 @@ from .calibrate import (DeltaSweep, GammaCorrectionSpec, build_correction_cube,
                         gamma_tonemap_chromatic)
 from .colorspace import (quantize_8bit, srgb_decode, srgb_decode3, srgb_encode,
                          srgb_encode3)
-from .cubelut import (CubeLUT, CubeTonemap, IdentityTonemap, KnotGrid,
-                      default_knot_grid, make_delta_cube, parse_cube,
-                      separable_cube, serialize_cube)
+from .cubelut import (CubeLUT, CubeTonemap, KnotGrid, default_knot_grid,
+                      make_delta_cube, parse_cube, separable_cube,
+                      serialize_cube)
 from .display import (AchromaticDisplay, ChromaticDisplay, Measurement,
-                      achromatic_luminance, chromatic_xyz, fit_achromatic,
-                      fit_chromatic, load_display, save_display,
-                      solve_background_weights)
+                      fit_achromatic, fit_chromatic, load_display,
+                      save_display, solve_background_weights)
 from .harness import (SampleBatch, SceneSample, generate_samples, load_samples,
                       save_samples, simulate_characterization, validate_model)
 from .scene import (AmbientLight, DirectionalLight, RenderContext,
@@ -25,10 +24,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AchromaticDisplay", "AmbientLight", "ChromaticDisplay", "CubeLUT",
     "CubeTonemap", "DeltaSweep", "DirectionalLight", "GammaCorrectionSpec",
-    "IdentityTonemap", "KnotGrid", "Measurement", "RenderContext",
-    "SampleBatch", "SceneSample", "achromatic_luminance",
-    "build_correction_cube", "chromatic_xyz", "default_knot_grid",
-    "estimate_knots_delta",
+    "KnotGrid", "Measurement", "RenderContext", "SampleBatch", "SceneSample",
+    "build_correction_cube", "default_knot_grid", "estimate_knots_delta",
     "estimate_knots_optimize", "estimate_scale_constant", "fit_achromatic",
     "fit_chromatic", "gamma_tonemap_achromatic", "gamma_tonemap_chromatic",
     "generate_samples", "lambertian_unprocessed",

@@ -25,13 +25,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import lsq_linear, minimize, minimize_scalar
 
-from .colorspace import srgb_decode, srgb_decode3, srgb_encode3
-from .cubelut import CubeLUT, KnotGrid, _trilinear, default_knot_grid
+from .colorspace import srgb_decode, srgb_decode3
+# Not called here; the benchmark tracer requires this module binding.
+from .colorspace import srgb_encode3  # noqa: F401
+from .cubelut import (CubeLUT, KnotGrid, _interpolate, _locate,
+                      _separable_outputs, default_knot_grid)
 from .display import AchromaticDisplay, ChromaticDisplay
 from .errors import (DegenerateDataError, EstimationError, FitError,
                      ValidationError)
 from .harness import SampleBatch, check_seed, predict_unprocessed
-from .scene import DEFAULT_SCALE_CONSTANT
+from .scene import DEFAULT_SCALE_CONSTANT, _post_process
 
 REFINE_POINTS = 2048
 HOLDOUT_FRACTION = 0.2
@@ -118,10 +121,8 @@ def gamma_tonemap_chromatic(spec: GammaCorrectionSpec, u):
 def _hat_matrix(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Interpolation weights of each knot output at points x (with the
     clamp-to-active-range semantics of the tonemap)."""
-    count = knots.size
-    idx = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, count - 2)
-    w = np.clip((x - knots[idx]) / (knots[idx + 1] - knots[idx]), 0.0, 1.0)
-    mat = np.zeros((x.size, count))
+    idx, w = _locate(knots, x)
+    mat = np.zeros((x.size, knots.size))
     rows = np.arange(x.size)
     mat[rows, idx] = 1.0 - w
     mat[rows, idx + 1] += w
@@ -146,7 +147,6 @@ def build_correction_cube(spec: GammaCorrectionSpec, knots: KnotGrid | None = No
     r = spec.input_range
     targets = spec.channel_tonemaps()
     start = grid.active_start - 1
-    n = grid.size
 
     curves = np.empty((3, active.size))
     for c in range(3):
@@ -177,15 +177,10 @@ def build_correction_cube(spec: GammaCorrectionSpec, knots: KnotGrid | None = No
             else:
                 curves[c] = refined
 
-    full = np.empty((3, n))
-    for c in range(3):
-        full[c, start:] = curves[c]
-        full[c, :start] = curves[c][0]
-    outputs = np.empty((n, n, n, 3))
-    outputs[..., 0] = full[0][:, None, None]
-    outputs[..., 1] = full[1][None, :, None]
-    outputs[..., 2] = full[2][None, None, :]
-    return CubeLUT(outputs, title="gamma correction")
+    full = np.empty((3, grid.size))
+    full[:, start:] = curves
+    full[:, :start] = curves[:, :1]
+    return CubeLUT(_separable_outputs(full), title="gamma correction")
 
 
 @dataclass(frozen=True)
@@ -372,7 +367,7 @@ class _KnotObjective:
     the log knot coordinates, with a soft monotonicity penalty."""
 
     def __init__(self, datasets, penalty_weight: float):
-        self.datasets = datasets  # list of (u, v, curves-or-lut)
+        self.datasets = datasets  # list of (u, v, lut), checked when built
         self.penalty_weight = penalty_weight
         self.evaluations = 0
 
@@ -385,20 +380,13 @@ class _KnotObjective:
 
     def sse(self, knots: np.ndarray) -> float:
         total = 0.0
-        for u, v, payload in self.datasets:
-            total += float(np.sum((self.predict(knots, u, payload) - v) ** 2))
+        for u, v, lut in self.datasets:
+            total += float(np.sum((self.predict(knots, u, lut) - v) ** 2))
         return total
 
     @staticmethod
-    def predict(knots: np.ndarray, u: np.ndarray, payload) -> np.ndarray:
-        if isinstance(payload, tuple):  # separable per-channel curves
-            t = np.column_stack([np.interp(u[:, k], knots, payload[k])
-                                 for k in range(3)])
-        else:  # general cube: trilinear over the candidate grid
-            start = 2
-            cube = payload.outputs[start:, start:, start:, :]
-            t = _trilinear(knots, cube, np.clip(u, knots[0], knots[-1]))
-        return srgb_encode3(np.clip(t, 0.0, 1.0))
+    def predict(knots: np.ndarray, u: np.ndarray, lut: CubeLUT) -> np.ndarray:
+        return _post_process(u, lambda x: _interpolate(knots, lut, x))
 
 
 def estimate_knots_optimize(datasets, init: KnotGrid, *,
@@ -429,6 +417,8 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
     train_sets, holdout_sets = [], []
     n_excluded = n_train = n_holdout = 0
     for samples, lut in datasets:
+        if lut.size != init.size:
+            raise ValidationError(f"cube size {lut.size} != knot grid size {init.size}")
         batch = SampleBatch.of(samples)
         keep = np.all(batch.m >= material_floor, axis=1)
         n_excluded += int(np.sum(~keep))
@@ -437,13 +427,11 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
             continue
         u = predict_unprocessed(kept, scale_constant=scale_constant)
         v = kept.v
-        curves = lut.separable_channels()
-        payload = (tuple(c[2:] for c in curves) if curves is not None else lut)
         holdout = rng.random(len(kept)) < holdout_fraction
         if np.any(~holdout):
-            train_sets.append((u[~holdout], v[~holdout], payload))
+            train_sets.append((u[~holdout], v[~holdout], lut))
         if np.any(holdout):
-            holdout_sets.append((u[holdout], v[holdout], payload))
+            holdout_sets.append((u[holdout], v[holdout], lut))
         n_train += int(np.sum(~holdout))
         n_holdout += int(np.sum(holdout))
     if not train_sets:
@@ -476,8 +464,8 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
                                 active_start=init.active_start)
 
     def median_err(sets) -> float:
-        errs = [np.abs(_KnotObjective.predict(knots, u, payload) - v).ravel()
-                for u, v, payload in sets]
+        errs = [np.abs(_KnotObjective.predict(knots, u, lut) - v).ravel()
+                for u, v, lut in sets]
         return float(np.median(np.concatenate(errs)) * 255.0) if errs else float("nan")
 
     report = KnotOptimizeReport(

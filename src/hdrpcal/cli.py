@@ -168,17 +168,19 @@ def _emit(args, text: str, out: str | None) -> None:
     _info(args, f"wrote {path}")
 
 
+def _load_knots(knots_arg: str | None) -> KnotGrid:
+    if knots_arg is None:
+        return default_knot_grid()
+    with open(knots_arg) as fh:
+        return KnotGrid.from_csv(fh)
+
+
 def _load_tonemap(tonemap_arg: str, knots_arg: str | None):
     if tonemap_arg == "none":
         return None
     with open(tonemap_arg) as fh:
         lut = parse_cube(fh)
-    if knots_arg is None:
-        grid = default_knot_grid()
-    else:
-        with open(knots_arg) as fh:
-            grid = KnotGrid.from_csv(fh)
-    return CubeTonemap(grid, lut)
+    return CubeTonemap(_load_knots(knots_arg), lut)
 
 
 def _cmd_simulate(args) -> int:
@@ -276,11 +278,7 @@ def _cmd_estimate_knots(args) -> int:
         cubes = args.cube or []
         if len(cubes) != len(args.infile):
             raise UsageError("optimize mode needs one --cube per --in")
-        if args.init is None:
-            init = default_knot_grid()
-        else:
-            with open(args.init) as fh:
-                init = KnotGrid.from_csv(fh)
+        init = _load_knots(args.init)
         datasets = []
         for sample_path, cube_path in zip(args.infile, cubes):
             with open(sample_path) as fh:
@@ -322,12 +320,7 @@ def _cmd_make_cube(args) -> int:
     with open(args.display) as fh:
         display = load_display(fh)
     spec = GammaCorrectionSpec(display, input_range=args.r)
-    if args.knots is None:
-        grid = default_knot_grid()
-    else:
-        with open(args.knots) as fh:
-            grid = KnotGrid.from_csv(fh)
-    lut = build_correction_cube(spec, grid, refine=args.refine)
+    lut = build_correction_cube(spec, _load_knots(args.knots), refine=args.refine)
     _emit(args, serialize_cube(lut), args.out)
     return EXIT_OK
 

@@ -25,18 +25,39 @@ SRGB_LINEAR_BREAK = SRGB_ENCODED_BREAK / 12.92
 CHANNEL_NAMES = ("r", "g", "b")
 
 
-def _checked_unit(x, op: str) -> np.ndarray:
+def _checked(x, op: str, triplet: bool = False) -> np.ndarray:
+    """``x`` as a float array after the domain check shared by every public
+    operation; ``triplet`` also requires shape (..., 3) and names the first
+    offending channel."""
     arr = np.asarray(x, dtype=float)
+    if triplet and arr.shape[-1:] != (3,):
+        raise DomainError(f"{op}: expected shape (..., 3), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{op}: input must be finite")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        bad = arr[(arr < 0.0) | (arr > 1.0)]
-        raise DomainError(f"{op}: input {bad.flat[0]!r} outside [0, 1]")
+    bad = (arr < 0.0) | (arr > 1.0)
+    if np.any(bad):
+        if triplet:
+            channel = int(np.argmax(np.any(bad.reshape(-1, 3), axis=0)))
+            where = f"channel {CHANNEL_NAMES[channel]}"
+        else:
+            where = f"input {arr[bad].flat[0]!r}"
+        raise DomainError(f"{op}: {where} outside [0, 1]")
     return arr
 
 
-def _match_input(out: np.ndarray, x) -> np.ndarray | float:
-    return float(out) if np.ndim(x) == 0 else out
+def _decode(arr: np.ndarray) -> np.ndarray:
+    """The sRGB decoding formula, without the domain check."""
+    return np.where(arr <= SRGB_ENCODED_BREAK,
+                    arr / 12.92,
+                    ((arr + 0.055) / 1.055) ** 2.4)
+
+
+def _encode(arr: np.ndarray) -> np.ndarray:
+    """The sRGB encoding formula, without the domain check."""
+    # The power branch is written so that the fixed point at 1 is exact.
+    return np.where(arr <= SRGB_LINEAR_BREAK,
+                    arr * 12.92,
+                    1.055 * (arr ** (1.0 / 2.4) - 1.0) + 1.0)
 
 
 def srgb_decode(x):
@@ -45,51 +66,24 @@ def srgb_decode(x):
     x/12.92 below the breakpoint 0.04045, ((x + 0.055)/1.055)**2.4 above.
     Monotone increasing with fixed points at 0 and 1.
     """
-    arr = _checked_unit(x, "srgb_decode")
-    out = np.where(arr <= SRGB_ENCODED_BREAK,
-                   arr / 12.92,
-                   ((arr + 0.055) / 1.055) ** 2.4)
-    return _match_input(out, x)
+    out = _decode(_checked(x, "srgb_decode"))
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def srgb_encode(y):
     """Exact functional inverse of :func:`srgb_decode` on [0, 1]."""
-    arr = _checked_unit(y, "srgb_encode")
-    # The power branch is written so that the fixed point at 1 is exact.
-    out = np.where(arr <= SRGB_LINEAR_BREAK,
-                   arr * 12.92,
-                   1.055 * (arr ** (1.0 / 2.4) - 1.0) + 1.0)
-    return _match_input(out, y)
-
-
-def _checked_triplet(t, op: str) -> np.ndarray:
-    arr = np.asarray(t, dtype=float)
-    if arr.shape[-1:] != (3,):
-        raise DomainError(f"{op}: expected shape (..., 3), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{op}: components must be finite")
-    bad = (arr < 0.0) | (arr > 1.0)
-    if np.any(bad):
-        channel = CHANNEL_NAMES[int(np.argmax(np.any(
-            bad.reshape(-1, 3), axis=0)))]
-        raise DomainError(f"{op}: channel {channel} outside [0, 1]")
-    return arr
+    out = _encode(_checked(y, "srgb_encode"))
+    return float(out) if np.ndim(y) == 0 else out
 
 
 def srgb_decode3(t):
     """Componentwise :func:`srgb_decode` over (..., 3) color triplets."""
-    arr = _checked_triplet(t, "srgb_decode3")
-    return np.where(arr <= SRGB_ENCODED_BREAK,
-                    arr / 12.92,
-                    ((arr + 0.055) / 1.055) ** 2.4)
+    return _decode(_checked(t, "srgb_decode3", triplet=True))
 
 
 def srgb_encode3(t):
     """Componentwise :func:`srgb_encode` over (..., 3) color triplets."""
-    arr = _checked_triplet(t, "srgb_encode3")
-    return np.where(arr <= SRGB_LINEAR_BREAK,
-                    arr * 12.92,
-                    1.055 * (arr ** (1.0 / 2.4) - 1.0) + 1.0)
+    return _encode(_checked(t, "srgb_encode3", triplet=True))
 
 
 def quantize_8bit(t):
@@ -99,5 +93,5 @@ def quantize_8bit(t):
     undocumented; this choice matches common rasterizer behavior and is
     idempotent.
     """
-    arr = _checked_triplet(t, "quantize_8bit")
+    arr = _checked(t, "quantize_8bit", triplet=True)
     return np.floor(arr * 255.0 + 0.5) / 255.0

@@ -25,12 +25,21 @@ interpolation runs over knots 3..n only, and inputs below u*_3 or above
 u*_n clamp to the edge of that active range.  (The engine also shows an
 interpolation anomaly between u*_3 and u*_4; this model deliberately uses
 clean linear interpolation there.)
+
+When each output channel depends only on its own grid index (a separable
+cube, such as every impulse and gamma-correction cube), trilinear
+interpolation reduces exactly to one piecewise-linear curve per channel,
+which the tonemap evaluates instead of the eight cell corners; separability
+is decided once per :class:`CubeLUT`.  Disabled tonemapping is ``None``
+(see :func:`hdrpcal.scene.post_process`), not a tonemap object.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -119,12 +128,16 @@ class KnotGrid:
         if header.replace(" ", "") != "index,u":
             raise ValidationError(f"knot CSV: expected header 'index,u', got {header!r}")
         pairs = []
-        for line in file:
+        for lineno, line in enumerate(file, start=2):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            idx_s, u_s = line.split(",")
-            pairs.append((int(idx_s), float(u_s)))
+            try:
+                idx_s, u_s = line.split(",")
+                pairs.append((int(idx_s), float(u_s)))
+            except ValueError:  # also raised for a row without exactly 2 fields
+                raise ValidationError(f"knot CSV line {lineno}: expected an integer "
+                                      f"index and a numeric u, got {line!r}") from None
         if not pairs:
             raise ValidationError("knot CSV: no rows")
         pairs.sort()
@@ -177,15 +190,14 @@ class CubeLUT:
     def separable_channels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """Per-axis output curves if each channel depends only on its own
         grid index, else None."""
+        return self._curves
+
+    @cached_property
+    def _curves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        # Decided once: the test costs more than one separable interpolation.
         out = self.outputs
-        r = out[:, 0, 0, 0]
-        g = out[0, :, 0, 1]
-        b = out[0, 0, :, 2]
-        if (np.array_equal(out[..., 0], np.broadcast_to(r[:, None, None], out.shape[:3]))
-                and np.array_equal(out[..., 1], np.broadcast_to(g[None, :, None], out.shape[:3]))
-                and np.array_equal(out[..., 2], np.broadcast_to(b[None, None, :], out.shape[:3]))):
-            return r, g, b
-        return None
+        curves = (out[:, 0, 0, 0], out[0, :, 0, 1], out[0, 0, :, 2])
+        return curves if np.array_equal(out, _separable_outputs(curves)) else None
 
 
 def _parse_floats(tokens: list[str], raw: str, lineno: int, count: int,
@@ -196,10 +208,14 @@ def _parse_floats(tokens: list[str], raw: str, lineno: int, count: int,
     values = []
     for tok in tokens:
         try:
-            values.append(float(tok))
+            value = float(tok)
         except ValueError:
             raise CubeFormatError(f"{what}: non-numeric token {tok!r}",
                                   line=lineno, column=raw.find(tok) + 1) from None
+        if not math.isfinite(value):
+            raise CubeFormatError(f"{what}: non-finite value {tok!r}",
+                                  line=lineno, column=raw.find(tok) + 1)
+        values.append(value)
     return values
 
 
@@ -236,7 +252,8 @@ def parse_cube(source) -> CubeLUT:
             domain_min = np.array(_parse_floats(line.split()[1:], raw, lineno, 3, "DOMAIN_MIN"))
         elif head == "DOMAIN_MAX":
             domain_max = np.array(_parse_floats(line.split()[1:], raw, lineno, 3, "DOMAIN_MAX"))
-        elif head[0].isalpha() or head[0] == "_":
+        elif ((head[0].isalpha() or head[0] == "_")
+              and head.lower() not in ("nan", "inf", "infinity")):  # float() reads these
             raise CubeFormatError(f"unknown keyword {head!r}", line=lineno)
         else:
             rows.append(_parse_floats(line.split(), raw, lineno, 3, "data row"))
@@ -287,11 +304,7 @@ def make_delta_cube(m: int, size: int = DEFAULT_GRID_SIZE) -> CubeLUT:
         raise ValidationError(f"delta index must be in 1..{size}, got {m}")
     hit = np.zeros(size)
     hit[m - 1] = 1.0
-    outputs = np.zeros((size, size, size, 3))
-    outputs[..., 0] = hit[:, None, None]
-    outputs[..., 1] = hit[None, :, None]
-    outputs[..., 2] = hit[None, None, :]
-    return CubeLUT(outputs, title=f"delta_{m:02d}")
+    return CubeLUT(_separable_outputs((hit, hit, hit)), title=f"delta_{m:02d}")
 
 
 def separable_cube(grid: KnotGrid, fn, title: str | None = None) -> CubeLUT:
@@ -307,35 +320,13 @@ def separable_cube(grid: KnotGrid, fn, title: str | None = None) -> CubeLUT:
     coords = np.asarray(grid.values, dtype=float).copy()
     coords[:grid.active_start - 1] = grid.active_values[0]
     curves = [np.clip(np.asarray(f(coords), dtype=float), 0.0, 1.0) for f in fns]
-    n = grid.size
-    outputs = np.empty((n, n, n, 3))
-    outputs[..., 0] = curves[0][:, None, None]
-    outputs[..., 1] = curves[1][None, :, None]
-    outputs[..., 2] = curves[2][None, None, :]
-    return CubeLUT(outputs, title=title)
+    return CubeLUT(_separable_outputs(curves), title=title)
 
 
-def _as_points(u) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(u, dtype=float)
-    single = arr.ndim == 1
-    pts = arr[None, :] if single else arr
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValidationError(f"expected (..., 3) input, got shape {arr.shape}")
-    if np.any(~np.isfinite(pts)) or np.any(pts < 0):
-        raise ValidationError("tonemap input must be finite and >= 0")
-    return pts, single
-
-
-class IdentityTonemap:
-    """Disabled tonemapping: the identity on [0, 1]^3, clamped outside."""
-
-    def apply(self, u):
-        pts, single = _as_points(u)
-        out = np.clip(pts, 0.0, 1.0)
-        return out[0] if single else out
-
-    def __repr__(self):
-        return "IdentityTonemap()"
+def _separable_outputs(curves) -> np.ndarray:
+    """Output grid of the separable cube with per-axis curves (r, g, b):
+    ``outputs[i, j, k] == (r[i], g[j], b[k])``."""
+    return np.stack(np.meshgrid(*curves, indexing="ij", copy=False), axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,23 +346,45 @@ class CubeTonemap:
                 f"knot grid size {self.grid.size} != cube size {self.lut.size}")
 
     def apply(self, u):
-        pts, single = _as_points(u)
-        knots = self.grid.active_values
-        start = self.grid.active_start - 1
-        cube = self.lut.outputs[start:, start:, start:, :]
-        out = _trilinear(knots, cube, np.clip(pts, knots[0], knots[-1]))
+        arr = np.asarray(u, dtype=float)
+        single = arr.ndim == 1
+        pts = arr[None, :] if single else arr
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise ValidationError(f"expected (..., 3) input, got shape {arr.shape}")
+        if np.any(~np.isfinite(pts)) or np.any(pts < 0):
+            raise ValidationError("tonemap input must be finite and >= 0")
+        out = _interpolate(self.grid.active_values, self.lut, pts)
         return out[0] if single else out
+
+
+def _locate(knots: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knot cell and in-cell weight of each x: x lies between
+    ``knots[idx]`` and ``knots[idx + 1]`` at fraction ``w``.  Points outside
+    the knots clamp to the end cells with w at 0 or 1."""
+    idx = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, knots.size - 2)
+    lo = knots[idx]
+    w = np.clip((x - lo) / (knots[idx + 1] - lo), 0.0, 1.0)
+    return idx, w
+
+
+def _interpolate(knots: np.ndarray, lut: CubeLUT, x: np.ndarray) -> np.ndarray:
+    """Tonemap of ``lut`` at points ``x`` ((N, 3), finite, >= 0) over the
+    active knot coordinates ``knots``, which index the last ``knots.size``
+    grid entries of each axis.  A separable cube is evaluated exactly as
+    three clamped piecewise-linear curves, any other cube trilinearly."""
+    start = lut.size - knots.size
+    curves = lut.separable_channels()
+    if curves is not None:
+        return np.column_stack([np.interp(x[:, k], knots, curves[k][start:])
+                                for k in range(3)])
+    cube = lut.outputs[start:, start:, start:, :]
+    return _trilinear(knots, cube, np.clip(x, knots[0], knots[-1]))
 
 
 def _trilinear(knots: np.ndarray, cube: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Trilinear interpolation of ``cube`` ((K,K,K,3)) over shared non-uniform
     axis coordinates ``knots`` ((K,)) at points ``x`` ((N,3), already clipped)."""
-    k_count = knots.size
-    idx = np.searchsorted(knots, x, side="right") - 1
-    idx = np.clip(idx, 0, k_count - 2)
-    lo = knots[idx]
-    hi = knots[idx + 1]
-    w = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
+    idx, w = _locate(knots, x)
     out = np.zeros((x.shape[0], 3))
     for di in (0, 1):
         wi = w[:, 0] if di else 1.0 - w[:, 0]

@@ -161,16 +161,6 @@ class WeightSolution:
     rank: int
 
 
-def achromatic_luminance(display: AchromaticDisplay, v):
-    """Module-level alias of :meth:`AchromaticDisplay.luminance`."""
-    return display.luminance(v)
-
-
-def chromatic_xyz(display: ChromaticDisplay, v):
-    """Module-level alias of :meth:`ChromaticDisplay.xyz`."""
-    return display.xyz(v)
-
-
 def _average_repeats(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(x, kind="stable")
     x, y = x[order], y[order]
@@ -350,47 +340,54 @@ def save_display(display, file, report: FitReport | None = None) -> None:
 def load_display(file):
     """Load a display persisted by :func:`save_display`."""
     doc = json.load(file)
+    if not isinstance(doc, dict):
+        raise ValidationError("display JSON must be an object")
     kind = doc.get("kind")
-    if kind == "achromatic":
-        return AchromaticDisplay(l0=doc["l0"], l1=doc["l1"], gamma=doc["gamma"])
-    if kind == "chromatic":
-        return ChromaticDisplay(primary_r=doc["primary_r"],
-                                primary_g=doc["primary_g"],
-                                primary_b=doc["primary_b"],
-                                background=doc["background"],
-                                gammas=doc["gammas"],
-                                weights=doc["weights"])
+    try:
+        if kind == "achromatic":
+            return AchromaticDisplay(l0=doc["l0"], l1=doc["l1"], gamma=doc["gamma"])
+        if kind == "chromatic":
+            return ChromaticDisplay(primary_r=doc["primary_r"],
+                                    primary_g=doc["primary_g"],
+                                    primary_b=doc["primary_b"],
+                                    background=doc["background"],
+                                    gammas=doc["gammas"],
+                                    weights=doc["weights"])
+    except KeyError as exc:
+        raise ValidationError(f"{kind} display JSON: missing key {exc}") from None
     raise ValidationError(f"unknown display kind {kind!r}")
+
+
+def _csv_rows(file, header: str):
+    """Numeric rows of a measurement CSV with the given header, each as a
+    list of one float per header field."""
+    got = file.readline().strip().replace(" ", "")
+    if got != header:
+        raise ValidationError(f"expected header {header!r}, got {got!r}")
+    width = header.count(",") + 1
+    for lineno, line in enumerate(file, start=2):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(",")
+        if len(fields) != width:
+            raise ValidationError(f"measurement CSV line {lineno}: expected "
+                                  f"{width} columns, got {len(fields)}")
+        try:
+            row = [float(tok) for tok in fields]
+        except ValueError:
+            raise ValidationError(f"measurement CSV line {lineno}: "
+                                  "non-numeric field") from None
+        yield row
 
 
 def load_achromatic_csv(file) -> list[Measurement]:
     """Read ``v,L`` measurement rows."""
-    header = file.readline().strip().replace(" ", "")
-    if header != "v,L":
-        raise ValidationError(f"expected header 'v,L', got {header!r}")
-    out = []
-    for line in file:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        v_s, l_s = line.split(",")
-        v = float(v_s)
-        out.append(Measurement(v=np.array([v, v, v]), luminance=float(l_s)))
-    return out
+    return [Measurement(v=np.array([v, v, v]), luminance=lum)
+            for v, lum in _csv_rows(file, "v,L")]
 
 
 def load_chromatic_csv(file) -> list[Measurement]:
     """Read ``v_r,v_g,v_b,X,Y,Z`` measurement rows."""
-    header = file.readline().strip().replace(" ", "")
-    if header != "v_r,v_g,v_b,X,Y,Z":
-        raise ValidationError(f"expected header 'v_r,v_g,v_b,X,Y,Z', got {header!r}")
-    out = []
-    for line in file:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        vals = [float(tok) for tok in line.split(",")]
-        if len(vals) != 6:
-            raise ValidationError(f"expected 6 columns, got {len(vals)}")
-        out.append(Measurement(v=np.array(vals[:3]), xyz=np.array(vals[3:])))
-    return out
+    return [Measurement(v=np.array(vals[:3]), xyz=np.array(vals[3:]))
+            for vals in _csv_rows(file, "v_r,v_g,v_b,X,Y,Z")]

@@ -33,9 +33,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import svgplot
-from .colorspace import quantize_8bit, srgb_encode3
+from .colorspace import quantize_8bit
+# Not called here; the benchmark tracer requires this module binding.
+from .colorspace import srgb_encode3  # noqa: F401
 from .errors import SampleFormatError, ValidationError
-from .scene import (DEFAULT_SCALE_CONSTANT, lambertian_unprocessed_arrays,
+from .scene import (DEFAULT_SCALE_CONSTANT, _post_process,
+                    lambertian_unprocessed_arrays, post_process,
                     unlit_unprocessed)
 
 SAMPLE_CSV_HEADER = ("kind,m_r,m_g,m_b,n_x,n_y,n_z,d_r,d_g,d_b,i_d,"
@@ -198,10 +201,10 @@ def predict_unprocessed(samples, scale_constant: float = DEFAULT_SCALE_CONSTANT,
 def predict_values(samples, tonemap=None,
                    scale_constant: float = DEFAULT_SCALE_CONSTANT,
                    quantize: bool = False) -> np.ndarray:
-    """Post-processed values implied by the full model for each sample."""
+    """Post-processed values implied by the full model for each sample;
+    ``tonemap`` is as in :func:`hdrpcal.scene.post_process`."""
     u = predict_unprocessed(samples, scale_constant)
-    t = np.clip(u, 0.0, 1.0) if tonemap is None else tonemap.apply(u)
-    v = srgb_encode3(np.clip(t, 0.0, 1.0))
+    v = _post_process(u, None if tonemap is None else tonemap.apply)
     return quantize_8bit(v) if quantize else v
 
 
@@ -485,25 +488,15 @@ def simulate_characterization(display, levels, tonemap=None,
     levels = np.asarray(levels, dtype=float)
     if np.any(levels < 0):
         raise ValidationError("levels must be >= 0")
-    points = []
     if mode == "achromatic":
-        for x in levels:
-            u = np.array([x, x, x])
-            v = _pipeline(u, tonemap)
-            points.append(CharacterizationPoint(
-                u=u, v=v, luminance=float(display.luminance(v[0]))))
-    elif mode == "chromatic":
-        for k in range(3):
-            for x in levels:
-                u = np.zeros(3)
-                u[k] = x
-                v = _pipeline(u, tonemap)
-                points.append(CharacterizationPoint(u=u, v=v, xyz=display.xyz(v)))
-    else:
-        raise ValidationError(f"unknown characterization mode {mode!r}")
-    return points
-
-
-def _pipeline(u: np.ndarray, tonemap) -> np.ndarray:
-    t = np.clip(u, 0.0, 1.0) if tonemap is None else tonemap.apply(u)
-    return srgb_encode3(np.clip(t, 0.0, 1.0))
+        u = np.repeat(levels[:, None], 3, axis=1)
+        v = post_process(u, tonemap)
+        return [CharacterizationPoint(u=u_i, v=v_i,
+                                      luminance=float(display.luminance(v_i[0])))
+                for u_i, v_i in zip(u, v)]
+    if mode == "chromatic":
+        u = (np.eye(3)[:, None, :] * levels[:, None]).reshape(-1, 3)
+        v = post_process(u, tonemap)
+        return [CharacterizationPoint(u=u_i, v=v_i, xyz=display.xyz(v_i))
+                for u_i, v_i in zip(u, v)]
+    raise ValidationError(f"unknown characterization mode {mode!r}")

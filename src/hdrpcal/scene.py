@@ -9,7 +9,8 @@ where ``s`` is the sRGB transfer function (:func:`hdrpcal.colorspace.srgb_decode
 ``cos theta = l . n``, ``e`` is the exposure and ``c`` the empirically fitted
 pipeline gain.  An unlit material renders to u_k = s(m_k) regardless of
 lighting and exposure.  Post-processing maps unprocessed values through a
-tonemap ``f`` and the inverse transfer function: v = s^-1(f(u)).
+tonemap ``f`` and the inverse transfer function: v = s^-1(f(u)); with
+tonemapping disabled ``f`` is the identity clamped to [0, 1].
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colorspace import quantize_8bit, srgb_decode3, srgb_encode3
+from .colorspace import _encode, quantize_8bit, srgb_decode3
 from .errors import ValidationError
 
 #: Default pipeline gain, estimated from rendered samples (see
@@ -101,14 +102,14 @@ class RenderContext:
 def lambertian_unprocessed(material, normal, light: DirectionalLight,
                            ambient: AmbientLight,
                            context: RenderContext | None = None) -> np.ndarray:
-    """Unprocessed value of a Lambertian surface under both light sources."""
+    """Unprocessed value of a Lambertian surface under both light sources;
+    checks its arguments, then renders with
+    :func:`lambertian_unprocessed_arrays`."""
     ctx = context if context is not None else RenderContext()
-    m = _triplet(material, "material", 0.0, 1.0)
-    n = _unit_vector(normal, "normal")
-    cos_theta = max(float(np.dot(light.direction, n)), 0.0)
-    direct = light.intensity * srgb_decode3(light.color) * cos_theta / np.pi
-    return (ctx.scale_constant * srgb_decode3(m) *
-            (direct + ambient.intensity * ambient.color) / 2.0 ** ctx.exposure)
+    return lambertian_unprocessed_arrays(
+        _triplet(material, "material", 0.0, 1.0), _unit_vector(normal, "normal"),
+        light.color, light.intensity, light.direction, ambient.color,
+        ambient.intensity, ctx.exposure, scale_constant=ctx.scale_constant)
 
 
 def lambertian_unprocessed_arrays(m, n, d, i_d, l, a, i_a, e,
@@ -157,20 +158,27 @@ def post_process(u, tonemap=None) -> np.ndarray:
     """Map unprocessed values to post-processed values: v = s^-1(f(u)).
 
     ``tonemap`` is any object with an ``apply`` method mapping (..., 3)
-    arrays in [0, inf) to [0, 1]; ``None`` means tonemapping is disabled
-    (identity with clamping to the displayable range).
+    arrays in [0, inf) to [0, 1], such as a
+    :class:`~hdrpcal.cubelut.CubeTonemap`; ``None`` disables tonemapping,
+    making f the identity clamped to the displayable range [0, 1].
     """
     arr = np.asarray(u, dtype=float)
+    if arr.shape[-1:] != (3,):
+        raise ValidationError(f"expected (..., 3) unprocessed values, "
+                              f"got shape {arr.shape}")
     if np.any(~np.isfinite(arr)) or np.any(arr < 0.0):
         raise ValidationError("unprocessed values must be finite and >= 0")
-    if tonemap is None:
-        t = np.clip(arr, 0.0, 1.0)
-    else:
-        t = np.asarray(tonemap.apply(arr), dtype=float)
-        if np.any(t < -1e-12) or np.any(t > 1.0 + 1e-12):
-            raise ValidationError("tonemap output outside [0, 1]")
-        t = np.clip(t, 0.0, 1.0)
-    return srgb_encode3(t)
+    return _post_process(arr, None if tonemap is None else tonemap.apply)
+
+
+def _post_process(u: np.ndarray, f=None) -> np.ndarray:
+    """v = s^-1(clip(f(u))) for ``u`` its callers have checked; ``f`` maps
+    (N, 3) arrays to tonemapped values and None is the clamped identity."""
+    t = np.clip(u, 0.0, 1.0) if f is None else np.asarray(f(u), dtype=float)
+    # Rounding slack is clamped; NaN fails this test too.
+    if not np.all((t >= -1e-12) & (t <= 1.0 + 1e-12)):
+        raise ValidationError("tonemap output outside [0, 1]")
+    return _encode(np.clip(t, 0.0, 1.0))
 
 
 def render(kind: str, *, material, normal=None, light: DirectionalLight | None = None,

@@ -219,6 +219,19 @@ class TestFitDisplay:
         assert doc["gamma"] == pytest.approx(2.2, rel=1e-6)
         assert doc["fit"]["n_points"] == 11
 
+    @pytest.mark.parametrize("mode,text,problem", [
+        ("achromatic", "v,L\n0,2\n0.5\n", "line 3: expected 2 columns, got 1"),
+        ("achromatic", "v,L\n0,2\n0.5,x\n", "line 3: non-numeric field"),
+        ("chromatic", "v_r,v_g,v_b,X,Y,Z\n0,0,0,1,1,z\n", "line 2: non-numeric field"),
+        ("chromatic", "v_r,v_g,v_b,X,Y,Z\n0,0,0,1,1\n",
+         "line 2: expected 6 columns, got 5")])
+    def test_malformed_row_exit_2(self, tmp_path, capsys, mode, text, problem):
+        csv = tmp_path / "meas.csv"
+        csv.write_text(text)
+        assert run("fit-display", "--in", str(csv), "--mode", mode) == 2
+        err = capsys.readouterr().err
+        assert f"measurement CSV {problem}" in err and "Traceback" not in err
+
     def test_insufficient_data_exit_1(self, tmp_path):
         csv = tmp_path / "meas.csv"
         csv.write_text("v,L\n0,2\n1,100\n")
@@ -254,6 +267,23 @@ class TestFitDisplay:
 
 
 class TestMakeCubeAndValidate:
+    @pytest.mark.parametrize("row", ["3", "3,0.1,0.2", "3,x", "x,0.1"])
+    def test_make_cube_malformed_knot_row_exit_2(self, tmp_path, capsys,
+                                                  display_json, row):
+        knots = tmp_path / "knots.csv"
+        knots.write_text(f"index,u\n# note\n{row}\n")
+        assert run("make-cube", "--display", display_json,
+                   "--knots", str(knots)) == 2
+        err = capsys.readouterr().err
+        assert "knot CSV line 3" in err and "Traceback" not in err
+
+    def test_make_cube_display_missing_key_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "display.json"
+        path.write_text('{"kind": "achromatic", "l0": 2.0, "gamma": 2.2}\n')
+        assert run("make-cube", "--display", str(path)) == 2
+        err = capsys.readouterr().err
+        assert "missing key 'l1'" in err and "Traceback" not in err
+
     def test_make_cube_matches_library(self, tmp_path, display_json):
         out = tmp_path / "corr.cube"
         assert run("make-cube", "--display", display_json, "--r", "1.111",

@@ -3,13 +3,15 @@ import io
 import numpy as np
 import pytest
 
+from hdrpcal.colorspace import srgb_encode3
 from hdrpcal.cubelut import (CubeLUT, CubeRangeWarning, CubeTonemap,
-                             DELTA_KNOTS, IdentityTonemap, KnotGrid,
-                             OPTIMIZED_KNOTS, default_knot_grid,
+                             DELTA_KNOTS, KnotGrid, OPTIMIZED_KNOTS,
+                             _interpolate, _trilinear, default_knot_grid,
                              make_delta_cube, parse_cube, separable_cube,
                              serialize_cube)
 from hdrpcal.errors import (CubeFormatError, CubeTruncationError,
                             UnsupportedCubeError, ValidationError)
+from hdrpcal.scene import post_process
 
 MINIMAL_CUBE = """\
 # comment line
@@ -72,6 +74,13 @@ class TestParse:
             parse_cube(text)
         assert info.value.line == 8
         assert info.value.column == 3
+
+    @pytest.mark.parametrize("token", ["nan", "-nan", "inf", "-inf"])
+    def test_non_finite_value_has_location(self, token):
+        text = MINIMAL_CUBE.replace("1 0 1", f"1 {token} 1")
+        with pytest.raises(CubeFormatError, match="non-finite value") as info:
+            parse_cube(text)
+        assert info.value.line == 8
 
     def test_wrong_component_count(self):
         text = MINIMAL_CUBE.replace("1 0 1", "1 0")
@@ -194,9 +203,9 @@ class TestDeltaCube:
 
 class TestApplyTonemap:
     def test_identity_clamps(self):
-        tm = IdentityTonemap()
-        out = tm.apply(np.array([[0.5, 1.5, 0.0], [2.0, 0.25, 1.0]]))
-        assert np.array_equal(out, [[0.5, 1.0, 0.0], [1.0, 0.25, 1.0]])
+        # tonemap None is the identity, clamped to [0, 1] before encoding
+        out = post_process(np.array([[0.5, 1.5, 0.0], [2.0, 0.25, 1.0]]), None)
+        assert np.array_equal(out, srgb_encode3([[0.5, 1.0, 0.0], [1.0, 0.25, 1.0]]))
 
     def test_reproduces_knot_values_exactly(self):
         rng = np.random.default_rng(1)
@@ -314,3 +323,15 @@ class TestSeparable:
         expected = np.column_stack([
             np.interp(u[:, k], active, curves[k][2:]) for k in range(3)])
         assert tm.apply(u) == pytest.approx(expected, abs=1e-12)
+
+    def test_separable_path_matches_trilinear(self):
+        grid = default_knot_grid()
+        lut = separable_cube(grid, (lambda x: np.clip(x / 60.0, 0, 1),
+                                    lambda x: np.clip(np.sqrt(x / 60), 0, 1),
+                                    lambda x: np.clip(x / 3.0, 0, 1) ** 2))
+        knots = grid.active_values
+        u = np.random.default_rng(7).uniform(0, 70, (2000, 3))
+        trilinear = _trilinear(knots, lut.outputs[2:, 2:, 2:],
+                               np.clip(u, knots[0], knots[-1]))
+        assert lut.separable_channels() is not None
+        assert np.max(np.abs(_interpolate(knots, lut, u) - trilinear)) <= 1e-15

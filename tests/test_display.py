@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hdrpcal.display import (AchromaticDisplay, ChromaticDisplay, Measurement,
-                             achromatic_luminance, chromatic_xyz,
                              fit_achromatic, fit_chromatic,
                              load_achromatic_csv, load_chromatic_csv,
                              load_display, save_display,
@@ -53,10 +52,6 @@ class TestAchromaticModel:
         # 2 + 98 * 0.5**2.2, evaluated independently
         d = AchromaticDisplay(l0=2.0, l1=98.0, gamma=2.2)
         assert d.luminance(0.5) == pytest.approx(23.32848880075504, abs=1e-12)
-
-    def test_alias(self):
-        d = AchromaticDisplay(l0=1.0, l1=10.0, gamma=2.0)
-        assert achromatic_luminance(d, 0.3) == d.luminance(0.3)
 
     def test_strictly_increasing(self):
         d = AchromaticDisplay(l0=0.5, l1=50.0, gamma=1.7)
@@ -151,7 +146,7 @@ class TestChromaticModel:
     def test_full_white(self):
         d = make_chromatic()
         expected = d.primary_r + d.primary_g + d.primary_b + d.background
-        assert chromatic_xyz(d, np.ones(3)) == pytest.approx(expected, rel=1e-15)
+        assert d.xyz(np.ones(3)) == pytest.approx(expected, rel=1e-15)
 
     def test_additivity(self):
         d = make_chromatic()

@@ -315,6 +315,14 @@ class TestValidateModel:
         report = validate_model(samples, tonemap=tm)
         assert report.median_abs_255 <= 1e-9 * 255
 
+    def test_tonemap_output_outside_unit_range_rejected(self):
+        class Broken:
+            def apply(self, u):
+                return np.full_like(u, 1.5)
+
+        with pytest.raises(ValidationError, match="tonemap output"):
+            validate_model(generate_samples(5, seed=29), tonemap=Broken())
+
     def test_oracle_self_consistency_unlit(self):
         samples = generate_samples(200, seed=15, kind="unlit")
         assert validate_model(samples).median_abs_255 <= 1e-9 * 255

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from hdrpcal.cubelut import IdentityTonemap
 from hdrpcal.errors import ValidationError
 from hdrpcal.scene import (AmbientLight, DirectionalLight, RenderContext,
                            lambertian_unprocessed, lambertian_unprocessed_arrays,
@@ -170,7 +169,7 @@ class TestPostProcess:
         # v = s^-1(f(s(m))) = m when tonemapping is disabled
         rng = np.random.default_rng(6)
         m = rng.uniform(0, 1, (100, 3))
-        v = post_process(unlit_unprocessed(m), IdentityTonemap())
+        v = post_process(unlit_unprocessed(m), None)
         assert v == pytest.approx(m, abs=1e-12)
 
     def test_tonemap_contract_violation(self):

@@ -14,7 +14,9 @@ per channel with w_k and the channel activation h_k (and unit range).
 The estimators recover the pipeline's hidden constants from rendered
 samples: the global gain from a regression through the origin, and the
 tonemapping knot coordinates either from impulse-cube sweeps or by direct
-optimization of model predictions.
+optimization of model predictions.  The latter is a nonlinear least-squares
+problem, solved by one Levenberg-Marquardt call over the log of the first
+knot and of the gaps between knots.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import lsq_linear, minimize, minimize_scalar
+from scipy.optimize import least_squares, lsq_linear
 
 from .colorspace import srgb_decode, srgb_decode3
 # Not called here; the benchmark tracer requires this module binding.
@@ -362,41 +364,23 @@ class KnotOptimizeReport:
     notes: tuple[str, ...] = ()
 
 
-class _KnotObjective:
-    """Sum-of-squares prediction error of the full model as a function of
-    the log knot coordinates, with a soft monotonicity penalty."""
+def _predict(knots: np.ndarray, u: np.ndarray, lut: CubeLUT) -> np.ndarray:
+    """Framebuffer values of unprocessed ``u`` tonemapped by ``lut`` over
+    the active knot coordinates ``knots``."""
+    return _post_process(u, lambda x: _interpolate(knots, lut, x))
 
-    def __init__(self, datasets, penalty_weight: float):
-        self.datasets = datasets  # list of (u, v, lut), checked when built
-        self.penalty_weight = penalty_weight
-        self.evaluations = 0
 
-    def __call__(self, theta: np.ndarray) -> float:
-        self.evaluations += 1
-        gaps = np.diff(theta)
-        penalty = self.penalty_weight * float(np.sum(np.minimum(gaps, 0.0) ** 2))
-        knots = np.sort(np.exp(theta))
-        return self.sse(knots) + penalty
-
-    def sse(self, knots: np.ndarray) -> float:
-        total = 0.0
-        for u, v, lut in self.datasets:
-            total += float(np.sum((self.predict(knots, u, lut) - v) ** 2))
-        return total
-
-    @staticmethod
-    def predict(knots: np.ndarray, u: np.ndarray, lut: CubeLUT) -> np.ndarray:
-        return _post_process(u, lambda x: _interpolate(knots, lut, x))
+def _knots_from_log_gaps(a: np.ndarray) -> np.ndarray:
+    """Knots k_1 = exp(a_0), k_{i+1} = k_i + exp(a_i): increasing by
+    construction."""
+    return np.exp(a[0]) + np.concatenate([[0.0], np.cumsum(np.exp(a[1:]))])
 
 
 def estimate_knots_optimize(datasets, init: KnotGrid, *,
                             scale_constant: float = DEFAULT_SCALE_CONSTANT,
                             material_floor: float = 0.2,
                             holdout_fraction: float = HOLDOUT_FRACTION,
-                            seed: int = 0,
-                            simplex_max_evals: int = 4000,
-                            max_restarts: int = 2,
-                            polish_sweeps: int = 10
+                            seed: int = 0
                             ) -> tuple[KnotGrid, KnotOptimizeReport]:
     """Estimate knot coordinates by minimizing model prediction error.
 
@@ -405,8 +389,13 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
     ``material_floor`` are excluded (the rendering model is biased there),
     and a holdout fraction drawn from ``seed`` (a non-negative integer) is
     scored but never optimized on.
-    The search runs over log knot coordinates with a Nelder-Mead simplex
-    plus restarts, then a derivative-free per-coordinate polish.
+    The fit is one nonlinear least-squares solve of the training prediction
+    residuals (``scipy.optimize.least_squares``, Levenberg-Marquardt with a
+    finite-difference Jacobian) over the log of the first knot and the log
+    gaps between neighbours, so the knots stay strictly increasing without
+    a penalty.  ``n_evaluations`` counts every residual evaluation, the
+    Jacobian's included; when the solver stops without converging,
+    ``notes`` holds its message.
     """
     if len(datasets) < 2:
         raise EstimationError("need samples under at least 2 distinct cubes")
@@ -436,91 +425,51 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
         n_holdout += int(np.sum(holdout))
     if not train_sets:
         raise EstimationError("no training samples survive the material filter")
+    if 3 * n_train < init.active_values.size:
+        raise EstimationError(f"{n_train} training samples give fewer residuals "
+                              f"than the {init.active_values.size} knots to fit")
 
-    theta0 = np.log(init.active_values)
-    probe = _KnotObjective(train_sets, penalty_weight=0.0)
-    sse_init = probe(theta0)
-    objective = _KnotObjective(train_sets,
-                               penalty_weight=1e4 * max(1.0, sse_init))
+    evaluations = 0
+
+    def residuals(a: np.ndarray) -> np.ndarray:
+        nonlocal evaluations
+        evaluations += 1
+        knots = _knots_from_log_gaps(a)
+        return np.concatenate([(_predict(knots, u, lut) - v).ravel()
+                               for u, v, lut in train_sets])
+
+    a0 = np.log(np.concatenate([init.active_values[:1],
+                                np.diff(init.active_values)]))
+    sse_init = float(np.sum(residuals(a0) ** 2))
     notes: list[str] = []
 
     if sse_init <= 1e-20:
-        theta_best, f_best = theta0, sse_init
+        a_best, sse_final = a0, sse_init
         converged = True
         notes.append("initial grid already optimal")
     else:
-        theta_best, f_best, converged = _simplex_with_restarts(
-            objective, theta0, simplex_max_evals, max_restarts)
-        theta_best, f_best = _coordinate_polish(objective, theta_best, f_best,
-                                                polish_sweeps)
+        res = least_squares(residuals, a0, method="lm")
+        a_best, sse_final = res.x, float(np.sum(res.fun ** 2))
+        converged = bool(res.success)
         if not converged:
-            notes.append("simplex hit its evaluation cap; result polished "
-                         "per coordinate")
+            notes.append(res.message)
 
-    knots = np.exp(theta_best)
+    knots = _knots_from_log_gaps(a_best)
     if np.any(np.diff(knots) <= 0):
         raise EstimationError("optimized knots are not strictly increasing")
     grid = KnotGrid.from_active(knots, size=init.size,
                                 active_start=init.active_start)
 
     def median_err(sets) -> float:
-        errs = [np.abs(_KnotObjective.predict(knots, u, lut) - v).ravel()
+        errs = [np.abs(_predict(knots, u, lut) - v).ravel()
                 for u, v, lut in sets]
         return float(np.median(np.concatenate(errs)) * 255.0) if errs else float("nan")
 
     report = KnotOptimizeReport(
-        objective_init=float(sse_init), objective_final=float(f_best),
+        objective_init=sse_init, objective_final=sse_final,
         n_train=n_train, n_holdout=n_holdout, n_excluded=n_excluded,
         train_median_255=median_err(train_sets),
         holdout_median_255=median_err(holdout_sets),
-        n_evaluations=probe.evaluations + objective.evaluations,
+        n_evaluations=evaluations,
         converged=converged, notes=tuple(notes))
     return grid, report
-
-
-def _simplex_with_restarts(objective, theta0: np.ndarray, max_evals: int,
-                           max_restarts: int) -> tuple[np.ndarray, float, bool]:
-    theta, best = theta0, objective(theta0)
-    converged = False
-    for _ in range(max_restarts + 1):
-        res = minimize(objective, theta, method="Nelder-Mead",
-                       options={"maxfev": max_evals, "xatol": 1e-10,
-                                "fatol": 1e-16, "adaptive": True})
-        improved = res.fun < best
-        if improved:
-            theta, best = res.x, float(res.fun)
-        converged = bool(res.success)
-        if converged and not improved:
-            break
-        if best <= 1e-20:
-            converged = True
-            break
-    return theta, best, converged
-
-
-def _coordinate_polish(objective, theta: np.ndarray, f_value: float,
-                       max_sweeps: int) -> tuple[np.ndarray, float]:
-    """Cyclic bounded 1-D minimizations; each coordinate moves within the
-    open interval between its neighbors, so monotonicity is preserved."""
-    theta = theta.copy()
-    for _ in range(max_sweeps):
-        start_value = f_value
-        for i in range(theta.size):
-            lo = theta[i - 1] + 1e-12 if i > 0 else theta[i] - 1.0
-            hi = theta[i + 1] - 1e-12 if i < theta.size - 1 else theta[i] + 1.0
-            if hi <= lo:
-                continue
-
-            def fun_i(x, i=i):
-                trial = theta.copy()
-                trial[i] = x
-                return objective(trial)
-
-            res = minimize_scalar(fun_i, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-12})
-            if res.fun < f_value:
-                theta[i] = float(res.x)
-                f_value = float(res.fun)
-        if start_value - f_value <= 1e-15 * max(1.0, start_value):
-            break
-    return theta, f_value

@@ -289,11 +289,14 @@ def _cmd_estimate_knots(args) -> int:
         grid, report = estimate_knots_optimize(datasets, init,
                                                scale_constant=args.c,
                                                seed=args.seed)
+        status = ("converged" if report.converged
+                  else "did not converge: " + "; ".join(report.notes))
         _info(args, f"train median |error| = {report.train_median_255:.4g}/255, "
                     f"holdout = {report.holdout_median_255:.4g}/255 "
-                    f"({report.n_evaluations} evaluations)")
-        for note in report.notes:
-            _info(args, note)
+                    f"({report.n_evaluations} evaluations, {status})")
+        if report.converged:
+            for note in report.notes:
+                _info(args, note)
     buf = io.StringIO()
     grid.to_csv(buf)
     _emit(args, buf.getvalue(), args.out)

@@ -22,6 +22,7 @@ formats: achromatic ``v,L``; chromatic ``v_r,v_g,v_b,X,Y,Z``.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -338,24 +339,35 @@ def save_display(display, file, report: FitReport | None = None) -> None:
 
 
 def load_display(file):
-    """Load a display persisted by :func:`save_display`."""
+    """Load a display persisted by :func:`save_display`.  A missing key, or a
+    value that is not a finite JSON number (a list of them for the chromatic
+    vectors), is a :class:`ValidationError` naming the key."""
     doc = json.load(file)
     if not isinstance(doc, dict):
         raise ValidationError("display JSON must be an object")
     kind = doc.get("kind")
-    try:
-        if kind == "achromatic":
-            return AchromaticDisplay(l0=doc["l0"], l1=doc["l1"], gamma=doc["gamma"])
-        if kind == "chromatic":
-            return ChromaticDisplay(primary_r=doc["primary_r"],
-                                    primary_g=doc["primary_g"],
-                                    primary_b=doc["primary_b"],
-                                    background=doc["background"],
-                                    gammas=doc["gammas"],
-                                    weights=doc["weights"])
-    except KeyError as exc:
-        raise ValidationError(f"{kind} display JSON: missing key {exc}") from None
-    raise ValidationError(f"unknown display kind {kind!r}")
+    if kind == "achromatic":
+        cls, keys = AchromaticDisplay, ("l0", "l1", "gamma")
+    elif kind == "chromatic":
+        cls, keys = ChromaticDisplay, ("primary_r", "primary_g", "primary_b",
+                                       "background", "gammas", "weights")
+    else:
+        raise ValidationError(f"unknown display kind {kind!r}")
+    vector = kind == "chromatic"
+    fields = {}
+    for key in keys:
+        if key not in doc:
+            raise ValidationError(f"{kind} display JSON: missing key {key!r}")
+        value = doc[key]
+        items = value if isinstance(value, list) else [value]
+        numbers = [float(x) for x in items if type(x) in (int, float)
+                   and abs(x) <= sys.float_info.max]
+        if isinstance(value, list) != vector or len(numbers) != len(items):
+            expected = "a list of finite numbers" if vector else "a finite number"
+            raise ValidationError(f"{kind} display JSON: {key!r} must be "
+                                  f"{expected}, got {json.dumps(value)}")
+        fields[key] = numbers if vector else numbers[0]
+    return cls(**fields)
 
 
 def _csv_rows(file, header: str):

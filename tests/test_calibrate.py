@@ -321,25 +321,35 @@ class TestEstimateKnotsOptimize:
         rel = np.abs(est.active_values - grid.active_values) / grid.active_values
         assert rel.max() < 1e-9
 
-    def test_perturbed_init_recovers(self):
+    @staticmethod
+    def perturbed_study():
         grid, datasets = study_datasets(quantize=False, seeds=(41, 42, 43),
                                         count=700)
         rng = np.random.default_rng(3)
         init = KnotGrid.from_active(
             grid.active_values * (1 + rng.uniform(-0.03, 0.03, 30)))
+        return grid, datasets, init
+
+    def test_perturbed_init_recovers(self):
+        grid, datasets, init = self.perturbed_study()
         est, report = estimate_knots_optimize(datasets, init, seed=0)
         rel = np.abs(est.active_values - grid.active_values) / grid.active_values
         assert rel.max() < 0.02
         assert report.objective_final <= report.objective_init
 
+    def test_perturbed_init_converges_quickly(self):
+        # The count includes the finite-difference Jacobian's evaluations.
+        _, datasets, init = self.perturbed_study()
+        _, report = estimate_knots_optimize(datasets, init, seed=0)
+        assert report.converged, report.notes
+        assert report.n_evaluations < 1000
+
     def test_rows_and_batch_agree(self):
         grid, datasets = study_datasets(quantize=True, seeds=(71, 72), count=150)
         init = KnotGrid.from_active(grid.active_values * 1.02)
-        kwargs = dict(seed=4, simplex_max_evals=60, max_restarts=0,
-                      polish_sweeps=1)
-        est_b, rep_b = estimate_knots_optimize(datasets, init, **kwargs)
+        est_b, rep_b = estimate_knots_optimize(datasets, init, seed=4)
         est_r, rep_r = estimate_knots_optimize(
-            [(list(samples), lut) for samples, lut in datasets], init, **kwargs)
+            [(list(samples), lut) for samples, lut in datasets], init, seed=4)
         assert np.array_equal(est_b.values, est_r.values, equal_nan=True)
         assert vars(rep_b) == vars(rep_r)
 
@@ -353,6 +363,11 @@ class TestEstimateKnotsOptimize:
         grid, datasets = study_datasets(quantize=False, seeds=(51, 52, 53))
         with pytest.raises(EstimationError):
             estimate_knots_optimize(datasets[:1], grid)
+
+    def test_fewer_residuals_than_knots(self):
+        grid, datasets = study_datasets(quantize=False, seeds=(51, 52), count=8)
+        with pytest.raises(EstimationError, match="fewer residuals than the 30 knots"):
+            estimate_knots_optimize(datasets, grid, seed=0)
 
     def test_material_filter_counted(self):
         grid, datasets = study_datasets(quantize=False, seeds=(61, 62, 63))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -170,10 +171,10 @@ class TestEstimateKnots:
                    "--out", str(csv)) == 0
         assert run("estimate-knots", "--mode", "optimize", "--in", str(csv)) == 64
 
-    def test_optimize_mode_closed_loop(self, tmp_path):
+    @staticmethod
+    def optimize_args(tmp_path):
         # samples generated under two known cubes, exposures spreading the
-        # unprocessed values across every knot cell; recovery is limited by
-        # the 8-significant-digit precision of the written cube files
+        # unprocessed values across every knot cell
         grid = default_knot_grid()
         from hdrpcal.cubelut import separable_cube, serialize_cube
         from hdrpcal.harness import generate_samples, save_samples
@@ -181,7 +182,7 @@ class TestEstimateKnots:
         shapes = [lambda x: np.clip(x / umax, 0, 1),
                   lambda x: np.sqrt(np.clip(x / umax, 0, 1))]
         exposures = (-6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
-        sample_args, cube_args = [], []
+        args = ["estimate-knots", "--mode", "optimize"]
         for i, fn in enumerate(shapes):
             lut = separable_cube(grid, fn)
             cube_path = tmp_path / f"shape{i}.cube"
@@ -193,15 +194,34 @@ class TestEstimateKnots:
             csv_path = tmp_path / f"shape{i}.csv"
             with open(csv_path, "w") as fh:
                 save_samples(samples, fh)
-            sample_args += ["--in", str(csv_path)]
-            cube_args += ["--cube", str(cube_path)]
+            args += ["--in", str(csv_path), "--cube", str(cube_path)]
+        return args
+
+    def test_optimize_mode_closed_loop(self, tmp_path, capsys):
+        # recovery is limited by the 8-significant-digit precision of the
+        # written cube files
         out = tmp_path / "knots.csv"
-        assert run("estimate-knots", "--mode", "optimize", *sample_args,
-                   *cube_args, "--out", str(out)) == 0
+        assert run(*self.optimize_args(tmp_path), "--out", str(out)) == 0
+        assert re.search(r"holdout = .*\(\d+ evaluations, converged\)",
+                         capsys.readouterr().err)
         with open(out) as fh:
             est = KnotGrid.from_csv(fh)
+        grid = default_knot_grid()
         rel = np.abs(est.active_values - grid.active_values) / grid.active_values
         assert rel.max() < 1e-3
+
+    def test_optimize_mode_reports_no_convergence(self, tmp_path, capsys,
+                                                  monkeypatch):
+        from hdrpcal import calibrate
+        solve = calibrate.least_squares
+        monkeypatch.setattr(calibrate, "least_squares",
+                            lambda fun, x0, **kw: solve(fun, x0, max_nfev=1, **kw))
+        init = tmp_path / "init.csv"
+        with open(init, "w") as fh:
+            KnotGrid.from_active(default_knot_grid().active_values * 1.01).to_csv(fh)
+        assert run(*self.optimize_args(tmp_path), "--init", str(init)) == 0
+        err = capsys.readouterr().err
+        assert re.search(r"\(\d+ evaluations, did not converge: \S", err), err
 
 
 class TestFitDisplay:
@@ -283,6 +303,26 @@ class TestMakeCubeAndValidate:
         assert run("make-cube", "--display", str(path)) == 2
         err = capsys.readouterr().err
         assert "missing key 'l1'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("achromatic", "l1", "abc"),
+        ("achromatic", "l1", None),
+        ("chromatic", "primary_r", "abc"),
+    ])
+    def test_make_cube_display_non_numeric_exit_2(self, tmp_path, capsys,
+                                                  kind, key, value):
+        doc = ({"kind": "achromatic", "l0": 2.0, "l1": 98.0, "gamma": 2.2}
+               if kind == "achromatic" else
+               {"kind": "chromatic", "primary_r": [41.2, 21.3, 1.9],
+                "primary_g": [35.8, 71.5, 11.9], "primary_b": [18.0, 7.2, 95.0],
+                "background": [0.5, 0.5, 0.5], "gammas": [2.2, 2.2, 2.2],
+                "weights": [0.01, 0.01, 0.01]})
+        doc[key] = value
+        path = tmp_path / "display.json"
+        path.write_text(json.dumps(doc))
+        assert run("make-cube", "--display", str(path)) == 2
+        err = capsys.readouterr().err
+        assert f"{key!r} must be" in err and "Traceback" not in err
 
     def test_make_cube_matches_library(self, tmp_path, display_json):
         out = tmp_path / "corr.cube"

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._table import read_table, reject_first
 from .calibrate import (DeltaSweep, GammaCorrectionSpec, build_correction_cube,
                         estimate_knots_delta, estimate_knots_optimize,
                         estimate_scale_constant)
@@ -32,8 +33,7 @@ from .cubelut import (CubeTonemap, KnotGrid, default_knot_grid, make_delta_cube,
                       parse_cube, serialize_cube)
 from .display import fit_achromatic, fit_chromatic, load_achromatic_csv, \
     load_chromatic_csv, load_display, save_display
-from .errors import (CubeFormatError, EstimationError, FitError, HdrpcalError,
-                     SampleFormatError, UsageError, ValidationError)
+from .errors import EstimationError, FitError, HdrpcalError, UsageError
 from .harness import generate_samples, load_samples, save_samples, validate_model
 
 EXIT_OK = 0
@@ -222,47 +222,14 @@ def _cmd_gen_delta_cubes(args) -> int:
 
 def _load_sweeps(path: str) -> list[DeltaSweep]:
     with open(path) as fh:
-        header = fh.readline().strip().replace(" ", "")
-        if header != "m,u,t":
-            raise ValidationError(f"sweep CSV: expected header 'm,u,t', got {header!r}")
-        raw = [line.strip() for line in fh.read().split("\n")]
-    lines = [line for line in raw if line and line[0] != "#"]
-    if not lines:
-        return []
-    try:
-        if {line.count(",") for line in lines} != {2}:
-            raise ValueError("wrong field count")
-        fields = ",".join(lines).split(",")
-        m = np.array(fields[0::3], dtype=np.int64)
-        u = np.array(fields[1::3], dtype=float)
-        t = np.array(fields[2::3], dtype=float)
-    except (ValueError, OverflowError):
-        _raise_bad_sweep_line(raw)
-        raise
+        (m, u, t), problem, explain = read_table(fh, "m,u,t", "iff", "sweep CSV")
+    reject_first(problem, explain, "sweep CSV")
     order = np.lexsort((u, m))  # stable: by m, then u
     m, u, t = m[order], u[order], t[order]
     indices, starts = np.unique(m, return_index=True)
     return [DeltaSweep(m=int(k), inputs=u_k, outputs=t_k)
             for k, u_k, t_k in zip(indices, np.split(u, starts[1:]),
                                    np.split(t, starts[1:]))]
-
-
-def _raise_bad_sweep_line(raw: list[str]) -> None:
-    """Raise for the first sweep row that is not three numeric fields;
-    ``raw`` holds the stripped lines after the header."""
-    for lineno, line in enumerate(raw, start=2):
-        if not line or line[0] == "#":
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValidationError(f"sweep CSV line {lineno}: expected 3 fields, "
-                                  f"got {len(parts)}")
-        try:
-            np.array(parts[:1], dtype=np.int64)
-            np.array(parts[1:], dtype=float)
-        except (ValueError, OverflowError):
-            raise ValidationError(f"sweep CSV line {lineno}: expected an integer "
-                                  "m and numeric u, t") from None
 
 
 def _cmd_estimate_knots(args) -> int:
@@ -374,8 +341,7 @@ def main(argv=None) -> int:
     except (FitError, EstimationError) as exc:
         print(f"hdrpcal: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    except (CubeFormatError, SampleFormatError, ValidationError, OSError,
-            json.JSONDecodeError, HdrpcalError) as exc:
+    except (HdrpcalError, OSError, UnicodeDecodeError) as exc:
         print(f"hdrpcal: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -6,7 +6,7 @@ A .cube file is UTF-8 text.  Lines starting with ``#`` are comments.
 Recognized keywords:
 
     TITLE "name"          optional quoted title
-    LUT_3D_SIZE n         grid size per axis (required)
+    LUT_3D_SIZE n         grid size per axis (required, 2..256)
     DOMAIN_MIN r g b      stored but ignored by the tonemap
     DOMAIN_MAX r g b      stored but ignored by the tonemap
 
@@ -43,10 +43,15 @@ from functools import cached_property
 
 import numpy as np
 
+from ._table import read_table, reject_first
 from .errors import (CubeFormatError, CubeTruncationError, UnsupportedCubeError,
                      ValidationError)
 
 DEFAULT_GRID_SIZE = 32
+
+#: Largest grid size per axis: the Adobe Cube LUT Specification 1.0 caps
+#: LUT_3D_SIZE at 256.
+MAX_GRID_SIZE = 256
 
 # Built-in knot coordinate estimates for indices 3..32, shared by all axes.
 # "delta" comes from the responses to single-knot impulse cubes; "optimized"
@@ -90,8 +95,9 @@ class KnotGrid:
         arr = np.asarray(self.values, dtype=float).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        if arr.ndim != 1 or arr.size < self.active_start + 1:
-            raise ValidationError("knot grid too small")
+        if arr.ndim != 1 or not 1 <= self.active_start < arr.size:
+            raise ValidationError(f"knot grid needs 1 <= active_start < size, got "
+                                  f"active_start {self.active_start}, size {arr.size}")
         active = self.active_values
         if not np.all(np.isfinite(active)) or np.any(active < 0):
             raise ValidationError("active knots must be finite and >= 0")
@@ -124,28 +130,17 @@ class KnotGrid:
 
     @classmethod
     def from_csv(cls, file) -> "KnotGrid":
-        header = file.readline().strip()
-        if header.replace(" ", "") != "index,u":
-            raise ValidationError(f"knot CSV: expected header 'index,u', got {header!r}")
-        pairs = []
-        for lineno, line in enumerate(file, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                idx_s, u_s = line.split(",")
-                pairs.append((int(idx_s), float(u_s)))
-            except ValueError:  # also raised for a row without exactly 2 fields
-                raise ValidationError(f"knot CSV line {lineno}: expected an integer "
-                                      f"index and a numeric u, got {line!r}") from None
-        if not pairs:
+        (index, u), problem, explain = read_table(file, "index,u", "if", "knot CSV")
+        reject_first(problem | (index < 1) | (index > MAX_GRID_SIZE), explain,
+                     "knot CSV", f"index outside 1..{MAX_GRID_SIZE}")
+        if not index.size:
             raise ValidationError("knot CSV: no rows")
-        pairs.sort()
-        start = pairs[0][0]
-        size = pairs[-1][0]
-        if [i for i, _ in pairs] != list(range(start, size + 1)):
+        order = np.argsort(index, kind="stable")
+        index, u = index[order], u[order]
+        start, size = int(index[0]), int(index[-1])
+        if not np.array_equal(index, np.arange(start, size + 1)):
             raise ValidationError("knot CSV: indices must be contiguous")
-        return cls.from_active([u for _, u in pairs], size=size, active_start=start)
+        return cls.from_active(u, size=size, active_start=start)
 
 
 def default_knot_grid(source: str = "delta") -> KnotGrid:
@@ -243,9 +238,9 @@ def parse_cube(source) -> CubeLUT:
             tok = line.split()[1:]
             vals = _parse_floats(tok, raw, lineno, 1, "LUT_3D_SIZE")
             size = int(vals[0])
-            if size != vals[0] or size < 2:
-                raise CubeFormatError(f"LUT_3D_SIZE must be an integer >= 2, got {vals[0]}",
-                                      line=lineno)
+            if size != vals[0] or not 2 <= size <= MAX_GRID_SIZE:
+                raise CubeFormatError(f"LUT_3D_SIZE must be an integer in "
+                                      f"2..{MAX_GRID_SIZE}, got {vals[0]}", line=lineno)
         elif head == "LUT_1D_SIZE":
             raise UnsupportedCubeError("1D LUTs are not supported", line=lineno)
         elif head == "DOMAIN_MIN":

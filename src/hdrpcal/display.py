@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares
 
+from ._table import read_table, reject_first
 from .errors import (ConvergenceError, DegenerateDataError, DomainError,
                      FitError, ValidationError)
 
@@ -339,10 +340,13 @@ def save_display(display, file, report: FitReport | None = None) -> None:
 
 
 def load_display(file):
-    """Load a display persisted by :func:`save_display`.  A missing key, or a
-    value that is not a finite JSON number (a list of them for the chromatic
-    vectors), is a :class:`ValidationError` naming the key."""
-    doc = json.load(file)
+    """Load a display persisted by :func:`save_display`.  Undecodable JSON, a
+    missing key, or a value that is not a finite JSON number (a list of them
+    for the chromatic vectors) is a :class:`ValidationError` naming the key."""
+    try:
+        doc = json.load(file)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError(f"display JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError("display JSON must be an object")
     kind = doc.get("kind")
@@ -370,36 +374,17 @@ def load_display(file):
     return cls(**fields)
 
 
-def _csv_rows(file, header: str):
-    """Numeric rows of a measurement CSV with the given header, each as a
-    list of one float per header field."""
-    got = file.readline().strip().replace(" ", "")
-    if got != header:
-        raise ValidationError(f"expected header {header!r}, got {got!r}")
-    width = header.count(",") + 1
-    for lineno, line in enumerate(file, start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(",")
-        if len(fields) != width:
-            raise ValidationError(f"measurement CSV line {lineno}: expected "
-                                  f"{width} columns, got {len(fields)}")
-        try:
-            row = [float(tok) for tok in fields]
-        except ValueError:
-            raise ValidationError(f"measurement CSV line {lineno}: "
-                                  "non-numeric field") from None
-        yield row
-
-
 def load_achromatic_csv(file) -> list[Measurement]:
     """Read ``v,L`` measurement rows."""
-    return [Measurement(v=np.array([v, v, v]), luminance=lum)
-            for v, lum in _csv_rows(file, "v,L")]
+    (v, lum), problem, explain = read_table(file, "v,L", "ff", "measurement CSV")
+    reject_first(problem, explain, "measurement CSV")
+    return [Measurement(v=np.array([x, x, x]), luminance=y)
+            for x, y in zip(v.tolist(), lum.tolist())]
 
 
 def load_chromatic_csv(file) -> list[Measurement]:
     """Read ``v_r,v_g,v_b,X,Y,Z`` measurement rows."""
-    return [Measurement(v=np.array(vals[:3]), xyz=np.array(vals[3:]))
-            for vals in _csv_rows(file, "v_r,v_g,v_b,X,Y,Z")]
+    columns, problem, explain = read_table(file, "v_r,v_g,v_b,X,Y,Z", "ffffff",
+                                           "measurement CSV")
+    reject_first(problem, explain, "measurement CSV")
+    return [Measurement(v=row[:3], xyz=row[3:]) for row in np.column_stack(columns)]

@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import svgplot
+from ._table import PROBLEMS, read_table
 from .colorspace import quantize_8bit
 # Not called here; the benchmark tracer requires this module binding.
 from .colorspace import srgb_encode3  # noqa: F401
@@ -282,12 +283,13 @@ def save_samples(samples, file) -> None:
 
 
 #: Row problems in per-row precedence order: a rejected row reports the
-#: first one that applies.
+#: first one that applies.  The ones from ``PROBLEMS`` are found by
+#: ``read_table``, which also words them.
 _ROW_PROBLEMS = (
-    "expected 22 columns, got {columns}",
-    "non-numeric field",
+    PROBLEMS[1],
+    PROBLEMS[2],
     "unknown kind {kind!r}",
-    "non-finite field",
+    PROBLEMS[3],
     "material color outside [0, 1]",
     "post-processed value outside [0, 1]",
     "non-unit normal",
@@ -303,26 +305,9 @@ def load_samples(file) -> SampleBatch:
     Ingested unit vectors are accepted within 1e-6 of unit norm (text
     round-tripping from external engines loses precision) and renormalized.
     """
-    header = file.readline().strip().replace(" ", "")
-    if header != SAMPLE_CSV_HEADER:
-        raise SampleFormatError("sample CSV header does not match schema")
-    raw = [line.strip() for line in file.read().split("\n")]
-    lines = [line for line in raw if line and line[0] != "#"]
-    columns = np.array([line.count(",") + 1 for line in lines], dtype=int)
-    whole = columns == 22
-    kinds = np.full(len(lines), "", dtype=object)
-    nums = np.zeros((len(lines), 21))
-    non_numeric = np.zeros(len(lines), dtype=bool)
-    full = [line for line, ok in zip(lines, whole.tolist()) if ok]
-    if full:
-        fields = ",".join(full).split(",")
-        kinds[whole] = fields[0::22]
-        del fields[0::22]
-        try:
-            nums[whole] = np.array(fields, dtype=float).reshape(-1, 21)
-        except ValueError:
-            nums[whole], non_numeric[whole] = _parse_rows(full)
-
+    (kinds, *fields), problem, explain = read_table(
+        file, SAMPLE_CSV_HEADER, "s" + "f" * 21, "sample CSV", SampleFormatError)
+    nums = np.column_stack(fields)
     lam = kinds == "lambertian"
     m, n, d, l, a, v = (nums[:, k:k + 3] for k in (0, 3, 6, 10, 13, 18))
     i_d, i_a, e = nums[:, 9], nums[:, 16], nums[:, 17]
@@ -334,10 +319,10 @@ def load_samples(file) -> SampleBatch:
         return np.any((x < 0) | (x > 1), axis=1)
 
     checks = np.column_stack([  # one column per _ROW_PROBLEMS entry
-        ~whole,
-        non_numeric,
+        problem == 1,
+        problem == 2,
         ~lam & (kinds != "unlit"),
-        ~np.all(np.isfinite(nums), axis=1),
+        problem == 3,
         outside_unit(m),
         outside_unit(v),
         lam & (np.abs(n_norm - 1.0) > INGEST_NORM_TOL),
@@ -347,16 +332,15 @@ def load_samples(file) -> SampleBatch:
     ])
     rejected = np.flatnonzero(np.any(checks, axis=1))
     if rejected.size:
-        linenos = [lineno for lineno, line in enumerate(raw, start=2)
-                   if line and line[0] != "#"]
         first = np.argmax(checks, axis=1)
+        located = explain(rejected)
         detail = "; ".join(
-            f"line {linenos[i]}: "
-            + _ROW_PROBLEMS[first[i]].format(columns=columns[i], kind=kinds[i])
-            for i in rejected[:5])
+            f"line {line}: " + (text if _ROW_PROBLEMS[first[i]] in PROBLEMS
+                                else _ROW_PROBLEMS[first[i]].format(kind=kinds[i]))
+            for i, (line, text) in zip(rejected[:5], located))
         raise SampleFormatError(
             f"rejected {rejected.size} sample row(s): {detail}",
-            rows=tuple(linenos[i] for i in rejected))
+            rows=tuple(line for line, _ in located))
 
     # Renormalize only when the text actually lost precision, so saved
     # samples round-trip bit for bit.
@@ -365,20 +349,6 @@ def load_samples(file) -> SampleBatch:
         vec[off] /= norm[off, None]
     return SampleBatch(lambertian=lam, m=m, n=n, d=d, i_d=i_d, l=l, a=a,
                        i_a=i_a, e=e, v=v)
-
-
-def _parse_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Row-by-row conversion of 22-column lines, run only after the
-    column-wise conversion failed, to find the rows with a non-numeric
-    field."""
-    nums = np.zeros((len(lines), 21))
-    bad = np.zeros(len(lines), dtype=bool)
-    for i, line in enumerate(lines):
-        try:
-            nums[i] = [float(x) for x in line.split(",")[1:]]
-        except ValueError:
-            bad[i] = True
-    return nums, bad
 
 
 @dataclass(frozen=True, eq=False)

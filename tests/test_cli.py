@@ -154,10 +154,11 @@ class TestEstimateKnots:
         err = capsys.readouterr().err
         assert "--seed" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("row,problem", [("4,0.5", "expected 3 fields, got 2"),
-                                             ("4,0.5,0.1,0", "expected 3 fields"),
-                                             ("4.0,0.5,0.1", "expected an integer"),
-                                             ("4,x,0.1", "expected an integer")])
+    @pytest.mark.parametrize("row,problem", [("4,0.5", "expected 3 columns, got 2"),
+                                             ("4,0.5,0.1,0", "expected 3 columns"),
+                                             ("4.0,0.5,0.1", "non-numeric field"),
+                                             ("4,x,0.1", "non-numeric field"),
+                                             ("3,nan,0.1", "non-finite field")])
     def test_delta_mode_malformed_row_exit_2(self, tmp_path, capsys, row, problem):
         sweep_csv = tmp_path / "sweeps.csv"
         sweep_csv.write_text(f"m,u,t\n3,0.1,0.0\n# note\n{row}\n3,0.2,0.5\n")
@@ -244,7 +245,8 @@ class TestFitDisplay:
         ("achromatic", "v,L\n0,2\n0.5,x\n", "line 3: non-numeric field"),
         ("chromatic", "v_r,v_g,v_b,X,Y,Z\n0,0,0,1,1,z\n", "line 2: non-numeric field"),
         ("chromatic", "v_r,v_g,v_b,X,Y,Z\n0,0,0,1,1\n",
-         "line 2: expected 6 columns, got 5")])
+         "line 2: expected 6 columns, got 5"),
+        ("achromatic", "v,L\n0,2\n0.5,inf\n", "line 3: non-finite field")])
     def test_malformed_row_exit_2(self, tmp_path, capsys, mode, text, problem):
         csv = tmp_path / "meas.csv"
         csv.write_text(text)
@@ -286,8 +288,20 @@ class TestFitDisplay:
         assert doc["gammas"] == pytest.approx([1.8, 2.2, 2.6], rel=1e-6)
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit-display", "--mode", "achromatic", "--in"], ["fit-c", "--in"],
+    ["validate", "--in"], ["make-cube", "--display"]])
+def test_non_utf8_input_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\xfe")
+    assert run(*argv, str(path)) == 2
+    err = capsys.readouterr().err
+    assert "can't decode byte 0xff" in err and "Traceback" not in err
+
+
 class TestMakeCubeAndValidate:
-    @pytest.mark.parametrize("row", ["3", "3,0.1,0.2", "3,x", "x,0.1"])
+    @pytest.mark.parametrize("row", ["3", "3,0.1,0.2", "3,x", "x,0.1", "3,nan",
+                                     "0,1\n1,2", "-2,1\n-1,2", "257,1"])
     def test_make_cube_malformed_knot_row_exit_2(self, tmp_path, capsys,
                                                   display_json, row):
         knots = tmp_path / "knots.csv"

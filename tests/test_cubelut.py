@@ -160,6 +160,11 @@ class TestKnotGrid:
         with pytest.raises(ValidationError):
             KnotGrid.from_active(np.concatenate([[0.5], DELTA_KNOTS[1:]]))
 
+    @pytest.mark.parametrize("active_start", [0, -1])
+    def test_active_start_below_1_rejected(self, active_start):
+        with pytest.raises(ValidationError, match="active_start"):
+            KnotGrid(np.linspace(0.1, 1.0, 8), active_start=active_start)
+
     def test_csv_round_trip(self):
         grid = default_knot_grid()
         buf = io.StringIO()

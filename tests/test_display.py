@@ -270,6 +270,11 @@ class TestPersistence:
         with pytest.raises(ValidationError):
             load_display(io.StringIO('{"kind": "plasma"}'))
 
+    @pytest.mark.parametrize("text", ["", '{"kind": ', "[" * 5000])
+    def test_not_json_rejected(self, text):
+        with pytest.raises(ValidationError, match="display JSON"):
+            load_display(io.StringIO(text))
+
     def test_measurement_csv_loaders(self):
         acsv = io.StringIO("v,L\n0,2\n0.5,23.3\n1,100\n")
         meas = load_achromatic_csv(acsv)

@@ -13,7 +13,7 @@ from .cubelut import (CubeLUT, CubeTonemap, KnotGrid, default_knot_grid,
 from .display import (AchromaticDisplay, ChromaticDisplay, Measurement,
                       fit_achromatic, fit_chromatic, load_display,
                       save_display, solve_background_weights)
-from .harness import (SampleBatch, SceneSample, generate_samples, load_samples,
+from .harness import (SampleBatch, generate_samples, load_samples,
                       save_samples, simulate_characterization, validate_model)
 from .scene import (AmbientLight, DirectionalLight, RenderContext,
                     lambertian_unprocessed, light_direction_from_rotation,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AchromaticDisplay", "AmbientLight", "ChromaticDisplay", "CubeLUT",
     "CubeTonemap", "DeltaSweep", "DirectionalLight", "GammaCorrectionSpec",
-    "KnotGrid", "Measurement", "RenderContext", "SampleBatch", "SceneSample",
+    "KnotGrid", "Measurement", "RenderContext", "SampleBatch",
     "build_correction_cube", "default_knot_grid", "estimate_knots_delta",
     "estimate_knots_optimize", "estimate_scale_constant", "fit_achromatic",
     "fit_chromatic", "gamma_tonemap_achromatic", "gamma_tonemap_chromatic",

@@ -35,10 +35,20 @@ from .cubelut import (CubeLUT, KnotGrid, _interpolate, _locate,
 from .display import AchromaticDisplay, ChromaticDisplay
 from .errors import (DegenerateDataError, EstimationError, FitError,
                      ValidationError)
-from .harness import SampleBatch, check_seed, predict_unprocessed
+from .harness import (MATERIAL_FLOOR, SampleBatch, check_seed,
+                      predict_unprocessed)
 from .scene import DEFAULT_SCALE_CONSTANT, _post_process
 
+#: Points of the log-spaced grid a refined correction cube is fit on.
 REFINE_POINTS = 2048
+#: Fewest Lambertian samples the gain regression accepts.
+MIN_SCALE_SAMPLES = 100
+#: Band of the peak, as fractions, whose points fit an impulse response's
+#: flank lines.
+APEX_BAND = (0.2, 0.8)
+#: Largest sweep output that still counts as no response.
+NO_RESPONSE_LEVEL = 1e-6
+#: Share of the knot-fit samples held out for scoring.
 HOLDOUT_FRACTION = 0.2
 
 
@@ -132,8 +142,7 @@ def _hat_matrix(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def build_correction_cube(spec: GammaCorrectionSpec, knots: KnotGrid | None = None,
-                          refine: bool = False,
-                          refine_points: int = REFINE_POINTS) -> CubeLUT:
+                          refine: bool = False) -> CubeLUT:
     """Gamma-correction cube: per channel, the exact tonemap sampled at the
     active knot coordinates (inactive knots copy the first active value).
 
@@ -158,7 +167,7 @@ def build_correction_cube(spec: GammaCorrectionSpec, knots: KnotGrid | None = No
         if r <= active[0]:
             raise ValidationError("input range must exceed the first active knot")
         xs = np.unique(np.concatenate([
-            [0.0, r], np.geomspace(active[0], r, refine_points)]))
+            [0.0, r], np.geomspace(active[0], r, REFINE_POINTS)]))
         mat = _hat_matrix(active, xs)
         supported = np.flatnonzero(mat.sum(axis=0) > 0)
         frozen = np.setdiff1d(np.arange(active.size), supported)
@@ -196,7 +205,7 @@ class ScaleEstimate:
     n_saturated: int
 
 
-def estimate_scale_constant(samples, *, min_samples: int = 100) -> ScaleEstimate:
+def estimate_scale_constant(samples: SampleBatch) -> ScaleEstimate:
     """Estimate the pipeline gain from Lambertian samples rendered with
     tonemapping disabled.
 
@@ -205,10 +214,10 @@ def estimate_scale_constant(samples, *, min_samples: int = 100) -> ScaleEstimate
     the inverse of the slope.  Channel observations at the framebuffer
     ceiling (v >= 1) are excluded: clipping makes them uninformative.
     """
-    batch = SampleBatch.of(samples)
-    samples = batch[batch.lambertian]
-    if len(samples) < min_samples:
-        raise FitError(f"need >= {min_samples} lambertian samples, got {len(samples)}")
+    samples = samples[samples.lambertian]
+    if len(samples) < MIN_SCALE_SAMPLES:
+        raise FitError(f"need >= {MIN_SCALE_SAMPLES} lambertian samples, "
+                       f"got {len(samples)}")
     predicted = predict_unprocessed(samples, scale_constant=1.0)
     v = samples.v
     actual = srgb_decode3(v)
@@ -261,8 +270,7 @@ def _flank_line(u: np.ndarray, t: np.ndarray) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
-def _sweep_apex(sweep: DeltaSweep, band: tuple[float, float]
-                ) -> tuple[float, str | None]:
+def _sweep_apex(sweep: DeltaSweep) -> tuple[float, str | None]:
     """Apex abscissa of a triangular response via flank-line intersection.
 
     Falls back to the raw argmax (flagged as an anomaly) when the flanks
@@ -281,7 +289,7 @@ def _sweep_apex(sweep: DeltaSweep, band: tuple[float, float]
             or np.any(np.diff(falling) > 1e-9 * peak)):
         anomaly = "non-unimodal response"
 
-    lo, hi = band[0] * peak, band[1] * peak
+    lo, hi = APEX_BAND[0] * peak, APEX_BAND[1] * peak
     left = np.flatnonzero((t >= lo) & (t <= hi) & (np.arange(t.size) < p_first))
     right = np.flatnonzero((t >= lo) & (t <= hi) & (np.arange(t.size) > p_last))
 
@@ -303,9 +311,7 @@ def _sweep_apex(sweep: DeltaSweep, band: tuple[float, float]
     return float(u[int(np.argmax(t))]), anomaly or "flank fit failed; used argmax"
 
 
-def estimate_knots_delta(sweeps, size: int = 32, active_start: int = 3,
-                         *, band: tuple[float, float] = (0.2, 0.8),
-                         no_response_level: float = 1e-6
+def estimate_knots_delta(sweeps, size: int = 32, active_start: int = 3
                          ) -> tuple[KnotGrid, DeltaEstimateReport]:
     """Estimate the knot coordinates from impulse-cube sweep responses.
 
@@ -321,7 +327,7 @@ def estimate_knots_delta(sweeps, size: int = 32, active_start: int = 3,
     anomalies: dict[int, str] = {}
     for m in range(1, active_start):
         if m in by_m:
-            if float(by_m[m].outputs.max()) <= no_response_level:
+            if float(by_m[m].outputs.max()) <= NO_RESPONSE_LEVEL:
                 no_response.append(m)
             else:
                 anomalies[m] = "unexpected response at inactive knot"
@@ -329,9 +335,9 @@ def estimate_knots_delta(sweeps, size: int = 32, active_start: int = 3,
     estimates = np.empty(size - active_start + 1)
     for m in range(active_start, size + 1):
         sweep = by_m[m]
-        if float(sweep.outputs.max()) <= no_response_level:
+        if float(sweep.outputs.max()) <= NO_RESPONSE_LEVEL:
             raise EstimationError(f"sweep {m} is flat; cannot estimate its knot")
-        apex, anomaly = _sweep_apex(sweep, band)
+        apex, anomaly = _sweep_apex(sweep)
         if anomaly:
             anomalies[m] = anomaly
         estimates[m - active_start] = apex
@@ -378,17 +384,15 @@ def _knots_from_log_gaps(a: np.ndarray) -> np.ndarray:
 
 def estimate_knots_optimize(datasets, init: KnotGrid, *,
                             scale_constant: float = DEFAULT_SCALE_CONSTANT,
-                            material_floor: float = 0.2,
-                            holdout_fraction: float = HOLDOUT_FRACTION,
                             seed: int = 0
                             ) -> tuple[KnotGrid, KnotOptimizeReport]:
     """Estimate knot coordinates by minimizing model prediction error.
 
     ``datasets`` is a list of (samples, CubeLUT) pairs, each rendered under
     a known cube.  Samples with any material component below
-    ``material_floor`` are excluded (the rendering model is biased there),
-    and a holdout fraction drawn from ``seed`` (a non-negative integer) is
-    scored but never optimized on.
+    :data:`~hdrpcal.harness.MATERIAL_FLOOR` are excluded (the rendering
+    model is biased there), and a :data:`HOLDOUT_FRACTION` drawn from
+    ``seed`` (a non-negative integer) is scored but never optimized on.
     The fit is one nonlinear least-squares solve of the training prediction
     residuals (``scipy.optimize.least_squares``, Levenberg-Marquardt with a
     finite-difference Jacobian) over the log of the first knot and the log
@@ -408,15 +412,14 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
     for samples, lut in datasets:
         if lut.size != init.size:
             raise ValidationError(f"cube size {lut.size} != knot grid size {init.size}")
-        batch = SampleBatch.of(samples)
-        keep = np.all(batch.m >= material_floor, axis=1)
+        keep = np.all(samples.m >= MATERIAL_FLOOR, axis=1)
         n_excluded += int(np.sum(~keep))
-        kept = batch[keep]
+        kept = samples[keep]
         if not len(kept):
             continue
         u = predict_unprocessed(kept, scale_constant=scale_constant)
         v = kept.v
-        holdout = rng.random(len(kept)) < holdout_fraction
+        holdout = rng.random(len(kept)) < HOLDOUT_FRACTION
         if np.any(~holdout):
             train_sets.append((u[~holdout], v[~holdout], lut))
         if np.any(holdout):

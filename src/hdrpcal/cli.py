@@ -16,6 +16,7 @@ sidecar next to each output file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import io
 import json
@@ -33,8 +34,10 @@ from .cubelut import (CubeTonemap, KnotGrid, default_knot_grid, make_delta_cube,
                       parse_cube, serialize_cube)
 from .display import fit_achromatic, fit_chromatic, load_achromatic_csv, \
     load_chromatic_csv, load_display, save_display
-from .errors import EstimationError, FitError, HdrpcalError, UsageError
-from .harness import generate_samples, load_samples, save_samples, validate_model
+from .errors import (EstimationError, FitError, HdrpcalError, UsageError,
+                     ValidationError)
+from .harness import (MATERIAL_FLOOR, generate_samples, load_samples,
+                      save_samples, validate_model)
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -47,15 +50,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return value
+def _arg_type(convert, ok, expected: str):
+    """An argparse type: ``convert`` the text, then require ``ok`` of it."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_seed = _arg_type(int, lambda x: x >= 0, "a non-negative integer")
+_count = _arg_type(int, lambda x: x >= 1, "a positive integer")
+_positive = _arg_type(float, lambda x: 0 < x < np.inf, "a finite number > 0")
+_fraction = _arg_type(float, lambda x: 0 <= x <= 1, "a number in [0, 1]")
 
 
 def _build_parser() -> _Parser:
@@ -70,7 +81,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", formatter_class=fmt,
                        help="generate random rendered samples")
-    p.add_argument("--samples", type=int, default=1000, help="number of samples")
+    p.add_argument("--samples", type=_count, default=1000,
+                   help="number of samples")
     p.add_argument("--seed", type=_seed, default=0, help="random seed")
     p.add_argument("--material", choices=["lambert", "unlit"], default="lambert",
                    help="material kind")
@@ -81,7 +93,7 @@ def _build_parser() -> _Parser:
                         "delta estimates)")
     p.add_argument("--quantize", action="store_true",
                    help="quantize values to 8-bit precision")
-    p.add_argument("--c", type=float, default=0.822, help="pipeline gain")
+    p.add_argument("--c", type=_positive, default=0.822, help="pipeline gain")
     p.add_argument("--out", default=None, help="output sample CSV")
 
     p = sub.add_parser("fit-c", formatter_class=fmt,
@@ -105,7 +117,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--init", default=None,
                    help="initial knot CSV (optimize mode; default: built-in "
                         "delta estimates)")
-    p.add_argument("--c", type=float, default=0.822, help="pipeline gain")
+    p.add_argument("--c", type=_positive, default=0.822, help="pipeline gain")
     p.add_argument("--seed", type=_seed, default=0, help="holdout split seed")
     p.add_argument("--out", default=None, help="output knot CSV")
 
@@ -120,7 +132,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("make-cube", formatter_class=fmt,
                        help="emit a gamma-correction cube for a display")
     p.add_argument("--display", required=True, help="display JSON")
-    p.add_argument("--r", type=float, default=1.0,
+    p.add_argument("--r", type=_positive, default=1.0,
                    help="displayable input range (achromatic only)")
     p.add_argument("--refine", action="store_true",
                    help="least-squares refine the knot outputs")
@@ -136,8 +148,8 @@ def _build_parser() -> _Parser:
                         "delta estimates)")
     p.add_argument("--tonemap", default="none",
                    help="'none' or a path to a .cube file")
-    p.add_argument("--c", type=float, default=0.822, help="pipeline gain")
-    p.add_argument("--filter-m", type=float, default=0.2,
+    p.add_argument("--c", type=_positive, default=0.822, help="pipeline gain")
+    p.add_argument("--filter-m", type=_fraction, default=MATERIAL_FLOOR,
                    help="material floor for the filtered error statistic")
     p.add_argument("--out", default=None, help="output report CSV")
     p.add_argument("--plot", default=None, help="output SVG scatter")
@@ -149,11 +161,6 @@ def _info(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _resolved_config(args) -> dict:
-    skip = {"command", "quiet"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
 def _emit(args, text: str, out: str | None) -> None:
     """Write a text artifact to --out (with metadata sidecar) or stdout."""
     if out is None:
@@ -162,32 +169,39 @@ def _emit(args, text: str, out: str | None) -> None:
     path = Path(out)
     path.write_text(text)
     meta = {"tool": "hdrpcal", "version": __version__, "command": args.command,
-            "config": {k: v for k, v in _resolved_config(args).items()},
+            "config": {k: v for k, v in sorted(vars(args).items())
+                       if k not in ("command", "quiet")},
             "written": datetime.datetime.now(datetime.timezone.utc).isoformat()}
     Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     _info(args, f"wrote {path}")
 
 
+@contextlib.contextmanager
+def _open(path: str, what: str):
+    """Open the input ``path`` as text; a decode error names the file."""
+    try:
+        with open(path) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{what} {path}: {exc}") from exc
+
+
 def _load_knots(knots_arg: str | None) -> KnotGrid:
     if knots_arg is None:
         return default_knot_grid()
-    with open(knots_arg) as fh:
+    with _open(knots_arg, "knot CSV") as fh:
         return KnotGrid.from_csv(fh)
 
 
 def _load_tonemap(tonemap_arg: str, knots_arg: str | None):
     if tonemap_arg == "none":
         return None
-    with open(tonemap_arg) as fh:
+    with _open(tonemap_arg, "cube file") as fh:
         lut = parse_cube(fh)
     return CubeTonemap(_load_knots(knots_arg), lut)
 
 
 def _cmd_simulate(args) -> int:
-    if args.samples < 1:
-        raise UsageError("--samples must be >= 1")
-    if args.c <= 0:
-        raise UsageError("--c must be > 0")
     tonemap = _load_tonemap(args.tonemap, args.knots)
     kind = "lambertian" if args.material == "lambert" else "unlit"
     samples = generate_samples(args.samples, args.seed, kind=kind,
@@ -200,7 +214,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit_c(args) -> int:
-    with open(args.infile) as fh:
+    with _open(args.infile, "sample CSV") as fh:
         samples = load_samples(fh)
     est = estimate_scale_constant(samples)
     doc = {"c": est.c, "slope": est.slope, "n_samples": est.n_samples,
@@ -221,7 +235,7 @@ def _cmd_gen_delta_cubes(args) -> int:
 
 
 def _load_sweeps(path: str) -> list[DeltaSweep]:
-    with open(path) as fh:
+    with _open(path, "sweep CSV") as fh:
         (m, u, t), problem, explain = read_table(fh, "m,u,t", "iff", "sweep CSV")
     reject_first(problem, explain, "sweep CSV")
     order = np.lexsort((u, m))  # stable: by m, then u
@@ -248,9 +262,9 @@ def _cmd_estimate_knots(args) -> int:
         init = _load_knots(args.init)
         datasets = []
         for sample_path, cube_path in zip(args.infile, cubes):
-            with open(sample_path) as fh:
+            with _open(sample_path, "sample CSV") as fh:
                 samples = load_samples(fh)
-            with open(cube_path) as fh:
+            with _open(cube_path, "cube file") as fh:
                 lut = parse_cube(fh)
             datasets.append((samples, lut))
         grid, report = estimate_knots_optimize(datasets, init,
@@ -271,7 +285,7 @@ def _cmd_estimate_knots(args) -> int:
 
 
 def _cmd_fit_display(args) -> int:
-    with open(args.infile) as fh:
+    with _open(args.infile, "measurement CSV") as fh:
         if args.mode == "achromatic":
             display, report = fit_achromatic(load_achromatic_csv(fh))
         else:
@@ -285,9 +299,7 @@ def _cmd_fit_display(args) -> int:
 
 
 def _cmd_make_cube(args) -> int:
-    if args.r <= 0:
-        raise UsageError("--r must be > 0")
-    with open(args.display) as fh:
+    with _open(args.display, "display JSON") as fh:
         display = load_display(fh)
     spec = GammaCorrectionSpec(display, input_range=args.r)
     lut = build_correction_cube(spec, _load_knots(args.knots), refine=args.refine)
@@ -296,9 +308,7 @@ def _cmd_make_cube(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if not 0 <= args.filter_m <= 1:
-        raise UsageError("--filter-m must lie in [0, 1]")
-    with open(args.infile) as fh:
+    with _open(args.infile, "sample CSV") as fh:
         samples = load_samples(fh)
     tonemap = _load_tonemap(args.tonemap, args.knots)
     report = validate_model(samples, tonemap=tonemap, scale_constant=args.c,
@@ -341,7 +351,7 @@ def main(argv=None) -> int:
     except (FitError, EstimationError) as exc:
         print(f"hdrpcal: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    except (HdrpcalError, OSError, UnicodeDecodeError) as exc:
+    except (HdrpcalError, OSError) as exc:
         print(f"hdrpcal: {exc}", file=sys.stderr)
         return EXIT_IO
 

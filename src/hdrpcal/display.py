@@ -57,12 +57,6 @@ class AchromaticDisplay:
         """Background-to-range ratio l0/l1."""
         return self.l0 / self.l1
 
-    def activation(self, v):
-        return np.asarray(v, dtype=float) ** self.gamma
-
-    def activation_inverse(self, p):
-        return np.asarray(p, dtype=float) ** (1.0 / self.gamma)
-
     def luminance(self, v):
         """Displayed luminance for framebuffer value(s) v in [0, 1]."""
         arr = np.asarray(v, dtype=float)
@@ -100,12 +94,6 @@ class ChromaticDisplay:
     def primaries(self) -> np.ndarray:
         """3x3 matrix with the primaries as columns."""
         return np.column_stack([self.primary_r, self.primary_g, self.primary_b])
-
-    def activation(self, v) -> np.ndarray:
-        return np.asarray(v, dtype=float) ** self.gammas
-
-    def activation_inverse(self, p) -> np.ndarray:
-        return np.asarray(p, dtype=float) ** (1.0 / self.gammas)
 
     def xyz(self, v) -> np.ndarray:
         """CIE XYZ of framebuffer triplet(s) v in [0, 1]^3."""

@@ -6,9 +6,7 @@ colors, intensities and direction, renders the post-processed value through
 the in-package pipeline (the synthetic oracle), and records everything.
 
 Samples are held column-wise in a :class:`SampleBatch`, validated once when
-it is built; indexing or iterating a batch yields :class:`SceneSample`
-rows.  Every function that takes samples also accepts an iterable of rows
-and converts it to a batch on entry.
+it is built; every function that takes samples takes a batch.
 
 Generation is counter-based and deterministic: sample *i* is computed from
 its own block of :data:`DRAWS_PER_SAMPLE` uniforms of one Philox stream
@@ -51,38 +49,21 @@ CAMERA_DIRECTION = np.array([0.0, 0.0, -1.0])
 
 INGEST_NORM_TOL = 1e-6
 
+#: Samples with any material component below this floor are scored apart
+#: (validation) or left out (the knot fit): the rendering model is biased
+#: for dark materials.
+MATERIAL_FLOOR = 0.2
+
 #: Width of the block of uniforms each generated sample consumes.
 DRAWS_PER_SAMPLE = 16
 
 _KINDS = ("lambertian", "unlit")
 _TRIPLETS = ("m", "n", "d", "l", "a", "v")
-#: Batch column -> SceneSample attribute, in CSV column order.
-_ROW_FIELDS = {"m": "material", "n": "normal", "d": "light_color",
-               "i_d": "light_intensity", "l": "light_direction",
-               "a": "ambient_color", "i_a": "ambient_intensity",
-               "e": "exposure", "v": "value"}
+#: Numeric batch columns, in CSV column order.
+_ROW_FIELDS = ("m", "n", "d", "i_d", "l", "a", "i_a", "e", "v")
 _COLUMNS = ("lambertian", *_ROW_FIELDS)
 _CSV_ROW = "%s," + ",".join(["%.17g"] * 21) + "\n"
 _REPORT_ROW = "%s," + ",".join(["%.10g"] * 9) + "\n"
-
-
-@dataclass(frozen=True, eq=False)
-class SceneSample:
-    """One recorded observation of the rendering experiment.
-
-    Rows are checked when they enter a :class:`SampleBatch`, not here.
-    """
-
-    kind: str
-    material: np.ndarray
-    normal: np.ndarray
-    light_color: np.ndarray
-    light_intensity: float
-    light_direction: np.ndarray
-    ambient_color: np.ndarray
-    ambient_intensity: float
-    exposure: float
-    value: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,9 +77,8 @@ class SampleBatch:
     value; triplet columns have shape (N, 3), the others (N,).  Columns are
     checked for shape and finiteness once, copied and stored read-only.
 
-    A batch supports ``len``, ``+``, iteration and integer indexing (both
-    yielding :class:`SceneSample` rows), and slice or boolean-mask indexing
-    (yielding a batch).
+    A batch supports ``len``, ``+`` with another batch, and slice or
+    boolean-mask indexing (yielding a batch).
     """
 
     lambertian: np.ndarray
@@ -130,26 +110,6 @@ class SampleBatch:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def of(cls, samples) -> SampleBatch:
-        """``samples`` itself when it is a batch, else a batch of its rows."""
-        if isinstance(samples, SampleBatch):
-            return samples
-        rows = list(samples)
-        kinds = [s.kind for s in rows]
-        unknown = [k for k in kinds if k not in _KINDS]
-        if unknown:
-            raise ValidationError(f"unknown sample kind {unknown[0]!r}")
-        columns = {}
-        for name, attr in _ROW_FIELDS.items():
-            try:
-                arr = np.array([getattr(s, attr) for s in rows], dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"sample {attr} must be numeric") from exc
-            width = (3,) if name in _TRIPLETS else ()
-            columns[name] = arr if rows else arr.reshape((0, *width))
-        return cls(lambertian=[k == "lambertian" for k in kinds], **columns)
-
     @property
     def kinds(self) -> np.ndarray:
         """Kind name of each sample."""
@@ -158,19 +118,10 @@ class SampleBatch:
     def __len__(self) -> int:
         return self.lambertian.size
 
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            i = range(len(self))[key]
-            return SceneSample(kind=_KINDS[0] if self.lambertian[i] else _KINDS[1],
-                               **{attr: getattr(self, name)[i]
-                                  for name, attr in _ROW_FIELDS.items()})
+    def __getitem__(self, key) -> SampleBatch:
         return SampleBatch(**{name: getattr(self, name)[key] for name in _COLUMNS})
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def __add__(self, other) -> SampleBatch:
-        other = SampleBatch.of(other)
+    def __add__(self, other: SampleBatch) -> SampleBatch:
         return SampleBatch(**{name: np.concatenate([getattr(self, name),
                                                     getattr(other, name)])
                               for name in _COLUMNS})
@@ -183,23 +134,22 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
-def predict_unprocessed(samples, scale_constant: float = DEFAULT_SCALE_CONSTANT,
-                        norm_tol: float = INGEST_NORM_TOL) -> np.ndarray:
+def predict_unprocessed(samples: SampleBatch,
+                        scale_constant: float = DEFAULT_SCALE_CONSTANT) -> np.ndarray:
     """Unprocessed values implied by each sample's scene parameters."""
-    b = SampleBatch.of(samples)
-    lam = b.lambertian
-    u = np.zeros_like(b.m)
+    lam = samples.lambertian
+    u = np.zeros_like(samples.m)
     if np.any(lam):
+        # The render takes the scene columns in CSV order (all but v).
         u[lam] = lambertian_unprocessed_arrays(
-            b.m[lam], b.n[lam], b.d[lam], b.i_d[lam], b.l[lam], b.a[lam],
-            b.i_a[lam], b.e[lam], scale_constant=scale_constant,
-            norm_tol=norm_tol)
+            *(getattr(samples, name)[lam] for name in _ROW_FIELDS[:-1]),
+            scale_constant=scale_constant, norm_tol=INGEST_NORM_TOL)
     if not np.all(lam):
-        u[~lam] = unlit_unprocessed(b.m[~lam])
+        u[~lam] = unlit_unprocessed(samples.m[~lam])
     return u
 
 
-def predict_values(samples, tonemap=None,
+def predict_values(samples: SampleBatch, tonemap=None,
                    scale_constant: float = DEFAULT_SCALE_CONSTANT,
                    quantize: bool = False) -> np.ndarray:
     """Post-processed values implied by the full model for each sample;
@@ -273,13 +223,12 @@ def generate_samples(count: int, seed: int, kind: str = "lambertian",
                                            quantize=quantize))
 
 
-def save_samples(samples, file) -> None:
+def save_samples(samples: SampleBatch, file) -> None:
     """Write samples in the CSV schema; floats keep full precision."""
-    b = SampleBatch.of(samples)
-    nums = np.column_stack([getattr(b, name) for name in _ROW_FIELDS])
+    nums = np.column_stack([getattr(samples, name) for name in _ROW_FIELDS])
     file.write(SAMPLE_CSV_HEADER + "\n")
-    file.write("".join(_CSV_ROW % (kind, *row)
-                       for kind, row in zip(b.kinds.tolist(), nums.tolist())))
+    file.write("".join(_CSV_ROW % (kind, *row) for kind, row
+                       in zip(samples.kinds.tolist(), nums.tolist())))
 
 
 #: Row problems in per-row precedence order: a rejected row reports the
@@ -403,70 +352,58 @@ class ValidationReport:
         svgplot.scatter_panels([left, right], file)
 
 
-def validate_model(samples, tonemap=None,
+def validate_model(samples: SampleBatch, tonemap=None,
                    scale_constant: float = DEFAULT_SCALE_CONSTANT,
                    quantize: bool = False,
-                   material_floor: float = 0.2) -> ValidationReport:
+                   material_floor: float = MATERIAL_FLOOR) -> ValidationReport:
     """Compare model predictions against recorded sample values."""
-    batch = SampleBatch.of(samples)
-    if not len(batch):
+    if not len(samples):
         raise ValidationError("validate_model needs at least one sample")
-    predicted = predict_values(batch, tonemap=tonemap,
+    predicted = predict_values(samples, tonemap=tonemap,
                                scale_constant=scale_constant, quantize=quantize)
-    errors = predicted - batch.v
+    errors = predicted - samples.v
     median = float(np.median(np.abs(errors)) * 255.0)
-    keep = np.all(batch.m >= material_floor, axis=1)
+    keep = np.all(samples.m >= material_floor, axis=1)
     n_excluded = int(np.sum(~keep))
     filtered = (float(np.median(np.abs(errors[keep])) * 255.0)
                 if np.any(keep) else float("nan"))
 
     edges = np.linspace(0.0, 1.0, 11)
     assoc = []
-    m_flat = batch.m.ravel()
+    m_flat = samples.m.ravel()
     err_flat = np.abs(errors).ravel()
     for lo, hi in zip(edges[:-1], edges[1:]):
         mask = (m_flat >= lo) & (m_flat < hi if hi < 1.0 else m_flat <= hi)
         assoc.append([lo, hi, int(mask.sum()),
                       float(np.median(err_flat[mask]) * 255.0) if mask.any()
                       else float("nan")])
-    return ValidationReport(kinds=batch.kinds, material=batch.m,
-                            predicted=predicted, actual=batch.v, errors=errors,
+    return ValidationReport(kinds=samples.kinds, material=samples.m,
+                            predicted=predicted, actual=samples.v, errors=errors,
                             median_abs_255=median,
                             filtered_median_abs_255=filtered,
                             n_excluded=n_excluded, material_floor=material_floor,
                             association=np.array(assoc))
 
 
-@dataclass(frozen=True, eq=False)
-class CharacterizationPoint:
-    """One simulated characterization reading."""
-
-    u: np.ndarray
-    v: np.ndarray
-    luminance: float | None = None
-    xyz: np.ndarray | None = None
-
-
 def simulate_characterization(display, levels, tonemap=None,
-                              mode: str = "achromatic") -> list[CharacterizationPoint]:
+                              mode: str = "achromatic"):
     """In-silico characterization: drive unprocessed levels through the
     pipeline and read the modeled display output.
 
     Achromatic mode shows u = (x, x, x) per level and reads luminance;
-    chromatic mode ramps each channel separately and reads XYZ.
+    chromatic mode ramps each channel separately and reads XYZ.  Returns
+    the arrays ``(u, v, readings)``: the (N, 3) unprocessed and
+    post-processed triplets and the readings, luminance (N,) or XYZ (N, 3).
     """
     levels = np.asarray(levels, dtype=float)
     if np.any(levels < 0):
         raise ValidationError("levels must be >= 0")
     if mode == "achromatic":
         u = np.repeat(levels[:, None], 3, axis=1)
-        v = post_process(u, tonemap)
-        return [CharacterizationPoint(u=u_i, v=v_i,
-                                      luminance=float(display.luminance(v_i[0])))
-                for u_i, v_i in zip(u, v)]
-    if mode == "chromatic":
+    elif mode == "chromatic":
         u = (np.eye(3)[:, None, :] * levels[:, None]).reshape(-1, 3)
-        v = post_process(u, tonemap)
-        return [CharacterizationPoint(u=u_i, v=v_i, xyz=display.xyz(v_i))
-                for u_i, v_i in zip(u, v)]
-    raise ValidationError(f"unknown characterization mode {mode!r}")
+    else:
+        raise ValidationError(f"unknown characterization mode {mode!r}")
+    v = post_process(u, tonemap)
+    return u, v, (display.luminance(v[:, 0]) if mode == "achromatic"
+                  else display.xyz(v))

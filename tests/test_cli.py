@@ -45,8 +45,8 @@ class TestSimulate:
                    "unlit", "--out", str(out)) == 0
         with open(out) as fh:
             samples = load_samples(fh)
-        assert all(s.kind == "unlit" for s in samples)
-        assert all(s.light_intensity == 0 for s in samples)
+        assert samples.kinds.tolist() == ["unlit"] * 6
+        assert np.all(samples.i_d == 0)
 
     def test_stdout_when_no_out(self, capsys):
         assert run("simulate", "--samples", "2", "--seed", "0") == 0
@@ -57,9 +57,14 @@ class TestSimulate:
         assert run("simulate", "--samples", "2", "--tonemap",
                    str(tmp_path / "missing.cube")) == 2
 
-    def test_bad_flag_value_exit_64(self):
+    def test_bad_flag_value_exit_64(self, capsys):
         assert run("simulate", "--samples", "0") == 64
-        assert run("simulate", "--c", "-1") == 64
+        for argv in (["simulate"], ["validate", "--in", "s.csv"],
+                     ["estimate-knots", "--mode", "optimize", "--in", "s.csv"]):
+            for gain in ("-1", "0", "nan", "inf"):
+                assert run(*argv, "--c", gain) == 64, (argv, gain)
+                err = capsys.readouterr().err
+                assert "--c" in err and "Traceback" not in err
 
     def test_unknown_flag_exit_64(self):
         assert run("simulate", "--frobnicate") == 64
@@ -297,6 +302,7 @@ def test_non_utf8_input_exit_2(tmp_path, capsys, argv):
     assert run(*argv, str(path)) == 2
     err = capsys.readouterr().err
     assert "can't decode byte 0xff" in err and "Traceback" not in err
+    assert str(path) in err
 
 
 class TestMakeCubeAndValidate:

@@ -1,14 +1,17 @@
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
+from hdrpcal.calibrate import GammaCorrectionSpec, build_correction_cube
 from hdrpcal.colorspace import srgb_encode3
 from hdrpcal.cubelut import (CubeLUT, CubeRangeWarning, CubeTonemap,
                              DELTA_KNOTS, KnotGrid, OPTIMIZED_KNOTS,
                              _interpolate, _trilinear, default_knot_grid,
                              make_delta_cube, parse_cube, separable_cube,
                              serialize_cube)
+from hdrpcal.display import AchromaticDisplay
 from hdrpcal.errors import (CubeFormatError, CubeTruncationError,
                             UnsupportedCubeError, ValidationError)
 from hdrpcal.scene import post_process
@@ -133,6 +136,43 @@ class TestSerialize:
         lut = separable_cube(grid, lambda x: np.clip(x, 0, 1))
         back = parse_cube(serialize_cube(lut))
         assert np.max(np.abs(back.outputs - lut.outputs)) < 1e-6
+
+
+def cross_channel_cube():
+    """A fixed non-separable cube: every output channel mixes the axes."""
+    axis = np.linspace(0.0, 1.0, 9)
+    x, y, z = np.meshgrid(axis, np.sqrt(axis), axis ** 2, indexing="ij")
+    outputs = np.stack([0.6 * x + 0.3 * y * z + 0.1 * z,
+                        0.2 * x * y + 0.7 * y + 0.1 * z,
+                        0.1 * x + 0.2 * y + 0.7 * z * x], axis=-1)
+    return CubeLUT(outputs, title="cross-channel", domain_min=[0.0, 0.25, 0.0],
+                   domain_max=[1.0, 2.0, 0.5])
+
+
+class TestSerializeGoldenBytes:
+    """Pins the exact bytes the serializer writes, so a faster formatter
+    can be checked against them."""
+
+    def check(self, lut, sha256):
+        text = serialize_cube(lut)
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+    def test_delta_cube(self):
+        self.check(make_delta_cube(17), "306e1af1064fc004333b606e5b870fe3"
+                                         "2cd118f266f8a5d656a4bb173a7527d5")
+
+    def test_refined_correction_cube(self):
+        spec = GammaCorrectionSpec(AchromaticDisplay(l0=2.0, l1=98.0, gamma=2.2),
+                                   input_range=float(DELTA_KNOTS[16]))
+        lut = build_correction_cube(spec, default_knot_grid(), refine=True)
+        self.check(lut, "3066a7fca7d133da098aebe6ce146945"
+                        "b46937ea3149412d0e8d422bd1ccb0e3")
+
+    def test_cross_channel_cube(self):
+        lut = cross_channel_cube()
+        assert lut.separable_channels() is None
+        self.check(lut, "d8179eb67353bcf4bc6ef3ab94f78443"
+                        "25b69c733441de396a654b7f217b4aad")
 
 
 class TestKnotGrid:

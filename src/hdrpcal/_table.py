@@ -1,4 +1,5 @@
-"""The one reader behind every CSV file the package reads.
+"""The one reader behind every CSV file the package reads, and the float
+formatter behind the .cube and SVG writers.
 
 A table is one header line, compared with spaces removed, then one data
 row per line; blank lines and lines starting with ``#`` are skipped.  Each
@@ -54,17 +55,18 @@ def read_table(file, header: str, types: str, what: str, error=ValidationError):
     try:
         columns, block = convert(fields)
     except (ValueError, OverflowError):
-        spans = [(0, len(lines))]  # bisect: about 2 log2(rows) calls per bad row
-        while spans:
-            lo, hi = spans.pop()
-            try:
-                convert(fields[lo * width:hi * width])
-            except (ValueError, OverflowError):
-                if hi - lo == 1:
-                    problem[lo] = 2
-                    fields[lo * width:hi * width] = ["0"] * width
-                else:
-                    spans += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]
+        bad = [(0, len(lines))]  # bisect spans known to hold a bad field
+        while bad:
+            lo, hi = bad.pop()
+            if hi - lo == 1:
+                problem[lo] = 2
+                fields[lo * width:hi * width] = ["0"] * width
+                continue
+            for half in ((lo + hi) // 2, hi), (lo, (lo + hi) // 2):
+                try:
+                    convert(fields[half[0] * width:half[1] * width])
+                except (ValueError, OverflowError):
+                    bad.append(half)
         columns, block = convert(fields)
     problem[(problem == 0) & ~np.all(np.isfinite(block), axis=1)] = 3
 
@@ -84,3 +86,12 @@ def reject_first(bad, explain, what: str, default: str = "") -> None:
     if rows.size:
         [(line, text)] = explain(rows[:1])
         raise ValidationError(f"{what} line {line}: {text or default}")
+
+
+def format_floats(values, spec: str) -> np.ndarray:
+    """``format(v, spec)`` of every float in ``values``, in their shape; each
+    bit pattern is formatted once (so ``-0.0`` and ``0.0`` stay apart)."""
+    arr = np.asarray(values, dtype=float)
+    keys, inverse = np.unique(arr.view(np.uint64), return_inverse=True)
+    table = np.array([format(v, spec) for v in keys.view(float).tolist()], dtype=object)
+    return table[inverse].reshape(arr.shape)

@@ -30,8 +30,8 @@ from scipy.optimize import least_squares, lsq_linear
 from .colorspace import srgb_decode, srgb_decode3
 # Not called here; the benchmark tracer requires this module binding.
 from .colorspace import srgb_encode3  # noqa: F401
-from .cubelut import (CubeLUT, KnotGrid, _interpolate, _locate,
-                      _separable_outputs, default_knot_grid)
+from .cubelut import (ACTIVE_START, DEFAULT_GRID_SIZE, CubeLUT, KnotGrid,
+                      _interpolate, _locate, _separable_outputs, default_knot_grid)
 from .display import AchromaticDisplay, ChromaticDisplay
 from .errors import (DegenerateDataError, EstimationError, FitError,
                      ValidationError)
@@ -311,36 +311,36 @@ def _sweep_apex(sweep: DeltaSweep) -> tuple[float, str | None]:
     return float(u[int(np.argmax(t))]), anomaly or "flank fit failed; used argmax"
 
 
-def estimate_knots_delta(sweeps, size: int = 32, active_start: int = 3
-                         ) -> tuple[KnotGrid, DeltaEstimateReport]:
-    """Estimate the knot coordinates from impulse-cube sweep responses.
+def estimate_knots_delta(sweeps) -> tuple[KnotGrid, DeltaEstimateReport]:
+    """Estimate the default grid's knot coordinates from impulse-cube sweeps.
 
     Requires one sweep per active knot index; sweeps for the inactive
     indices are optional and expected to be flat ("no response").
     """
+    active = range(ACTIVE_START, DEFAULT_GRID_SIZE + 1)
     by_m = {s.m: s for s in sweeps}
-    missing = [m for m in range(active_start, size + 1) if m not in by_m]
+    missing = [m for m in active if m not in by_m]
     if missing:
         raise EstimationError(f"missing sweeps for knot indices {missing}")
 
     no_response = []
     anomalies: dict[int, str] = {}
-    for m in range(1, active_start):
+    for m in range(1, ACTIVE_START):
         if m in by_m:
             if float(by_m[m].outputs.max()) <= NO_RESPONSE_LEVEL:
                 no_response.append(m)
             else:
                 anomalies[m] = "unexpected response at inactive knot"
 
-    estimates = np.empty(size - active_start + 1)
-    for m in range(active_start, size + 1):
+    estimates = np.empty(len(active))
+    for m in active:
         sweep = by_m[m]
         if float(sweep.outputs.max()) <= NO_RESPONSE_LEVEL:
             raise EstimationError(f"sweep {m} is flat; cannot estimate its knot")
         apex, anomaly = _sweep_apex(sweep)
         if anomaly:
             anomalies[m] = anomaly
-        estimates[m - active_start] = apex
+        estimates[m - ACTIVE_START] = apex
 
     if np.any(np.diff(estimates) <= 0):
         order = np.argsort(estimates, kind="stable")
@@ -348,7 +348,7 @@ def estimate_knots_delta(sweeps, size: int = 32, active_start: int = 3
             anomalies[0] = "estimates were not monotone in m; sorted"
         estimates = estimates[order]
     try:
-        grid = KnotGrid.from_active(estimates, size=size, active_start=active_start)
+        grid = KnotGrid.from_active(estimates)
     except ValidationError as exc:
         raise EstimationError(f"knot estimates are not strictly increasing: {exc}")
     return grid, DeltaEstimateReport(estimates=estimates,
@@ -403,7 +403,7 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
     """
     if len(datasets) < 2:
         raise EstimationError("need samples under at least 2 distinct cubes")
-    if init.active_start != 3:
+    if init.active_start != ACTIVE_START:
         raise EstimationError("optimization expects the standard active range")
 
     rng = np.random.default_rng(check_seed(seed))

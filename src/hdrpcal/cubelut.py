@@ -13,7 +13,10 @@ Recognized keywords:
 followed by n**3 data rows of three floats, with the red grid index varying
 fastest, then green, then blue.  ``LUT_1D_SIZE`` files are rejected as an
 unsupported variant.  Components outside [0, 1] are clamped with a warning;
-some third-party files exceed the range slightly.
+some third-party files exceed the range slightly.  The keyword lines ahead
+of the data are read one at a time and the data rows convert in one bulk
+call; any other file (lines between rows, a bad token or row count) is
+re-read line by line, so its first error in file order is reported.
 
 Tonemapping
 -----------
@@ -36,6 +39,7 @@ is decided once per :class:`CubeLUT`.  Disabled tonemapping is ``None``
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -43,11 +47,12 @@ from functools import cached_property
 
 import numpy as np
 
-from ._table import read_table, reject_first
+from ._table import format_floats, read_table, reject_first
 from .errors import (CubeFormatError, CubeTruncationError, UnsupportedCubeError,
                      ValidationError)
 
 DEFAULT_GRID_SIZE = 32
+ACTIVE_START = 3  # first knot index (1-based) that takes part in interpolation
 
 #: Largest grid size per axis: the Adobe Cube LUT Specification 1.0 caps
 #: LUT_3D_SIZE at 256.
@@ -89,7 +94,7 @@ class KnotGrid:
     """
 
     values: np.ndarray
-    active_start: int = 3
+    active_start: int = ACTIVE_START
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float).copy()
@@ -114,7 +119,7 @@ class KnotGrid:
 
     @classmethod
     def from_active(cls, active, size: int = DEFAULT_GRID_SIZE,
-                    active_start: int = 3) -> "KnotGrid":
+                    active_start: int = ACTIVE_START) -> "KnotGrid":
         active = np.asarray(active, dtype=float)
         if active.size != size - active_start + 1:
             raise ValidationError(
@@ -214,54 +219,69 @@ def _parse_floats(tokens: list[str], raw: str, lineno: int, count: int,
     return values
 
 
-def parse_cube(source) -> CubeLUT:
-    """Parse .cube text from a string or text stream."""
-    text = source.read() if hasattr(source, "read") else str(source)
-    size: int | None = None
-    title: str | None = None
-    domain_min = np.zeros(3)
-    domain_max = np.ones(3)
-    rows: list[list[float]] = []
-    last_data_line = 0
+def _keyword(keys: dict, raw: str, lineno: int) -> bool:
+    """Apply one line of .cube text to ``keys`` (its keyword values, by
+    :class:`CubeLUT` field name, and ``size``); False for a data row."""
+    line = raw.strip()
+    if not line or line.startswith("#"):
+        return True
+    head = line.split(None, 1)[0]
+    if head == "TITLE":
+        rest = line[len("TITLE"):].strip()
+        if len(rest) < 2 or rest[0] != '"' or rest[-1] != '"':
+            raise CubeFormatError("TITLE must be a quoted string", line=lineno)
+        keys["title"] = rest[1:-1]
+    elif head == "LUT_3D_SIZE":
+        tok = line.split()[1:]
+        vals = _parse_floats(tok, raw, lineno, 1, "LUT_3D_SIZE")
+        keys["size"] = size = int(vals[0])
+        if size != vals[0] or not 2 <= size <= MAX_GRID_SIZE:
+            raise CubeFormatError(f"LUT_3D_SIZE must be an integer in "
+                                  f"2..{MAX_GRID_SIZE}, got {vals[0]}", line=lineno)
+    elif head == "LUT_1D_SIZE":
+        raise UnsupportedCubeError("1D LUTs are not supported", line=lineno)
+    elif head in ("DOMAIN_MIN", "DOMAIN_MAX"):
+        keys[head.lower()] = np.array(_parse_floats(line.split()[1:], raw, lineno, 3, head))
+    elif ((head[0].isalpha() or head[0] == "_")
+          and head.lower() not in ("nan", "inf", "infinity")):  # float() reads these
+        raise CubeFormatError(f"unknown keyword {head!r}", line=lineno)
+    else:
+        return False
+    return True
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head = line.split(None, 1)[0]
-        if head == "TITLE":
-            rest = line[len("TITLE"):].strip()
-            if len(rest) < 2 or rest[0] != '"' or rest[-1] != '"':
-                raise CubeFormatError("TITLE must be a quoted string", line=lineno)
-            title = rest[1:-1]
-        elif head == "LUT_3D_SIZE":
-            tok = line.split()[1:]
-            vals = _parse_floats(tok, raw, lineno, 1, "LUT_3D_SIZE")
-            size = int(vals[0])
-            if size != vals[0] or not 2 <= size <= MAX_GRID_SIZE:
-                raise CubeFormatError(f"LUT_3D_SIZE must be an integer in "
-                                      f"2..{MAX_GRID_SIZE}, got {vals[0]}", line=lineno)
-        elif head == "LUT_1D_SIZE":
-            raise UnsupportedCubeError("1D LUTs are not supported", line=lineno)
-        elif head == "DOMAIN_MIN":
-            domain_min = np.array(_parse_floats(line.split()[1:], raw, lineno, 3, "DOMAIN_MIN"))
-        elif head == "DOMAIN_MAX":
-            domain_max = np.array(_parse_floats(line.split()[1:], raw, lineno, 3, "DOMAIN_MAX"))
-        elif ((head[0].isalpha() or head[0] == "_")
-              and head.lower() not in ("nan", "inf", "infinity")):  # float() reads these
-            raise CubeFormatError(f"unknown keyword {head!r}", line=lineno)
-        else:
-            rows.append(_parse_floats(line.split(), raw, lineno, 3, "data row"))
+
+def _walk_rows(lines: list[str], keys: dict) -> np.ndarray:
+    """The data rows of ``lines``, read one line at a time (keyword lines
+    into ``keys``), so the first error in file order is raised."""
+    rows = []
+    last_data_line = 0
+    for lineno, raw in enumerate(lines, start=1):
+        if not _keyword(keys, raw, lineno):
+            rows.append(_parse_floats(raw.split(), raw, lineno, 3, "data row"))
             last_data_line = lineno
-    if size is None:
+    if "size" not in keys:
         raise CubeFormatError("missing LUT_3D_SIZE")
-    expected = size ** 3
+    expected = keys["size"] ** 3
     if len(rows) != expected:
         raise CubeTruncationError(
-            f"expected {expected} data rows for LUT_3D_SIZE {size}, found {len(rows)}",
-            line=last_data_line)
+            f"expected {expected} data rows for LUT_3D_SIZE {keys['size']}, "
+            f"found {len(rows)}", line=last_data_line)
+    return np.asarray(rows, dtype=float)
 
-    data = np.asarray(rows, dtype=float)
+
+def parse_cube(source) -> CubeLUT:
+    """Parse .cube text from a string or text stream."""
+    lines = (source.read() if hasattr(source, "read") else str(source)).splitlines()
+    keys: dict = {}
+    start = 0  # the keyword and comment lines ahead of the data, one at a time
+    while start < len(lines) and _keyword(keys, lines[start], start + 1):
+        start += 1
+    data = None
+    if "size" in keys and start < len(lines):  # loadtxt warns on empty input
+        with contextlib.suppress(ValueError):
+            data = np.loadtxt(lines[start:], comments=None, ndmin=2)
+    if data is None or data.shape != (keys["size"] ** 3, 3) or not np.isfinite(data).all():
+        data = _walk_rows(lines, keys)
     outside = (data < 0.0) | (data > 1.0)
     if np.any(outside):
         worst = float(np.max(np.abs(data - np.clip(data, 0.0, 1.0))))
@@ -270,8 +290,8 @@ def parse_cube(source) -> CubeLUT:
             f"(worst excess {worst:g}); clamping", CubeRangeWarning, stacklevel=2)
         data = np.clip(data, 0.0, 1.0)
     # Rows run red-fastest: row index = i + n*j + n^2*k.
-    outputs = data.reshape(size, size, size, 3).transpose(2, 1, 0, 3)
-    return CubeLUT(outputs, title=title, domain_min=domain_min, domain_max=domain_max)
+    size = keys.pop("size")
+    return CubeLUT(data.reshape(size, size, size, 3).transpose(2, 1, 0, 3), **keys)
 
 
 def serialize_cube(lut: CubeLUT, file=None) -> str:
@@ -284,9 +304,9 @@ def serialize_cube(lut: CubeLUT, file=None) -> str:
         lines.append("DOMAIN_MIN " + " ".join(f"{v:.8g}" for v in lut.domain_min))
     if not np.array_equal(lut.domain_max, np.ones(3)):
         lines.append("DOMAIN_MAX " + " ".join(f"{v:.8g}" for v in lut.domain_max))
-    flat = lut.outputs.transpose(2, 1, 0, 3).reshape(-1, 3)
-    lines.extend(f"{r:.8g} {g:.8g} {b:.8g}" for r, g, b in flat)
-    text = "\n".join(lines) + "\n"
+    cells = format_floats(lut.outputs.transpose(2, 1, 0, 3).ravel(), ".8g")
+    rows = ("%s %s %s\n" * lut.size ** 3) % tuple(cells.tolist())
+    text = "\n".join(lines) + "\n" + rows
     if file is not None:
         file.write(text)
     return text

@@ -118,7 +118,11 @@ class SampleBatch:
     def __len__(self) -> int:
         return self.lambertian.size
 
+    __iter__ = None  # a batch has no row objects
+
     def __getitem__(self, key) -> SampleBatch:
+        if isinstance(key, (int, np.integer)):
+            raise TypeError("index a SampleBatch by slice or boolean mask, not integer")
         return SampleBatch(**{name: getattr(self, name)[key] for name in _COLUMNS})
 
     def __add__(self, other: SampleBatch) -> SampleBatch:

@@ -43,12 +43,12 @@ def _triplet(x, name: str, lo: float | None = None,
     return arr
 
 
-def _unit_vector(v, name: str, tol: float = UNIT_NORM_TOL) -> np.ndarray:
+def _unit_vector(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):
         raise ValidationError(f"{name}: expected a 3-vector, got shape {arr.shape}")
     norm = float(np.linalg.norm(arr))
-    if not np.isfinite(norm) or abs(norm - 1.0) > tol:
+    if not np.isfinite(norm) or abs(norm - 1.0) > UNIT_NORM_TOL:
         raise ValidationError(f"{name}: must be a unit vector (norm {norm!r})")
     return arr
 

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._table import format_floats
+
 _PANEL_W = 420
 _PANEL_H = 380
 _MARGIN = 52
+POINT_RADIUS = 1.6
 
 
 def _fmt(x: float) -> str:
@@ -24,21 +27,21 @@ class _Panel:
         self.ylim = ylim
         self.elems: list[str] = []
 
-    def _sx(self, x: float) -> float:
+    def _sx(self, x):
         lo, hi = self.xlim
-        frac = (x - lo) / (hi - lo) if hi > lo else 0.5
+        frac = (x - lo) / (hi - lo) if hi > lo else np.full(np.shape(x), 0.5)
         return self.x_off + _MARGIN + frac * (_PANEL_W - 2 * _MARGIN)
 
-    def _sy(self, y: float) -> float:
+    def _sy(self, y):
         lo, hi = self.ylim
-        frac = (y - lo) / (hi - lo) if hi > lo else 0.5
+        frac = (y - lo) / (hi - lo) if hi > lo else np.full(np.shape(y), 0.5)
         return _PANEL_H - _MARGIN - frac * (_PANEL_H - 2 * _MARGIN)
 
-    def points(self, xs, ys, color: str = "#1f6fb4", r: float = 1.6):
-        for x, y in zip(np.asarray(xs).ravel(), np.asarray(ys).ravel()):
-            self.elems.append(
-                f'<circle cx="{_fmt(self._sx(float(x)))}" cy="{_fmt(self._sy(float(y)))}" '
-                f'r="{r}" fill="{color}" fill-opacity="0.55"/>')
+    def points(self, xs, ys, color: str = "#1f6fb4"):
+        cx, cy = format_floats([self._sx(np.asarray(xs, dtype=float).ravel()),
+                                self._sy(np.asarray(ys, dtype=float).ravel())], ".6g")
+        tail = f'" r="{POINT_RADIUS}" fill="{color}" fill-opacity="0.55"/>'
+        self.elems.extend(('<circle cx="' + cx + '" cy="' + cy + tail).tolist())
 
     def line(self, x0, y0, x1, y1, color: str = "#333", dash: str | None = None):
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""

@@ -112,6 +112,36 @@ class TestParse:
         lut = parse_cube(io.StringIO(MINIMAL_CUBE))
         assert lut.size == 2
 
+    @pytest.mark.parametrize("text", [
+        MINIMAL_CUBE + 'TITLE "late"\n',
+        MINIMAL_CUBE.replace(" ", "\t"),
+        MINIMAL_CUBE.replace(" ", "   "),
+        MINIMAL_CUBE.replace("\n0 1 1", "\n# between rows\n\n0 1 1"),
+    ], ids=["title-after-data", "tabs", "spaces", "comment-between-rows"])
+    def test_irregular_layout_parses_the_same(self, text):
+        lut = parse_cube(text)
+        assert np.array_equal(lut.outputs, parse_cube(MINIMAL_CUBE).outputs)
+        assert lut.title == ("late" if "TITLE" in text else None)
+
+    def test_trailing_comment_on_data_row(self):
+        text = MINIMAL_CUBE.replace("1 0 1", "1 0 1 # note")
+        with pytest.raises(CubeFormatError, match="expected 3 numbers, got 5") as info:
+            parse_cube(text)
+        assert info.value.line == 8
+
+    def test_size_without_data_rows(self, recwarn):
+        with pytest.raises(CubeTruncationError, match="found 0"):
+            parse_cube("LUT_3D_SIZE 2\n")
+        assert not recwarn.list
+
+    def test_first_error_in_file_order(self):
+        lines = MINIMAL_CUBE.splitlines()
+        lines[4] = "0 1 x"
+        lines.insert(8, "SHAPER_LUT 4")
+        with pytest.raises(CubeFormatError, match="non-numeric token 'x'") as info:
+            parse_cube("\n".join(lines))
+        assert (info.value.line, info.value.column) == (5, 5)
+
 
 class TestSerialize:
     def test_data_line_count(self):
@@ -167,6 +197,15 @@ class TestSerializeGoldenBytes:
         lut = build_correction_cube(spec, default_knot_grid(), refine=True)
         self.check(lut, "3066a7fca7d133da098aebe6ce146945"
                         "b46937ea3149412d0e8d422bd1ccb0e3")
+
+    def test_signed_zeros(self):
+        outputs = np.zeros((2, 2, 2, 3))
+        outputs[0, 0, 0] = [-0.0, 0.0, 0.0]
+        outputs[1, 0, 0] = [0.5, -0.0, 1.0]
+        outputs[1, 1, 1] = [0.0, -0.0, -0.0]
+        text = serialize_cube(CubeLUT(outputs))
+        assert text == ("LUT_3D_SIZE 2\n-0 0 0\n0.5 -0 1\n" + "0 0 0\n" * 5
+                        + "0 -0 -0\n")
 
     def test_cross_channel_cube(self):
         lut = cross_channel_cube()

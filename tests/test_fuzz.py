@@ -13,11 +13,12 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hdrpcal.cli import _load_sweeps, main
-from hdrpcal.cubelut import KnotGrid, default_knot_grid, parse_cube
+from hdrpcal.cubelut import KnotGrid, _walk_rows, default_knot_grid, parse_cube
 from hdrpcal.display import (AchromaticDisplay, load_achromatic_csv, load_chromatic_csv,
                              load_display, save_display)
 from hdrpcal.errors import HdrpcalError
@@ -104,6 +105,64 @@ def test_reader_raises_only_hdrpcal_errors(read, inputs):
             except HdrpcalError:
                 pass
     check()
+
+
+def _outcome(read):
+    """What ``read()`` returns, or the type, text and place of its error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return read()
+        except HdrpcalError as exc:
+            return (type(exc), str(exc), getattr(exc, "line", None),
+                    getattr(exc, "column", None))
+
+
+def _walked_cube(text: str):
+    """The parsed cube's fields from the line-by-line walk alone."""
+    keys = {"title": None, "domain_min": np.zeros(3), "domain_max": np.ones(3)}
+    data = _walk_rows(text.splitlines(), keys)
+    n = keys["size"]
+    outputs = np.clip(data, 0.0, 1.0).reshape(n, n, n, 3).transpose(2, 1, 0, 3)
+    return (outputs.tobytes(), keys["title"], keys["domain_min"].tobytes(),
+            keys["domain_max"].tobytes())
+
+
+# TINY_CUBE-sized files that mostly parse: eight rows of three numbers in
+# varied whitespace, with up to two other lines (comment, blank, TITLE or a
+# bad row) inserted or put in place of a row, and LF or CRLF line ends.
+CUBE_ROW = st.builds(str.join, st.sampled_from([" ", "  ", "\t", " \t"]), st.lists(
+    st.sampled_from(["0", "1", "0.5", "-0", "1e-3", ".5", "1.2"]), min_size=3, max_size=3))
+CUBE_EXTRA = st.tuples(
+    st.integers(0, 8),
+    st.sampled_from(["", "# c", 'TITLE "t"', "1 0", "0 x 1", "nan 0 0", "0 1e999 0",
+                     "1_0 0 0", "0 0 0 # c"]),
+    st.booleans())
+
+
+def _cube_layout(rows, extra, end):
+    lines = list(rows)
+    for at, line, replace in extra:
+        lines[at:at + replace] = [line]  # replace row ``at``, or insert before it
+    return end.join(["LUT_3D_SIZE 2", *lines])
+
+
+CUBE_LAYOUTS = st.builds(_cube_layout, st.lists(CUBE_ROW, min_size=8, max_size=8),
+                         st.lists(CUBE_EXTRA, max_size=2),
+                         st.sampled_from(["\n", "\r\n"]))
+
+
+@fuzz
+@given(tabular(TINY_CUBE, sep=" ") | CUBE_LAYOUTS)
+@example(TINY_CUBE.replace("1 1 1", "1 nan 1"))  # bulk-readable, but not finite
+@example(TINY_CUBE.replace("1 1 1", "1 1e999 1"))
+@example(TINY_CUBE.replace("1 1 1", "1_0 1 1"))  # float() reads it, loadtxt does not
+def test_cube_bulk_parse_matches_ordered_walk(text):
+    def parsed():
+        lut = parse_cube(text)
+        return (lut.outputs.tobytes(), lut.title, lut.domain_min.tobytes(),
+                lut.domain_max.tobytes())
+    assert _outcome(parsed) == _outcome(lambda: _walked_cube(text))
 
 
 # (name, argv with {fuzzed} for the fuzzed file and {name} for fixed files,

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -110,6 +111,15 @@ class TestSampleBatch:
             assert np.array_equal(getattr(part, name), getattr(batch, name)[1:3])
         mask = np.array([True, False] * 3)
         assert_batches_identical(batch[mask], batch[0::2])
+
+    def test_no_integer_index_or_iteration(self):
+        batch = generate_samples(3, seed=0)
+        with pytest.raises(TypeError, match="slice or boolean mask"):
+            batch[0]
+        with pytest.raises(TypeError, match="slice or boolean mask"):
+            batch[np.int64(-1)]
+        with pytest.raises(TypeError, match="not iterable"):
+            list(batch)
 
     def test_concatenation(self):
         a = generate_samples(4, seed=22)
@@ -399,6 +409,14 @@ class TestValidateModel:
         root = ET.fromstring(buf.getvalue())
         assert root.tag.endswith("svg")
         assert len(list(root.iter())) > 40
+
+    def test_svg_golden_bytes(self):
+        # Pins the point formatting, which runs on whole coordinate arrays.
+        report = validate_model(generate_samples(30, seed=20, quantize=True))
+        buf = io.StringIO()
+        report.to_svg(buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+            "b9054282d5795858376048b402f755c78b76bdf5226159fb402667c9d2aabe9c")
 
 
 class TestSimulateCharacterization:

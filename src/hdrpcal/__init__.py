@@ -3,8 +3,7 @@ tonemapping, display characterization, and gamma-correction tooling."""
 
 from .calibrate import (DeltaSweep, GammaCorrectionSpec, build_correction_cube,
                         estimate_knots_delta, estimate_knots_optimize,
-                        estimate_scale_constant, gamma_tonemap_achromatic,
-                        gamma_tonemap_chromatic)
+                        estimate_scale_constant, gamma_tonemap)
 from .colorspace import (quantize_8bit, srgb_decode, srgb_decode3, srgb_encode,
                          srgb_encode3)
 from .cubelut import (CubeLUT, CubeTonemap, KnotGrid, default_knot_grid,
@@ -27,12 +26,11 @@ __all__ = [
     "KnotGrid", "Measurement", "RenderContext", "SampleBatch",
     "build_correction_cube", "default_knot_grid", "estimate_knots_delta",
     "estimate_knots_optimize", "estimate_scale_constant", "fit_achromatic",
-    "fit_chromatic", "gamma_tonemap_achromatic", "gamma_tonemap_chromatic",
-    "generate_samples", "lambertian_unprocessed",
-    "light_direction_from_rotation", "load_display", "load_samples",
-    "make_delta_cube", "parse_cube", "post_process", "quantize_8bit",
-    "render", "save_display", "save_samples", "separable_cube",
-    "serialize_cube", "simulate_characterization", "solve_background_weights",
-    "srgb_decode", "srgb_decode3", "srgb_encode", "srgb_encode3",
-    "unlit_unprocessed", "validate_model",
+    "fit_chromatic", "gamma_tonemap", "generate_samples",
+    "lambertian_unprocessed", "light_direction_from_rotation", "load_display",
+    "load_samples", "make_delta_cube", "parse_cube", "post_process",
+    "quantize_8bit", "render", "save_display", "save_samples",
+    "separable_cube", "serialize_cube", "simulate_characterization",
+    "solve_background_weights", "srgb_decode", "srgb_decode3", "srgb_encode",
+    "srgb_encode3", "unlit_unprocessed", "validate_model",
 ]

@@ -9,7 +9,8 @@ display with background ratio w = l0/l1 and displayable input range
 
 which pins luminance to L = (l0 + l1) * u / r for u >= u0 = r*w/(1+w) and
 to L = l0 below the cutoff.  The chromatic version applies the same form
-per channel with w_k and the channel activation h_k (and unit range).
+per channel with w_k and the channel activation h_k, over the same range;
+an achromatic display is the case of three channels sharing one (w, gamma).
 
 The estimators recover the pipeline's hidden constants from rendered
 samples: the global gain from a regression through the origin, and the
@@ -21,6 +22,7 @@ knot and of the gaps between knots.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -77,32 +79,29 @@ class GammaCorrectionSpec:
             raise ValidationError(f"not a display model: {self.display!r}")
 
     @property
-    def chromatic(self) -> bool:
-        return isinstance(self.display, ChromaticDisplay)
+    def _channels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-channel background ratios w_k and gammas, as two (3,) arrays:
+        an achromatic display is three equal channels."""
+        if isinstance(self.display, ChromaticDisplay):
+            return self.display.weights, self.display.gammas
+        return np.full(3, self.display.w), np.full(3, self.display.gamma)
 
     @property
     def cutoffs(self) -> np.ndarray:
         """Per-channel cutoff u0 below which output sits at the display floor."""
-        if self.chromatic:
-            w = self.display.weights
-            return self.input_range * w / (1.0 + w)
-        w = self.display.w
-        return np.full(3, self.input_range * w / (1.0 + w))
+        w, _ = self._channels
+        return self.input_range * w / (1.0 + w)
 
     def channel_tonemaps(self):
         """Three callables mapping unprocessed arrays to tonemapped arrays."""
-        if self.chromatic:
-            return tuple(
-                (lambda x, k=k: _gamma_tonemap_scalar(
-                    x, self.display.weights[k], self.display.gammas[k],
-                    self.input_range))
-                for k in range(3))
-        fn = lambda x: _gamma_tonemap_scalar(  # noqa: E731
-            x, self.display.w, self.display.gamma, self.input_range)
-        return (fn, fn, fn)
+        return tuple(functools.partial(_gamma_tonemap, w=w, gamma=gamma,
+                                       r=self.input_range)
+                     for w, gamma in zip(*self._channels))
 
 
-def _gamma_tonemap_scalar(u, w: float, gamma: float, r: float):
+def _gamma_tonemap(u, w, gamma, r: float):
+    """f(u) = s(h^-1(clip((1 + w)*u/r - w, 0, 1))) with h(v) = v**gamma;
+    ``w`` and ``gamma`` broadcast against ``u``, and a scalar u gives a float."""
     arr = np.asarray(u, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr < 0):
         raise ValidationError("unprocessed values must be finite and >= 0")
@@ -111,23 +110,13 @@ def _gamma_tonemap_scalar(u, w: float, gamma: float, r: float):
     return float(out) if np.ndim(u) == 0 else out
 
 
-def gamma_tonemap_achromatic(spec: GammaCorrectionSpec, u):
-    """Exact achromatic gamma-correction tonemap; u is a scalar or array."""
-    if spec.chromatic:
-        raise ValidationError("spec is chromatic; use gamma_tonemap_chromatic")
-    return _gamma_tonemap_scalar(u, spec.display.w, spec.display.gamma,
-                                 spec.input_range)
-
-
-def gamma_tonemap_chromatic(spec: GammaCorrectionSpec, u):
-    """Exact per-channel gamma-correction tonemap over (..., 3) triplets."""
-    if not spec.chromatic:
-        raise ValidationError("spec is achromatic; use gamma_tonemap_achromatic")
+def gamma_tonemap(spec: GammaCorrectionSpec, u):
+    """Exact gamma-correction tonemap of (..., 3) triplets, either display kind."""
     arr = np.asarray(u, dtype=float)
     if arr.shape[-1:] != (3,):
         raise ValidationError(f"expected (..., 3) input, got shape {arr.shape}")
-    fns = spec.channel_tonemaps()
-    return np.stack([fns[k](arr[..., k]) for k in range(3)], axis=-1)
+    return np.stack([f(arr[..., k]) for k, f in enumerate(spec.channel_tonemaps())],
+                    axis=-1)
 
 
 def _hat_matrix(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -156,12 +145,9 @@ def build_correction_cube(spec: GammaCorrectionSpec, knots: KnotGrid | None = No
     grid = knots if knots is not None else default_knot_grid()
     active = grid.active_values
     r = spec.input_range
-    targets = spec.channel_tonemaps()
     start = grid.active_start - 1
-
-    curves = np.empty((3, active.size))
-    for c in range(3):
-        curves[c] = np.clip(targets[c](active), 0.0, 1.0)
+    w, gamma = (p[:, None] for p in spec._channels)  # one row per channel
+    curves = np.clip(_gamma_tonemap(active, w, gamma, r), 0.0, 1.0)
 
     if refine:
         if r <= active[0]:
@@ -171,8 +157,9 @@ def build_correction_cube(spec: GammaCorrectionSpec, knots: KnotGrid | None = No
         mat = _hat_matrix(active, xs)
         supported = np.flatnonzero(mat.sum(axis=0) > 0)
         frozen = np.setdiff1d(np.arange(active.size), supported)
+        targets = _gamma_tonemap(xs, w, gamma, r)
         for c in range(3):
-            y = targets[c](xs)
+            y = targets[c]
             sse_point = float(np.sum((mat @ curves[c] - y) ** 2))
             y_adj = y - mat[:, frozen] @ curves[c][frozen]
             # bvls is an active-set method: knots pinned at a bound come out
@@ -265,11 +252,6 @@ class DeltaEstimateReport:
     anomalies: dict[int, str] = field(default_factory=dict)
 
 
-def _flank_line(u: np.ndarray, t: np.ndarray) -> tuple[float, float]:
-    slope, intercept = np.polyfit(u, t, 1)
-    return float(slope), float(intercept)
-
-
 def _sweep_apex(sweep: DeltaSweep) -> tuple[float, str | None]:
     """Apex abscissa of a triangular response via flank-line intersection.
 
@@ -294,18 +276,18 @@ def _sweep_apex(sweep: DeltaSweep) -> tuple[float, str | None]:
     right = np.flatnonzero((t >= lo) & (t <= hi) & (np.arange(t.size) > p_last))
 
     if left.size >= 2 and right.size >= 2:
-        a1, b1 = _flank_line(u[left], t[left])
-        a2, b2 = _flank_line(u[right], t[right])
+        a1, b1 = np.polyfit(u[left], t[left], 1)
+        a2, b2 = np.polyfit(u[right], t[right], 1)
         if a1 - a2 != 0:
             return (b2 - b1) / (a1 - a2), anomaly
     elif left.size < 2 and p_first == 0 and right.size >= 2:
         # Plateau reaches the low end of the sweep (clamped region): the apex
         # is where the falling flank meets the plateau level.
-        a2, b2 = _flank_line(u[right], t[right])
+        a2, b2 = np.polyfit(u[right], t[right], 1)
         if a2 != 0:
             return (peak - b2) / a2, anomaly
     elif right.size < 2 and p_last == t.size - 1 and left.size >= 2:
-        a1, b1 = _flank_line(u[left], t[left])
+        a1, b1 = np.polyfit(u[left], t[left], 1)
         if a1 != 0:
             return (peak - b1) / a1, anomaly
     return float(u[int(np.argmax(t))]), anomaly or "flank fit failed; used argmax"

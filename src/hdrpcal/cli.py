@@ -30,14 +30,16 @@ from ._table import read_table, reject_first
 from .calibrate import (DeltaSweep, GammaCorrectionSpec, build_correction_cube,
                         estimate_knots_delta, estimate_knots_optimize,
                         estimate_scale_constant)
-from .cubelut import (CubeTonemap, KnotGrid, default_knot_grid, make_delta_cube,
-                      parse_cube, serialize_cube)
+from .cubelut import (DEFAULT_GRID_SIZE, CubeTonemap, KnotGrid,
+                      default_knot_grid, make_delta_cube, parse_cube,
+                      serialize_cube)
 from .display import fit_achromatic, fit_chromatic, load_achromatic_csv, \
     load_chromatic_csv, load_display, save_display
 from .errors import (EstimationError, FitError, HdrpcalError, UsageError,
                      ValidationError)
 from .harness import (MATERIAL_FLOOR, generate_samples, load_samples,
                       save_samples, validate_model)
+from .scene import DEFAULT_SCALE_CONSTANT
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -93,7 +95,8 @@ def _build_parser() -> _Parser:
                         "delta estimates)")
     p.add_argument("--quantize", action="store_true",
                    help="quantize values to 8-bit precision")
-    p.add_argument("--c", type=_positive, default=0.822, help="pipeline gain")
+    p.add_argument("--c", type=_positive, default=DEFAULT_SCALE_CONSTANT,
+                   help="pipeline gain")
     p.add_argument("--out", default=None, help="output sample CSV")
 
     p = sub.add_parser("fit-c", formatter_class=fmt,
@@ -117,7 +120,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--init", default=None,
                    help="initial knot CSV (optimize mode; default: built-in "
                         "delta estimates)")
-    p.add_argument("--c", type=_positive, default=0.822, help="pipeline gain")
+    p.add_argument("--c", type=_positive, default=DEFAULT_SCALE_CONSTANT,
+                   help="pipeline gain")
     p.add_argument("--seed", type=_seed, default=0, help="holdout split seed")
     p.add_argument("--out", default=None, help="output knot CSV")
 
@@ -133,7 +137,7 @@ def _build_parser() -> _Parser:
                        help="emit a gamma-correction cube for a display")
     p.add_argument("--display", required=True, help="display JSON")
     p.add_argument("--r", type=_positive, default=1.0,
-                   help="displayable input range (achromatic only)")
+                   help="displayable input range r, for every channel")
     p.add_argument("--refine", action="store_true",
                    help="least-squares refine the knot outputs")
     p.add_argument("--knots", default=None,
@@ -148,7 +152,8 @@ def _build_parser() -> _Parser:
                         "delta estimates)")
     p.add_argument("--tonemap", default="none",
                    help="'none' or a path to a .cube file")
-    p.add_argument("--c", type=_positive, default=0.822, help="pipeline gain")
+    p.add_argument("--c", type=_positive, default=DEFAULT_SCALE_CONSTANT,
+                   help="pipeline gain")
     p.add_argument("--filter-m", type=_fraction, default=MATERIAL_FLOOR,
                    help="material floor for the filtered error statistic")
     p.add_argument("--out", default=None, help="output report CSV")
@@ -227,10 +232,10 @@ def _cmd_fit_c(args) -> int:
 def _cmd_gen_delta_cubes(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for m in range(1, 33):
+    for m in range(1, DEFAULT_GRID_SIZE + 1):
         with open(outdir / f"delta_{m:02d}.cube", "w") as fh:
             serialize_cube(make_delta_cube(m), fh)
-    _info(args, f"wrote 32 impulse cubes to {outdir}")
+    _info(args, f"wrote {DEFAULT_GRID_SIZE} impulse cubes to {outdir}")
     return EXIT_OK
 
 

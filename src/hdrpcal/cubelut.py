@@ -362,14 +362,12 @@ class CubeTonemap:
 
     def apply(self, u):
         arr = np.asarray(u, dtype=float)
-        single = arr.ndim == 1
-        pts = arr[None, :] if single else arr
-        if pts.ndim != 2 or pts.shape[1] != 3:
+        if arr.shape[-1:] != (3,):
             raise ValidationError(f"expected (..., 3) input, got shape {arr.shape}")
-        if np.any(~np.isfinite(pts)) or np.any(pts < 0):
+        if np.any(~np.isfinite(arr)) or np.any(arr < 0):
             raise ValidationError("tonemap input must be finite and >= 0")
-        out = _interpolate(self.grid.active_values, self.lut, pts)
-        return out[0] if single else out
+        out = _interpolate(self.grid.active_values, self.lut, arr.reshape(-1, 3))
+        return out.reshape(arr.shape)
 
 
 def _locate(knots: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

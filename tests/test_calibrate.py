@@ -6,7 +6,7 @@ import pytest
 from hdrpcal.calibrate import (DeltaSweep, GammaCorrectionSpec,
                                build_correction_cube, estimate_knots_delta,
                                estimate_knots_optimize, estimate_scale_constant,
-                               gamma_tonemap_achromatic, gamma_tonemap_chromatic)
+                               gamma_tonemap)
 from hdrpcal.colorspace import srgb_decode, srgb_encode, srgb_encode3
 from hdrpcal.cubelut import (CubeTonemap, DELTA_KNOTS, KnotGrid,
                              default_knot_grid, make_delta_cube, separable_cube)
@@ -31,17 +31,18 @@ def make_chromatic_display():
 class TestGammaTonemapAchromatic:
     def test_zero_and_range_endpoints(self):
         spec = GammaCorrectionSpec(DISPLAY, input_range=1.0)
-        assert gamma_tonemap_achromatic(spec, 0.0) == 0.0
-        assert gamma_tonemap_achromatic(spec, 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert spec.channel_tonemaps()[0](0.0) == 0.0
+        assert type(spec.channel_tonemaps()[0](0.5)) is float
+        assert spec.channel_tonemaps()[0](1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_above_range_clamps(self):
         spec = GammaCorrectionSpec(DISPLAY, input_range=1.0)
-        assert gamma_tonemap_achromatic(spec, 7.0) == pytest.approx(1.0, abs=1e-15)
+        assert spec.channel_tonemaps()[0](7.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_reduces_to_srgb_for_trivial_display(self):
         # w = 0 and gamma = 1 leave f = s
         spec = GammaCorrectionSpec(AchromaticDisplay(l0=0.0, l1=100.0, gamma=1.0))
-        assert gamma_tonemap_achromatic(spec, 0.5) == pytest.approx(
+        assert spec.channel_tonemaps()[0](0.5) == pytest.approx(
             0.21404114048223255, abs=1e-15)
 
     def test_cutoff_location(self):
@@ -52,32 +53,40 @@ class TestGammaTonemapAchromatic:
     def test_flat_below_cutoff(self):
         spec = GammaCorrectionSpec(DISPLAY, input_range=1.0)
         u = np.linspace(0, 0.0199, 64)
-        assert np.all(gamma_tonemap_achromatic(spec, u) == 0.0)
+        assert np.all(spec.channel_tonemaps()[0](u) == 0.0)
 
     def test_exact_proportionality(self):
         spec = GammaCorrectionSpec(DISPLAY, input_range=1.0)
         u = np.linspace(0.02, 1.0, 512)
-        lum = DISPLAY.luminance(srgb_encode(gamma_tonemap_achromatic(spec, u)))
+        lum = DISPLAY.luminance(srgb_encode(spec.channel_tonemaps()[0](u)))
         assert np.max(np.abs(lum - 100.0 * u) / (100.0 * u)) < 1e-9
 
     def test_flat_region_luminance(self):
         spec = GammaCorrectionSpec(DISPLAY, input_range=1.0)
         u = np.linspace(0, 0.0199, 64)
-        lum = DISPLAY.luminance(srgb_encode(gamma_tonemap_achromatic(spec, u)))
+        lum = DISPLAY.luminance(srgb_encode(spec.channel_tonemaps()[0](u)))
         assert np.all(lum == DISPLAY.l0)
 
-    def test_rejects_chromatic_spec(self):
-        spec = GammaCorrectionSpec(make_chromatic_display())
-        with pytest.raises(ValidationError):
-            gamma_tonemap_achromatic(spec, 0.5)
+    def test_triplets_match_channel_callables_bitwise(self):
+        spec = GammaCorrectionSpec(DISPLAY, input_range=float(DELTA_KNOTS[16]))
+        u = np.random.default_rng(3).uniform(0.0, 1.2, (40, 5, 3))
+        out = gamma_tonemap(spec, u)
+        for k, f in enumerate(spec.channel_tonemaps()):
+            assert np.array_equal(out[..., k].view(np.uint64),
+                                  f(u[..., k]).view(np.uint64))
 
 
 class TestGammaTonemapChromatic:
     def test_endpoints(self):
         spec = GammaCorrectionSpec(make_chromatic_display())
-        assert np.array_equal(gamma_tonemap_chromatic(spec, np.zeros(3)), np.zeros(3))
-        assert gamma_tonemap_chromatic(spec, np.ones(3)) == pytest.approx(
+        assert np.array_equal(gamma_tonemap(spec, np.zeros(3)), np.zeros(3))
+        assert gamma_tonemap(spec, np.ones(3)) == pytest.approx(
             np.ones(3), abs=1e-15)
+
+    def test_rejects_non_triplets(self):
+        spec = GammaCorrectionSpec(make_chromatic_display())
+        with pytest.raises(ValidationError):
+            gamma_tonemap(spec, np.zeros((4, 2)))
 
     def test_reduces_to_achromatic_form(self):
         pr, pg, pb = np.eye(3) * 50 + 1
@@ -86,7 +95,7 @@ class TestGammaTonemapChromatic:
                                 weights=np.zeros(3))
         spec = GammaCorrectionSpec(disp)
         u = np.full(3, 0.5)
-        assert gamma_tonemap_chromatic(spec, u) == pytest.approx(
+        assert gamma_tonemap(spec, u) == pytest.approx(
             srgb_decode(u), abs=1e-15)
 
     def test_channel_proportionality(self):
@@ -97,7 +106,7 @@ class TestGammaTonemapChromatic:
         for k in range(3):
             stim = np.zeros((u.size, 3))
             stim[:, k] = u
-            v = srgb_encode3(gamma_tonemap_chromatic(spec, stim))
+            v = srgb_encode3(gamma_tonemap(spec, stim))
             coef = v[:, k] ** disp.gammas[k] + disp.weights[k]
             expected = (1 + disp.weights[k]) * u
             assert np.max(np.abs(coef - expected) / expected) < 1e-9
@@ -116,9 +125,19 @@ class TestBuildCorrectionCube:
     def test_point_construction_at_knot(self):
         spec = GammaCorrectionSpec(DISPLAY, input_range=1.0)
         lut = build_correction_cube(spec, refine=False)
-        expected = gamma_tonemap_achromatic(spec, 0.4406)
+        expected = spec.channel_tonemaps()[0](0.4406)
         assert lut.outputs[15, 0, 0, 0] == pytest.approx(expected, abs=1e-12)
         assert lut.outputs[0, 15, 0, 1] == pytest.approx(expected, abs=1e-12)
+
+    def test_achromatic_is_three_equal_channels(self):
+        chrom = make_chromatic_display()
+        equal = replace(chrom, gammas=np.full(3, DISPLAY.gamma),
+                        weights=np.full(3, DISPLAY.w))
+        for refine in (False, True):
+            cubes = [build_correction_cube(GammaCorrectionSpec(d, float(DELTA_KNOTS[16])),
+                                           refine=refine).outputs
+                     for d in (DISPLAY, equal)]
+            assert np.array_equal(*cubes)
 
     def test_trivial_display_point_value_is_srgb(self):
         # w = 0 and gamma = 1 make f = s, so the unrefined output at knot 16

@@ -4,11 +4,13 @@ import re
 import numpy as np
 import pytest
 
+from hdrpcal.calibrate import GammaCorrectionSpec, build_correction_cube
 from hdrpcal.cli import main
 from hdrpcal.cubelut import (CubeTonemap, KnotGrid, default_knot_grid,
-                             make_delta_cube, parse_cube)
+                             make_delta_cube, parse_cube, serialize_cube)
 from hdrpcal.display import AchromaticDisplay, save_display
 from hdrpcal.harness import load_samples
+from test_calibrate import make_chromatic_display
 
 
 def run(*argv):
@@ -370,23 +372,22 @@ class TestMakeCubeAndValidate:
         assert np.max(np.abs(lum - target)) / (display.l0 + display.l1) <= 0.005
 
     def test_make_cube_chromatic_display(self, tmp_path):
-        from hdrpcal.display import ChromaticDisplay, save_display
-        pr, pg, pb = (np.array([41.24, 21.26, 1.93]),
-                      np.array([35.76, 71.52, 11.92]),
-                      np.array([18.05, 7.22, 95.03]))
-        disp = ChromaticDisplay(primary_r=pr, primary_g=pg, primary_b=pb,
-                                background=0.01 * pr + 0.02 * pg + 0.03 * pb,
-                                gammas=np.array([1.8, 2.2, 2.6]),
-                                weights=np.array([0.01, 0.02, 0.03]))
+        disp = make_chromatic_display()
         djson = tmp_path / "chroma.json"
         with open(djson, "w") as fh:
             save_display(disp, fh)
-        out = tmp_path / "corr.cube"
-        assert run("make-cube", "--display", str(djson), "--r", "1.111",
-                   "--refine", "--out", str(out)) == 0
-        with open(out) as fh:
-            lut = parse_cube(fh)
-        curves = lut.separable_channels()
+        texts = []
+        for r in ("1.0", "1.111"):
+            out = tmp_path / f"corr_{r}.cube"
+            assert run("make-cube", "--display", str(djson), "--r", r,
+                       "--refine", "--out", str(out)) == 0
+            texts.append(out.read_text())
+            spec = GammaCorrectionSpec(disp, input_range=float(r))
+            assert texts[-1] == serialize_cube(
+                build_correction_cube(spec, default_knot_grid(), refine=True))
+        # --r moves every channel's top kink, so the two cubes differ
+        assert texts[0] != texts[1]
+        curves = parse_cube(texts[1]).separable_channels()
         # distinct gammas produce distinct per-channel curves
         assert not np.array_equal(curves[0], curves[1])
 

@@ -15,6 +15,7 @@ from hdrpcal.display import AchromaticDisplay
 from hdrpcal.errors import (CubeFormatError, CubeTruncationError,
                             UnsupportedCubeError, ValidationError)
 from hdrpcal.scene import post_process
+from test_calibrate import make_chromatic_display
 
 MINIMAL_CUBE = """\
 # comment line
@@ -197,6 +198,13 @@ class TestSerializeGoldenBytes:
         lut = build_correction_cube(spec, default_knot_grid(), refine=True)
         self.check(lut, "3066a7fca7d133da098aebe6ce146945"
                         "b46937ea3149412d0e8d422bd1ccb0e3")
+
+    def test_refined_chromatic_correction_cube(self):
+        spec = GammaCorrectionSpec(make_chromatic_display(),
+                                   input_range=float(DELTA_KNOTS[16]))
+        lut = build_correction_cube(spec, default_knot_grid(), refine=True)
+        self.check(lut, "c5510b13b1ba5e1cc5aacbb9a7435352"
+                        "f2e2258018248f1e511f1239eb0dca87")
 
     def test_signed_zeros(self):
         outputs = np.zeros((2, 2, 2, 3))
@@ -381,6 +389,17 @@ class TestApplyTonemap:
         tm = CubeTonemap(grid, make_delta_cube(5))
         with pytest.raises(ValidationError):
             tm.apply(np.array([-0.1, 0.5, 0.5]))
+
+    def test_any_leading_shape(self):
+        tm = CubeTonemap(default_knot_grid(), make_delta_cube(16))
+        grid_in = np.random.default_rng(4).uniform(0.0, 1.0, (2, 2, 3))
+        flat = tm.apply(grid_in.reshape(4, 3))
+        assert np.array_equal(tm.apply(grid_in), flat.reshape(2, 2, 3))
+        assert np.array_equal(post_process(grid_in, tm),
+                              post_process(grid_in.reshape(4, 3), tm).reshape(2, 2, 3))
+        assert tm.apply(grid_in[0, 0]).shape == (3,)
+        with pytest.raises(ValidationError):
+            tm.apply(np.zeros((2, 2)))
 
 
 class TestSeparable:

@@ -15,8 +15,10 @@ Activations are modeled as single-parameter gamma curves; the fitting
 interface only assumes a monotone invertible curve, so a more flexible
 family could replace the power law later.
 
-Fits are deterministic given identical input order.  Measurement CSV
-formats: achromatic ``v,L``; chromatic ``v_r,v_g,v_b,X,Y,Z``.
+Readings travel as columns: each CSV reader returns one :class:`Measurement`
+batch, and each fit takes one batch or a sequence of them.  Fits are
+deterministic given identical input order.  Measurement CSV formats:
+achromatic ``v,L``; chromatic ``v_r,v_g,v_b,X,Y,Z``.
 """
 
 from __future__ import annotations
@@ -107,34 +109,36 @@ class ChromaticDisplay:
 
 @dataclass(frozen=True, eq=False)
 class Measurement:
-    """One characterization reading: the framebuffer triplet shown and
-    either a luminance (cd/m^2) or an XYZ reading."""
+    """Characterization readings: framebuffer triplets ``v`` of shape ``(..., 3)``
+    and either luminances (cd/m^2) of shape ``v.shape[:-1]`` or XYZ readings of
+    shape ``v.shape``, stored read-only as given.  One reading has ``v`` (3,)."""
 
     v: np.ndarray
-    luminance: float | None = None
+    luminance: np.ndarray | float | None = None
     xyz: np.ndarray | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=float).copy()
-        if v.shape != (3,) or np.any(~np.isfinite(v)) or np.any(v < 0) or np.any(v > 1):
+        v = np.array(self.v, dtype=float)
+        if v.shape[-1:] != (3,) or np.any(~np.isfinite(v)) or np.any(v < 0) or np.any(v > 1):
             raise ValidationError("measurement v must be a triplet in [0, 1]")
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
         if (self.luminance is None) == (self.xyz is None):
             raise ValidationError("measurement needs exactly one of luminance or xyz")
-        if self.luminance is not None and (not np.isfinite(self.luminance)
-                                           or self.luminance < 0):
-            raise ValidationError("luminance reading must be >= 0")
-        if self.xyz is not None:
-            xyz = np.asarray(self.xyz, dtype=float).copy()
-            if xyz.shape != (3,) or np.any(~np.isfinite(xyz)) or np.any(xyz < 0):
-                raise ValidationError("xyz reading must be a nonnegative 3-vector")
-            xyz.setflags(write=False)
-            object.__setattr__(self, "xyz", xyz)
+        kind, shape = ("luminance", v.shape[:-1]) if self.xyz is None else ("xyz", v.shape)
+        reading = np.array(getattr(self, kind), dtype=float)
+        if reading.shape != shape:
+            raise ValidationError(f"{kind} readings must have shape {shape}")
+        if np.any(~np.isfinite(reading)) or np.any(reading < 0):
+            raise ValidationError(f"{kind} reading must be >= 0")
+        for name, arr in (("v", v), (kind, reading)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
 class FitReport:
+    """Fit residuals, one per averaged stimulus level, with ``n_points`` their
+    count, ``residual_rms`` their root mean square and fit diagnostics in ``details``."""
+
     residual_rms: float
     n_points: int
     residuals: np.ndarray
@@ -152,13 +156,19 @@ class WeightSolution:
 
 
 def _average_repeats(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(x, kind="stable")
-    x, y = x[order], y[order]
     ux, inverse = np.unique(x, return_inverse=True)
-    uy = np.zeros((ux.size,) + y.shape[1:])
-    counts = np.bincount(inverse)
-    np.add.at(uy, inverse, y)
-    return ux, uy / counts.reshape((-1,) + (1,) * (y.ndim - 1))
+    return ux, np.bincount(inverse, weights=y) / np.bincount(inverse)
+
+
+def _columns(measurements, kind: str, need: str) -> tuple[np.ndarray, np.ndarray]:
+    """``v`` as (N, 3) rows and their ``kind`` readings, from one batch or several."""
+    batch = [measurements] if isinstance(measurements, Measurement) else list(measurements)
+    if any(getattr(m, kind) is None for m in batch):
+        raise FitError(need)
+    tail = (3,) if kind == "xyz" else ()
+    return (np.concatenate([np.zeros((0, 3))] + [m.v.reshape(-1, 3) for m in batch]),
+            np.concatenate([np.zeros((0, *tail))]
+                           + [getattr(m, kind).reshape(-1, *tail) for m in batch]))
 
 
 def fit_achromatic(measurements) -> tuple[AchromaticDisplay, FitReport]:
@@ -167,15 +177,10 @@ def fit_achromatic(measurements) -> tuple[AchromaticDisplay, FitReport]:
     Needs at least 5 distinct v levels covering both ends of the range.
     Repeated v values are averaged before fitting.
     """
-    vs, ls = [], []
-    for m in measurements:
-        if m.luminance is None:
-            raise FitError("achromatic fit needs luminance readings")
-        if np.ptp(m.v) > 1e-9:
-            raise FitError("achromatic fit needs achromatic stimuli (v_r=v_g=v_b)")
-        vs.append(float(m.v[0]))
-        ls.append(float(m.luminance))
-    v, lum = _average_repeats(np.asarray(vs), np.asarray(ls))
+    v, lum = _columns(measurements, "luminance", "achromatic fit needs luminance readings")
+    if np.any(np.ptp(v, axis=1) > 1e-9):
+        raise FitError("achromatic fit needs achromatic stimuli (v_r=v_g=v_b)")
+    v, lum = _average_repeats(v[:, 0], lum)
     if v.size < 5:
         raise FitError(f"insufficient data: need >= 5 distinct v levels, got {v.size}")
     if v.min() > 0.1 or v.max() < 0.9:
@@ -249,48 +254,40 @@ def fit_chromatic(measurements) -> tuple[ChromaticDisplay, FitReport]:
     from inverting the primary matrix, and each gamma is fit by least squares
     of the activation against v_k**gamma.
     """
-    background_rows = []
-    ramps: dict[int, list[Measurement]] = {0: [], 1: [], 2: []}
-    for m in measurements:
-        if m.xyz is None:
-            raise FitError("chromatic fit needs XYZ readings")
-        on = np.flatnonzero(m.v > 0)
-        if on.size == 0:
-            background_rows.append(m)
-        elif on.size == 1:
-            ramps[int(on[0])].append(m)
-        else:
-            raise FitError("chromatic ramps must vary one channel at a time")
-    if not background_rows:
+    v, xyz = _columns(measurements, "xyz", "chromatic fit needs XYZ readings")
+    on = v > 0
+    if np.any(on.sum(axis=1) > 1):
+        raise FitError("chromatic ramps must vary one channel at a time")
+    if on.any(axis=1).all():
         raise FitError("missing background measurement at v = (0, 0, 0)")
-    z = np.mean([m.xyz for m in background_rows], axis=0)
+    z = np.mean(xyz[~on.any(axis=1)], axis=0)
 
     primaries = []
     for k, name in enumerate("rgb"):
-        rows = ramps[k]
-        if not rows:
+        if not on[:, k].any():
             raise FitError(f"missing ramp for channel {name}")
-        full = [m.xyz for m in rows if m.v[k] == 1.0]
-        if not full:
+        full = v[:, k] == 1.0
+        if not full.any():
             raise FitError(f"missing full-on endpoint (v_{name} = 1) for channel {name}")
-        primaries.append(np.mean(full, axis=0) - z)
+        primaries.append(np.mean(xyz[full], axis=0) - z)
+        if primaries[-1][1] <= 0:
+            raise FitError(f"channel {name} primary Y = {primaries[-1][1]:g} is not > 0")
     matrix = np.column_stack(primaries)
     cond = float(np.linalg.cond(matrix))
     if not np.isfinite(cond) or cond > 1e12:
         raise FitError(f"primaries are not invertible (condition number {cond:g})")
 
+    # one stacked (N, 3, 1) solve matches per-row solves bit for bit
+    acts = np.linalg.solve(matrix, (xyz - z)[..., None])[..., 0]
     gammas = np.zeros(3)
     residuals = []
     for k, name in enumerate("rgb"):
-        rows = ramps[k]
-        v_k = np.array([m.v[k] for m in rows])
-        acts = np.array([np.linalg.solve(matrix, m.xyz - z)[k] for m in rows])
-        v_k, acts = _average_repeats(v_k, acts)
+        v_k, acts_k = _average_repeats(v[on[:, k], k], acts[on[:, k], k])
         interior = (v_k > 0) & (v_k < 1)
         if interior.sum() < 1:
             raise FitError(f"channel {name} ramp has no interior points")
-        gammas[k] = _fit_gamma(v_k, acts, name)
-        residuals.append(v_k ** gammas[k] - acts)
+        gammas[k] = _fit_gamma(v_k, acts_k, name)
+        residuals.append(v_k ** gammas[k] - acts_k)
 
     weights = solve_background_weights(*primaries, z)
     display = ChromaticDisplay(primary_r=primaries[0], primary_g=primaries[1],
@@ -298,7 +295,7 @@ def fit_chromatic(measurements) -> tuple[ChromaticDisplay, FitReport]:
                                gammas=gammas, weights=weights.weights)
     all_res = np.concatenate(residuals)
     report = FitReport(residual_rms=float(np.sqrt(np.mean(all_res ** 2))),
-                       n_points=len(measurements), residuals=all_res,
+                       n_points=all_res.size, residuals=all_res,
                        details={"condition": cond,
                                 "background_residual": weights.residual,
                                 "background_rank": weights.rank})
@@ -362,17 +359,19 @@ def load_display(file):
     return cls(**fields)
 
 
-def load_achromatic_csv(file) -> list[Measurement]:
-    """Read ``v,L`` measurement rows."""
+def load_achromatic_csv(file) -> Measurement:
+    """Read ``v,L`` measurement rows as one batch with ``v`` (N, 3)."""
     (v, lum), problem, explain = read_table(file, "v,L", "ff", "measurement CSV")
-    reject_first(problem, explain, "measurement CSV")
-    return [Measurement(v=np.array([x, x, x]), luminance=y)
-            for x, y in zip(v.tolist(), lum.tolist())]
+    reject_first(problem | (v < 0) | (v > 1) | (lum < 0), explain, "measurement CSV",
+                 "v outside [0, 1] or L < 0")
+    return Measurement(v=np.repeat(v[:, None], 3, axis=1), luminance=lum)
 
 
-def load_chromatic_csv(file) -> list[Measurement]:
-    """Read ``v_r,v_g,v_b,X,Y,Z`` measurement rows."""
+def load_chromatic_csv(file) -> Measurement:
+    """Read ``v_r,v_g,v_b,X,Y,Z`` measurement rows as one (N, 3) batch."""
     columns, problem, explain = read_table(file, "v_r,v_g,v_b,X,Y,Z", "ffffff",
                                            "measurement CSV")
-    reject_first(problem, explain, "measurement CSV")
-    return [Measurement(v=row[:3], xyz=row[3:]) for row in np.column_stack(columns)]
+    rows = np.column_stack(columns)
+    reject_first(problem | np.any(rows < 0, axis=1) | np.any(rows[:, :3] > 1, axis=1),
+                 explain, "measurement CSV", "v outside [0, 1] or X, Y, Z < 0")
+    return Measurement(v=rows[:, :3], xyz=rows[:, 3:])

@@ -253,7 +253,11 @@ class TestFitDisplay:
         ("chromatic", "v_r,v_g,v_b,X,Y,Z\n0,0,0,1,1,z\n", "line 2: non-numeric field"),
         ("chromatic", "v_r,v_g,v_b,X,Y,Z\n0,0,0,1,1\n",
          "line 2: expected 6 columns, got 5"),
-        ("achromatic", "v,L\n0,2\n0.5,inf\n", "line 3: non-finite field")])
+        ("achromatic", "v,L\n0,2\n0.5,inf\n", "line 3: non-finite field"),
+        ("achromatic", "v,L\n0,2\n1.5,23\n1,100\n", "line 3: v outside [0, 1] or L < 0"),
+        ("achromatic", "v,L\n0,2\n# note\n0.5,-3\n", "line 4: v outside [0, 1] or L < 0"),
+        ("chromatic", "v_r,v_g,v_b,X,Y,Z\n0,0,0,1,1,-1\n",
+         "line 2: v outside [0, 1] or X, Y, Z < 0")])
     def test_malformed_row_exit_2(self, tmp_path, capsys, mode, text, problem):
         csv = tmp_path / "meas.csv"
         csv.write_text(text)
@@ -265,6 +269,15 @@ class TestFitDisplay:
         csv = tmp_path / "meas.csv"
         csv.write_text("v,L\n0,2\n1,100\n")
         assert run("fit-display", "--in", str(csv), "--mode", "achromatic") == 1
+
+    def test_primary_below_background_exit_1(self, tmp_path, capsys):
+        # the red full-on reading is darker than the background
+        csv = tmp_path / "chroma.csv"
+        csv.write_text("v_r,v_g,v_b,X,Y,Z\n0,0,0,5,5,5\n0.5,0,0,4,4,4\n1,0,0,3,3,3\n"
+                       "0,0.5,0,10,20,5\n0,1,0,30,60,10\n0,0,0.5,6,6,20\n0,0,1,8,8,60\n")
+        assert run("fit-display", "--in", str(csv), "--mode", "chromatic") == 1
+        err = capsys.readouterr().err
+        assert "channel r primary Y = -2 is not > 0" in err and "Traceback" not in err
 
     def test_chromatic(self, tmp_path):
         from hdrpcal.display import ChromaticDisplay

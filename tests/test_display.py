@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -40,6 +41,34 @@ def chromatic_ramp(display, vs):
             stim[k] = v
             meas.append(Measurement(v=stim, xyz=display.xyz(stim)))
     return meas
+
+
+class TestMeasurement:
+    @pytest.mark.parametrize("v,readings,match", [
+        (np.zeros(2), {"luminance": 1.0}, "v must be a triplet in \\[0, 1\\]"),
+        (np.array([0.0, 0.5, 1.5]), {"luminance": 1.0}, "v must be a triplet"),
+        (np.array([0.0, -0.1, 0.0]), {"xyz": np.ones(3)}, "v must be a triplet"),
+        (np.array([0.0, np.nan, 0.0]), {"luminance": 1.0}, "v must be a triplet"),
+        (np.zeros(3), {"luminance": -1.0}, "^luminance reading must be >= 0$"),
+        (np.zeros(3), {"xyz": np.array([1.0, 1.0, -1.0])}, "^xyz reading must be >= 0$"),
+        (np.zeros(3), {"xyz": np.ones(2)}, r"^xyz readings must have shape \(3,\)$"),
+        (np.zeros((4, 3)), {"luminance": np.ones(3)}, r"shape \(4,\)$"),
+        (np.zeros((4, 3)), {"xyz": np.ones(3)}, r"shape \(4, 3\)$"),
+        (np.zeros((2, 4, 3)), {"luminance": -np.eye(4)[:2]}, "luminance reading must be"),
+        (np.full((2, 3), 2.0), {"xyz": np.ones((2, 3))}, "v must be a triplet"),
+        (np.zeros(3), {}, "exactly one of luminance or xyz"),
+        (np.zeros(3), {"luminance": 1.0, "xyz": np.ones(3)}, "exactly one")])
+    def test_invalid_rejected(self, v, readings, match):
+        with pytest.raises(ValidationError, match=match):
+            Measurement(v=v, **readings)
+
+    def test_batch_stored_read_only_as_given(self):
+        v = np.zeros((2, 5, 3))
+        m = Measurement(v=v, luminance=np.ones((2, 5)))
+        assert m.v.shape == (2, 5, 3) and m.luminance.shape == (2, 5)
+        assert not m.v.flags.writeable and not m.luminance.flags.writeable
+        v[0, 0, 0] = 1.0
+        assert m.v[0, 0, 0] == 0.0
 
 
 class TestAchromaticModel:
@@ -121,6 +150,23 @@ class TestFitAchromatic:
         with pytest.raises(FitError):
             fit_achromatic(achromatic_ramp(truth, np.linspace(0.3, 0.7, 8)))
 
+    def test_empty_input(self):
+        with pytest.raises(FitError, match=r"^insufficient data: need >= 5 distinct "
+                                           r"v levels, got 0$"):
+            fit_achromatic([])
+
+    def test_xyz_readings_rejected(self):
+        truth = make_chromatic()
+        with pytest.raises(FitError, match="^achromatic fit needs luminance readings$"):
+            fit_achromatic(chromatic_ramp(truth, np.linspace(0, 1, 11)))
+
+    def test_non_achromatic_stimulus_rejected(self):
+        truth = AchromaticDisplay(l0=2.0, l1=98.0, gamma=2.2)
+        meas = achromatic_ramp(truth, np.linspace(0, 1, 11))
+        meas.insert(3, Measurement(v=np.array([0.5, 0.5, 0.6]), luminance=20.0))
+        with pytest.raises(FitError, match=r"achromatic stimuli \(v_r=v_g=v_b\)$"):
+            fit_achromatic(meas)
+
     def test_repeats_averaged(self):
         truth = AchromaticDisplay(l0=2.0, l1=98.0, gamma=2.2)
         vs = np.linspace(0, 1, 11)
@@ -200,6 +246,8 @@ class TestFitChromatic:
         assert fitted.gammas == pytest.approx(truth.gammas, rel=1e-6)
         assert fitted.weights == pytest.approx(truth.weights, rel=1e-6)
         assert report.details["background_residual"] < 1e-9
+        # the background row has no residual: 10 levels per channel
+        assert report.n_points == report.residuals.size == 30
 
     def test_noisy_gamma_monte_carlo(self):
         truth = make_chromatic()
@@ -227,6 +275,16 @@ class TestFitChromatic:
         with pytest.raises(FitError, match="background"):
             fit_chromatic(meas)
 
+    def test_empty_input(self):
+        with pytest.raises(FitError, match=r"^missing background measurement at "
+                                           r"v = \(0, 0, 0\)$"):
+            fit_chromatic([])
+
+    def test_luminance_readings_rejected(self):
+        truth = AchromaticDisplay(l0=2.0, l1=98.0, gamma=2.2)
+        with pytest.raises(FitError, match="^chromatic fit needs XYZ readings$"):
+            fit_chromatic(achromatic_ramp(truth, np.linspace(0, 1, 11)))
+
     def test_mixed_channels_rejected(self):
         truth = make_chromatic()
         meas = chromatic_ramp(truth, np.linspace(0, 1, 11))
@@ -245,6 +303,53 @@ class TestFitChromatic:
                 meas.append(Measurement(v=stim, xyz=pr * v ** 2.2))
         with pytest.raises(FitError, match="invertible"):
             fit_chromatic(meas)
+
+
+def fitted_fields(fit):
+    """Every field of a fitted display, then the report's residuals, rms
+    and point count."""
+    display, report = fit
+    return [getattr(display, f.name) for f in dataclasses.fields(display)] + [
+        report.residuals, report.residual_rms, report.n_points]
+
+
+class TestInputForms:
+    """A per-row list, one batch and the CSV reader fit bit-identically."""
+
+    FORMS = {"achromatic": (fit_achromatic, load_achromatic_csv, "luminance", "v,L"),
+             "chromatic": (fit_chromatic, load_chromatic_csv, "xyz",
+                           "v_r,v_g,v_b,X,Y,Z")}
+
+    @staticmethod
+    def readings(kind, rng):
+        """Noisy readings with repeated levels (two backgrounds for the
+        chromatic ramps), in shuffled order."""
+        if kind == "achromatic":
+            truth = AchromaticDisplay(l0=2.0, l1=98.0, gamma=2.2)
+            levels = np.repeat(np.linspace(0, 1, 9), 3)
+            v = np.repeat(levels[:, None], 3, axis=1)
+            readings = truth.luminance(levels) + rng.normal(0, 0.5, levels.size)
+        else:
+            rows = chromatic_ramp(make_chromatic(), np.linspace(0, 1, 6))
+            rows = rows + rows[:1] + rows[2:8]
+            v = np.array([m.v for m in rows])
+            readings = np.array([m.xyz for m in rows]) + rng.normal(0, 0.05, v.shape)
+        order = rng.permutation(len(v))
+        return v[order], np.maximum(readings, 0)[order]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["achromatic", "chromatic"])
+    def test_list_batch_and_csv_fit_alike(self, kind, seed):
+        fit, load, key, header = self.FORMS[kind]
+        v, readings = self.readings(kind, np.random.default_rng(seed))
+        per_row = fit([Measurement(v=a, **{key: b}) for a, b in zip(v, readings)])
+        batch = fit(Measurement(v=v, **{key: readings}))
+        table = np.column_stack([v[:, :1] if kind == "achromatic" else v, readings])
+        text = "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+        csv = fit(load(io.StringIO(f"{header}\n{text}")))
+        for other in (batch, csv):
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(fitted_fields(per_row), fitted_fields(other), strict=True))
 
 
 class TestPersistence:
@@ -278,12 +383,16 @@ class TestPersistence:
     def test_measurement_csv_loaders(self):
         acsv = io.StringIO("v,L\n0,2\n0.5,23.3\n1,100\n")
         meas = load_achromatic_csv(acsv)
-        assert len(meas) == 3
-        assert meas[1].luminance == pytest.approx(23.3)
+        assert np.array_equal(meas.v, np.repeat([[0.0], [0.5], [1.0]], 3, axis=1))
+        assert np.array_equal(meas.luminance, [2.0, 23.3, 100.0])
+        assert meas.xyz is None
         ccsv = io.StringIO("v_r,v_g,v_b,X,Y,Z\n0,0,0,1,1,1\n1,0,0,42,22,3\n")
         cmeas = load_chromatic_csv(ccsv)
-        assert len(cmeas) == 2
-        assert cmeas[1].xyz == pytest.approx([42, 22, 3])
+        assert np.array_equal(cmeas.v, [[0, 0, 0], [1, 0, 0]])
+        assert np.array_equal(cmeas.xyz, [[1, 1, 1], [42, 22, 3]])
+        assert cmeas.luminance is None
+        empty = load_chromatic_csv(io.StringIO("v_r,v_g,v_b,X,Y,Z\n"))
+        assert empty.v.shape == empty.xyz.shape == (0, 3)
 
     def test_csv_header_mismatch(self):
         with pytest.raises(ValidationError):

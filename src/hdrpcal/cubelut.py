@@ -276,10 +276,13 @@ def parse_cube(source) -> CubeLUT:
     start = 0  # the keyword and comment lines ahead of the data, one at a time
     while start < len(lines) and _keyword(keys, lines[start], start + 1):
         start += 1
+    end = len(lines)  # and the blank and comment lines after the data
+    while end > start and lines[end - 1].strip()[:1] in ("", "#"):
+        end -= 1
     data = None
-    if "size" in keys and start < len(lines):  # loadtxt warns on empty input
+    if "size" in keys and start < end:  # loadtxt warns on empty input
         with contextlib.suppress(ValueError):
-            data = np.loadtxt(lines[start:], comments=None, ndmin=2)
+            data = np.loadtxt(lines[start:end], comments=None, ndmin=2)
     if data is None or data.shape != (keys["size"] ** 3, 3) or not np.isfinite(data).all():
         data = _walk_rows(lines, keys)
     outside = (data < 0.0) | (data > 1.0)

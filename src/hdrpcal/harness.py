@@ -5,8 +5,15 @@ pipeline: each sample draws a material color, surface orientation, light
 colors, intensities and direction, renders the post-processed value through
 the in-package pipeline (the synthetic oracle), and records everything.
 
-Samples are held column-wise in a :class:`SampleBatch`, validated once when
-it is built; every function that takes samples takes a batch.
+Samples are held column-wise in a :class:`SampleBatch`; every function
+that takes samples takes a batch, and one observation is a one-row batch.
+A batch holds its columns to the sample contract when it is built, and
+:func:`load_samples` checks files against the same rules, naming lines:
+
+- every field is finite, and ``m`` and ``v`` are in [0, 1];
+- on Lambertian rows, ``d`` is in [0, 1], ``a``, ``i_d`` and ``i_a`` are
+  >= 0, and ``n`` and ``l`` are unit vectors within
+  :data:`INGEST_NORM_TOL`.
 
 Generation is counter-based and deterministic: sample *i* is computed from
 its own block of :data:`DRAWS_PER_SAMPLE` uniforms of one Philox stream
@@ -47,6 +54,7 @@ SAMPLE_CSV_HEADER = ("kind,m_r,m_g,m_b,n_x,n_y,n_z,d_r,d_g,d_b,i_d,"
 #: stay on this hemisphere so the surface faces the viewer.
 CAMERA_DIRECTION = np.array([0.0, 0.0, -1.0])
 
+#: Largest accepted distance of a normal or light direction from unit norm.
 INGEST_NORM_TOL = 1e-6
 
 #: Samples with any material component below this floor are scored apart
@@ -75,7 +83,9 @@ class SampleBatch:
     ``n`` and ``l`` the normal and light direction, ``i_d`` and ``i_a`` the
     intensities, ``e`` the exposure and ``v`` the recorded post-processed
     value; triplet columns have shape (N, 3), the others (N,).  Columns are
-    checked for shape and finiteness once, copied and stored read-only.
+    checked once against the sample contract (see the module docstring),
+    copied and stored read-only; a broken row raises
+    ``ValidationError("sample {i}: {problem}")``.
 
     A batch supports ``len``, ``+`` with another batch, and slice or
     boolean-mask indexing (yielding a batch).
@@ -106,6 +116,10 @@ class SampleBatch:
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"sample column {name} must be finite")
             columns[name] = arr
+        problems = _sample_problems(**columns)
+        if problems.any():
+            i, k = divmod(int(np.argmax(problems)), problems.shape[1])
+            raise ValidationError(f"sample {i}: {_ROW_PROBLEMS[4 + k]}")
         for name, arr in columns.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -141,13 +155,15 @@ def check_seed(seed) -> int:
 def predict_unprocessed(samples: SampleBatch,
                         scale_constant: float = DEFAULT_SCALE_CONSTANT) -> np.ndarray:
     """Unprocessed values implied by each sample's scene parameters."""
+    if not np.isfinite(scale_constant) or scale_constant <= 0:
+        raise ValidationError("scale constant must be > 0")
     lam = samples.lambertian
     u = np.zeros_like(samples.m)
     if np.any(lam):
         # The render takes the scene columns in CSV order (all but v).
         u[lam] = lambertian_unprocessed_arrays(
             *(getattr(samples, name)[lam] for name in _ROW_FIELDS[:-1]),
-            scale_constant=scale_constant, norm_tol=INGEST_NORM_TOL)
+            scale_constant=scale_constant)
     if not np.all(lam):
         u[~lam] = unlit_unprocessed(samples.m[~lam])
     return u
@@ -252,6 +268,27 @@ _ROW_PROBLEMS = (
 )
 
 
+def _sample_problems(lambertian, m, n, d, i_d, l, a, i_a, e, v) -> np.ndarray:
+    """The sample contract: one boolean column per problem in
+    ``_ROW_PROBLEMS[4:]``, true where a row breaks that rule (``e`` has no
+    rule beyond being finite)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        n_off, l_off = (np.abs(np.linalg.norm(x, axis=1) - 1.0) > INGEST_NORM_TOL
+                        for x in (n, l))
+
+    def outside_unit(x):
+        return np.any((x < 0) | (x > 1), axis=1)
+
+    return np.column_stack([
+        outside_unit(m),
+        outside_unit(v),
+        lambertian & n_off,
+        lambertian & l_off,
+        lambertian & outside_unit(d),
+        lambertian & (np.any(a < 0, axis=1) | (i_d < 0) | (i_a < 0)),
+    ])
+
+
 def load_samples(file) -> SampleBatch:
     """Read and validate samples; raises with offending line numbers.
 
@@ -263,25 +300,14 @@ def load_samples(file) -> SampleBatch:
     nums = np.column_stack(fields)
     lam = kinds == "lambertian"
     m, n, d, l, a, v = (nums[:, k:k + 3] for k in (0, 3, 6, 10, 13, 18))
-    i_d, i_a, e = nums[:, 9], nums[:, 16], nums[:, 17]
-    with np.errstate(over="ignore", invalid="ignore"):
-        n_norm = np.linalg.norm(n, axis=1)
-        l_norm = np.linalg.norm(l, axis=1)
-
-    def outside_unit(x):
-        return np.any((x < 0) | (x > 1), axis=1)
-
+    columns = dict(lambertian=lam, m=m, n=n, d=d, i_d=nums[:, 9], l=l, a=a,
+                   i_a=nums[:, 16], e=nums[:, 17], v=v)
     checks = np.column_stack([  # one column per _ROW_PROBLEMS entry
         problem == 1,
         problem == 2,
         ~lam & (kinds != "unlit"),
         problem == 3,
-        outside_unit(m),
-        outside_unit(v),
-        lam & (np.abs(n_norm - 1.0) > INGEST_NORM_TOL),
-        lam & (np.abs(l_norm - 1.0) > INGEST_NORM_TOL),
-        lam & outside_unit(d),
-        lam & (np.any(a < 0, axis=1) | (i_d < 0) | (i_a < 0)),
+        _sample_problems(**columns),
     ])
     rejected = np.flatnonzero(np.any(checks, axis=1))
     if rejected.size:
@@ -296,12 +322,13 @@ def load_samples(file) -> SampleBatch:
             rows=tuple(line for line, _ in located))
 
     # Renormalize only when the text actually lost precision, so saved
-    # samples round-trip bit for bit.
-    for vec, norm in ((n, n_norm), (l, l_norm)):
-        off = lam & (np.abs(norm - 1.0) > 1e-12)
-        vec[off] /= norm[off, None]
-    return SampleBatch(lambertian=lam, m=m, n=n, d=d, i_d=i_d, l=l, a=a,
-                       i_a=i_a, e=e, v=v)
+    # samples round-trip bit for bit.  Unlit rows may hold any finite vectors.
+    with np.errstate(over="ignore"):
+        for vec in (n, l):
+            norm = np.linalg.norm(vec, axis=1)
+            off = lam & (np.abs(norm - 1.0) > 1e-12)
+            vec[off] /= norm[off, None]
+    return SampleBatch(**columns)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,4 @@
-"""Forward rendering model: materials, lights, and post-processing.
+"""Forward rendering model: rendering equations and post-processing.
 
 A Lambertian surface under one directional and one ambient light renders to
 unprocessed values
@@ -15,119 +15,22 @@ tonemapping disabled ``f`` is the identity clamped to [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .colorspace import _encode, quantize_8bit, srgb_decode3
+from .colorspace import _encode, srgb_decode3
 from .errors import ValidationError
 
 #: Default pipeline gain, estimated from rendered samples (see
 #: :func:`hdrpcal.calibrate.estimate_scale_constant`).
 DEFAULT_SCALE_CONSTANT = 0.822
 
-UNIT_NORM_TOL = 1e-9
-
-
-def _triplet(x, name: str, lo: float | None = None,
-             hi: float | None = None) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (3,):
-        raise ValidationError(f"{name}: expected 3 components, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name}: components must be finite")
-    if lo is not None and np.any(arr < lo):
-        raise ValidationError(f"{name}: component below {lo}")
-    if hi is not None and np.any(arr > hi):
-        raise ValidationError(f"{name}: component above {hi}")
-    return arr
-
-
-def _unit_vector(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,):
-        raise ValidationError(f"{name}: expected a 3-vector, got shape {arr.shape}")
-    norm = float(np.linalg.norm(arr))
-    if not np.isfinite(norm) or abs(norm - 1.0) > UNIT_NORM_TOL:
-        raise ValidationError(f"{name}: must be a unit vector (norm {norm!r})")
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class DirectionalLight:
-    """Directional source; ``direction`` points toward the light."""
-
-    color: np.ndarray
-    intensity: float
-    direction: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "color", _triplet(self.color, "light color", 0.0, 1.0))
-        object.__setattr__(self, "direction", _unit_vector(self.direction, "light direction"))
-        if not np.isfinite(self.intensity) or self.intensity < 0:
-            raise ValidationError("directional intensity must be >= 0")
-
-
-@dataclass(frozen=True, eq=False)
-class AmbientLight:
-    """Uniform source; color components are unbounded above."""
-
-    color: np.ndarray
-    intensity: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "color", _triplet(self.color, "ambient color", 0.0))
-        if not np.isfinite(self.intensity) or self.intensity < 0:
-            raise ValidationError("ambient intensity must be >= 0")
-
-
-@dataclass(frozen=True)
-class RenderContext:
-    """Exposure and pipeline gain shared by all Lambertian renders.
-
-    The gain defaults to the fitted 0.822 but stays configurable because it
-    is an empirical constant of the engine version, not a law.
-    """
-
-    exposure: float = 0.0
-    scale_constant: float = DEFAULT_SCALE_CONSTANT
-
-    def __post_init__(self):
-        if not np.isfinite(self.exposure):
-            raise ValidationError("exposure must be finite")
-        if not np.isfinite(self.scale_constant) or self.scale_constant <= 0:
-            raise ValidationError("scale constant must be > 0")
-
-
-def lambertian_unprocessed(material, normal, light: DirectionalLight,
-                           ambient: AmbientLight,
-                           context: RenderContext | None = None) -> np.ndarray:
-    """Unprocessed value of a Lambertian surface under both light sources;
-    checks its arguments, then renders with
-    :func:`lambertian_unprocessed_arrays`."""
-    ctx = context if context is not None else RenderContext()
-    return lambertian_unprocessed_arrays(
-        _triplet(material, "material", 0.0, 1.0), _unit_vector(normal, "normal"),
-        light.color, light.intensity, light.direction, ambient.color,
-        ambient.intensity, ctx.exposure, scale_constant=ctx.scale_constant)
-
 
 def lambertian_unprocessed_arrays(m, n, d, i_d, l, a, i_a, e,
-                                  scale_constant: float = DEFAULT_SCALE_CONSTANT,
-                                  norm_tol: float = UNIT_NORM_TOL) -> np.ndarray:
-    """Vectorized Lambertian render over (N, 3) / (N,) parameter arrays."""
-    m = np.asarray(m, float)
-    n = np.asarray(n, float)
-    d = np.asarray(d, float)
-    l = np.asarray(l, float)
-    a = np.asarray(a, float)
-    i_d = np.asarray(i_d, float)
-    i_a = np.asarray(i_a, float)
-    e = np.asarray(e, float)
-    for vec, name in ((n, "normal"), (l, "light direction")):
-        norms = np.linalg.norm(vec, axis=-1)
-        if np.any(np.abs(norms - 1.0) > norm_tol):
-            raise ValidationError(f"{name}: non-unit vector in batch")
+                                  scale_constant: float = DEFAULT_SCALE_CONSTANT
+                                  ) -> np.ndarray:
+    """Lambertian render over (N, 3) / (N,) parameter arrays, for columns
+    a :class:`~hdrpcal.harness.SampleBatch` has checked (unit ``n`` and
+    ``l``, colors and intensities in range) and a gain > 0."""
     cos_theta = np.maximum(np.einsum("...i,...i->...", l, n), 0.0)
     direct = i_d[..., None] * srgb_decode3(d) * cos_theta[..., None] / np.pi
     return (scale_constant * srgb_decode3(m) *
@@ -180,22 +83,3 @@ def _post_process(u: np.ndarray, f=None) -> np.ndarray:
         raise ValidationError("tonemap output outside [0, 1]")
     return _encode(np.clip(t, 0.0, 1.0))
 
-
-def render(kind: str, *, material, normal=None, light: DirectionalLight | None = None,
-           ambient: AmbientLight | None = None, context: RenderContext | None = None,
-           tonemap=None, quantize: bool = False) -> np.ndarray:
-    """Full pipeline for one observation: unprocessed -> tonemap -> v.
-
-    ``kind`` is "lambertian" or "unlit".  With ``quantize`` the result is
-    rounded to 8-bit framebuffer precision.
-    """
-    if kind == "lambertian":
-        if normal is None or light is None or ambient is None:
-            raise ValidationError("lambertian render needs normal, light and ambient")
-        u = lambertian_unprocessed(material, normal, light, ambient, context)
-    elif kind == "unlit":
-        u = unlit_unprocessed(_triplet(material, "material", 0.0, 1.0))
-    else:
-        raise ValidationError(f"unknown material kind {kind!r}")
-    v = post_process(u, tonemap)
-    return quantize_8bit(v) if quantize else v

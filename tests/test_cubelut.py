@@ -124,6 +124,13 @@ class TestParse:
         assert np.array_equal(lut.outputs, parse_cube(MINIMAL_CUBE).outputs)
         assert lut.title == ("late" if "TITLE" in text else None)
 
+    def test_trailing_comment_line_keeps_bulk_read(self, monkeypatch):
+        def walk(lines, keys):
+            raise AssertionError("line walk used")
+        monkeypatch.setattr("hdrpcal.cubelut._walk_rows", walk)
+        lut = parse_cube(serialize_cube(make_delta_cube(5)) + "# end\n\n")
+        assert np.array_equal(lut.outputs, make_delta_cube(5).outputs)
+
     def test_trailing_comment_on_data_row(self):
         text = MINIMAL_CUBE.replace("1 0 1", "1 0 1 # note")
         with pytest.raises(CubeFormatError, match="expected 3 numbers, got 5") as info:

@@ -21,8 +21,9 @@ from hdrpcal.cli import _load_sweeps, main
 from hdrpcal.cubelut import KnotGrid, _walk_rows, default_knot_grid, parse_cube
 from hdrpcal.display import (AchromaticDisplay, load_achromatic_csv, load_chromatic_csv,
                              load_display, save_display)
-from hdrpcal.errors import HdrpcalError
-from hdrpcal.harness import generate_samples, load_samples, save_samples
+from hdrpcal.errors import HdrpcalError, SampleFormatError, ValidationError
+from hdrpcal.harness import (SAMPLE_CSV_HEADER, SampleBatch, _CSV_ROW, _ROW_FIELDS,
+                             generate_samples, load_samples, save_samples)
 
 MAX_SIZE = 2000
 
@@ -157,12 +158,49 @@ CUBE_LAYOUTS = st.builds(_cube_layout, st.lists(CUBE_ROW, min_size=8, max_size=8
 @example(TINY_CUBE.replace("1 1 1", "1 nan 1"))  # bulk-readable, but not finite
 @example(TINY_CUBE.replace("1 1 1", "1 1e999 1"))
 @example(TINY_CUBE.replace("1 1 1", "1_0 1 1"))  # float() reads it, loadtxt does not
+@example(TINY_CUBE + "# end\n")
 def test_cube_bulk_parse_matches_ordered_walk(text):
     def parsed():
         lut = parse_cube(text)
         return (lut.outputs.tobytes(), lut.title, lut.domain_min.tobytes(),
                 lut.domain_max.tobytes())
     assert _outcome(parsed) == _outcome(lambda: _walked_cube(text))
+
+
+MIXED = generate_samples(4, seed=2) + generate_samples(2, seed=3, kind="unlit")
+NUDGES = [1e-7, -3e-7, 9e-7, 2e-6, -1e-5, -1.0, 1.0]
+
+
+@fuzz
+@given(st.integers(0, len(MIXED) - 1), st.sampled_from(_ROW_FIELDS), st.integers(0, 2),
+       st.floats(allow_nan=False, allow_infinity=False).map(lambda x: (0.0, x))
+       | st.sampled_from(NUDGES).map(lambda d: (1.0, d)))
+@example(1, "i_a", 0, (0.0, -5.0))
+@example(0, "v", 1, (0.0, 7.0))
+@example(5, "n", 2, (0.0, 1e200))  # an unlit row: no norm rule, no overflow error
+def test_batch_contract_is_the_sample_csv_contract(row, name, k, edit):
+    """A batch rejects one changed field exactly when the sample reader
+    rejects it in text, with the same problem."""
+    columns = {col: np.array(getattr(MIXED, col)) for col in ("lambertian", *_ROW_FIELDS)}
+    column = columns[name]
+    at = (row, k) if column.ndim == 2 else row
+    keep, value = edit
+    column[at] = keep * column[at] + value
+    nums = np.column_stack([columns[col] for col in _ROW_FIELDS])
+    text = SAMPLE_CSV_HEADER + "\n" + "".join(
+        _CSV_ROW % (kind, *r) for kind, r in zip(MIXED.kinds.tolist(), nums.tolist()))
+    try:
+        SampleBatch(**columns)
+        problem = None
+    except ValidationError as exc:
+        prefix, problem = str(exc).split(": ", 1)
+        assert prefix == f"sample {row}"
+    try:
+        load_samples(io.StringIO(text))
+        assert problem is None
+    except SampleFormatError as exc:
+        line = row + 2
+        assert str(exc) == f"rejected 1 sample row(s): line {line}: {problem} [rows: {line}]"
 
 
 # (name, argv with {fuzzed} for the fuzzed file and {name} for fixed files,

@@ -1,19 +1,22 @@
 import hashlib
 import io
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hdrpcal.calibrate import GammaCorrectionSpec, build_correction_cube
+from hdrpcal.calibrate import (GammaCorrectionSpec, build_correction_cube,
+                               estimate_knots_optimize)
 from hdrpcal.cubelut import (CubeTonemap, DELTA_KNOTS, default_knot_grid,
-                             separable_cube)
+                             make_delta_cube, separable_cube)
 from hdrpcal.display import AchromaticDisplay, ChromaticDisplay
 from hdrpcal.errors import SampleFormatError, ValidationError
 from hdrpcal.harness import (CAMERA_DIRECTION, SAMPLE_CSV_HEADER, SampleBatch,
-                             generate_samples, load_samples, save_samples,
-                             simulate_characterization, validate_model)
+                             generate_samples, load_samples, predict_values,
+                             save_samples, simulate_characterization,
+                             validate_model)
 
 COLUMNS = ("lambertian", "m", "n", "d", "i_d", "l", "a", "i_a", "e", "v")
 
@@ -140,6 +143,38 @@ class TestSampleBatch:
             replace(batch, e=[float("nan")])
         with pytest.raises(ValidationError, match="shape"):
             replace(batch, v=np.zeros((1, 2)))
+
+    def test_negative_ambient_intensity_rejected(self):
+        # Accepted, such a row would predict a negative u and a silent v = 0.
+        batch = generate_samples(3, seed=25)
+        with pytest.raises(ValidationError,
+                           match="^sample 1: negative light parameters$"):
+            replace(batch, i_a=[0.5, -5.0, 0.5])
+
+    def test_value_outside_unit_range_never_reaches_validation(self):
+        # Accepted, such a batch would score a median error of about 1750/255.
+        batch = generate_samples(3, seed=25)
+        with pytest.raises(ValidationError, match=re.escape(
+                "sample 0: post-processed value outside [0, 1]")):
+            validate_model(replace(batch, v=np.full((3, 3), 7.0)))
+
+
+GAIN_CALLS = {
+    "predict_values": lambda batch, c: predict_values(batch, scale_constant=c),
+    "generate_samples": lambda batch, c: generate_samples(4, seed=0, scale_constant=c),
+    "validate_model": lambda batch, c: validate_model(batch, scale_constant=c),
+    "estimate_knots_optimize": lambda batch, c: estimate_knots_optimize(
+        [(batch, make_delta_cube(8)), (batch, make_delta_cube(9))],
+        default_knot_grid(), scale_constant=c),
+}
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("call", GAIN_CALLS.values(), ids=list(GAIN_CALLS))
+def test_bad_scale_constant_rejected(call, c):
+    batch = generate_samples(20, seed=28)
+    with pytest.raises(ValidationError, match="^scale constant must be > 0$"):
+        call(batch, c)
 
 
 class TestSampleCsv:

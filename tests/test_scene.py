@@ -1,23 +1,34 @@
+import re
+
 import numpy as np
 import pytest
 
 from hdrpcal.errors import ValidationError
-from hdrpcal.scene import (AmbientLight, DirectionalLight, RenderContext,
-                           lambertian_unprocessed, lambertian_unprocessed_arrays,
-                           light_direction_from_rotation, post_process, render,
-                           unlit_unprocessed)
+from hdrpcal.harness import SampleBatch, predict_unprocessed, predict_values
+from hdrpcal.scene import light_direction_from_rotation, post_process, unlit_unprocessed
+
+AXIS_Z = np.array([0.0, 0.0, 1.0])
 
 
 def white_directional(intensity, direction):
-    return DirectionalLight(color=np.ones(3), intensity=intensity,
-                            direction=np.asarray(direction, float))
+    return dict(d=np.ones(3), i_d=intensity, l=np.asarray(direction, float))
 
 
 def white_ambient(intensity):
-    return AmbientLight(color=np.ones(3), intensity=intensity)
+    return dict(a=np.ones(3), i_a=intensity)
 
 
-AXIS_Z = np.array([0.0, 0.0, 1.0])
+def observation(material, normal=AXIS_Z, *, kind="lambertian", e=0.0, **lights):
+    """One observation as a one-row batch; ``lights`` holds the ``d, i_d, l``
+    and ``a, i_a`` columns, and the recorded value is a placeholder."""
+    cols = {"d": np.zeros(3), "i_d": 0.0, "l": AXIS_Z, "a": np.zeros(3), "i_a": 0.0,
+            **lights, "m": material, "n": normal, "e": e, "v": np.zeros(3)}
+    return SampleBatch(lambertian=[kind == "lambertian"],
+                       **{name: [value] for name, value in cols.items()})
+
+
+def lambertian_unprocessed(material, normal, light, ambient, e=0.0):
+    return predict_unprocessed(observation(material, normal, e=e, **light, **ambient))[0]
 
 
 class TestLambertian:
@@ -38,9 +49,9 @@ class TestLambertian:
         rng = np.random.default_rng(0)
         m = rng.uniform(0, 1, 3)
         light = white_directional(1.3, AXIS_Z)
-        amb = AmbientLight(color=rng.uniform(0, 1, 3), intensity=0.7)
-        u0 = lambertian_unprocessed(m, AXIS_Z, light, amb, RenderContext(exposure=0.0))
-        u1 = lambertian_unprocessed(m, AXIS_Z, light, amb, RenderContext(exposure=1.0))
+        amb = dict(a=rng.uniform(0, 1, 3), i_a=0.7)
+        u0 = lambertian_unprocessed(m, AXIS_Z, light, amb, e=0.0)
+        u1 = lambertian_unprocessed(m, AXIS_Z, light, amb, e=1.0)
         assert u1 == pytest.approx(u0 / 2.0, rel=1e-15)
 
     def test_black_material(self):
@@ -58,11 +69,11 @@ class TestLambertian:
             a = rng.uniform(0, 2, 3)
             i_d, i_a = rng.uniform(0, 2, 2)
             both = lambertian_unprocessed(
-                m, n, DirectionalLight(d, i_d, l), AmbientLight(a, i_a))
+                m, n, dict(d=d, i_d=i_d, l=l), dict(a=a, i_a=i_a))
             directional_only = lambertian_unprocessed(
-                m, n, DirectionalLight(d, i_d, l), AmbientLight(a, 0.0))
+                m, n, dict(d=d, i_d=i_d, l=l), dict(a=a, i_a=0.0))
             ambient_only = lambertian_unprocessed(
-                m, n, DirectionalLight(d, 0.0, l), AmbientLight(a, i_a))
+                m, n, dict(d=d, i_d=0.0, l=l), dict(a=a, i_a=i_a))
             assert both == pytest.approx(directional_only + ambient_only, rel=1e-12,
                                          abs=1e-300)
 
@@ -82,44 +93,29 @@ class TestLambertian:
         n = _sphere(rng)
         l = _sphere(rng)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        light = DirectionalLight(np.full(3, 0.8), 1.5, l)
-        rotated = DirectionalLight(np.full(3, 0.8), 1.5, q @ l)
+        light = dict(d=np.full(3, 0.8), i_d=1.5, l=l)
+        rotated = dict(d=np.full(3, 0.8), i_d=1.5, l=q @ l)
         amb = white_ambient(0.3)
         u1 = lambertian_unprocessed(m, n, light, amb)
         u2 = lambertian_unprocessed(m, q @ n, rotated, amb)
         assert u2 == pytest.approx(u1, rel=1e-9)
 
     def test_non_unit_normal_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="sample 0: non-unit normal"):
             lambertian_unprocessed(np.ones(3), np.array([0, 0, 0.9]),
                                    white_directional(1.0, AXIS_Z), white_ambient(0.0))
 
     def test_non_unit_light_direction_rejected(self):
-        with pytest.raises(ValidationError):
-            DirectionalLight(np.ones(3), 1.0, np.array([0, 0, 1.1]))
+        with pytest.raises(ValidationError, match="sample 0: non-unit light direction"):
+            lambertian_unprocessed(np.ones(3), AXIS_Z,
+                                   white_directional(1.0, np.array([0, 0, 1.1])),
+                                   white_ambient(0.0))
 
     def test_out_of_range_material_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match=re.escape("sample 0: material color outside [0, 1]")):
             lambertian_unprocessed(np.array([0.5, 1.2, 0.5]), AXIS_Z,
                                    white_directional(1.0, AXIS_Z), white_ambient(0.0))
-
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        count = 40
-        m = rng.uniform(0, 1, (count, 3))
-        n = np.array([_sphere(rng) for _ in range(count)])
-        d = rng.uniform(0, 1, (count, 3))
-        l = np.array([_sphere(rng) for _ in range(count)])
-        a = rng.uniform(0, 1, (count, 3))
-        i_d = rng.uniform(0, 2, count)
-        i_a = rng.uniform(0, 2, count)
-        e = rng.choice([-1.0, 0.0, 2.0], count)
-        batch = lambertian_unprocessed_arrays(m, n, d, i_d, l, a, i_a, e)
-        for i in range(count):
-            one = lambertian_unprocessed(
-                m[i], n[i], DirectionalLight(d[i], i_d[i], l[i]),
-                AmbientLight(a[i], i_a[i]), RenderContext(exposure=e[i]))
-            assert batch[i] == pytest.approx(one, rel=1e-14, abs=1e-300)
 
 
 class TestUnlit:
@@ -187,7 +183,7 @@ class TestPostProcess:
 
 class TestRender:
     def test_unlit_identity_is_material(self):
-        v = render("unlit", material=np.array([0.25, 0.5, 0.75]))
+        v = predict_values(observation(np.array([0.25, 0.5, 0.75]), kind="unlit"))[0]
         assert v == pytest.approx([0.25, 0.5, 0.75], abs=1e-12)
 
     def test_lambertian_composition(self):
@@ -195,17 +191,13 @@ class TestRender:
         light = white_directional(1.2, AXIS_Z)
         amb = white_ambient(0.4)
         u = lambertian_unprocessed(m, AXIS_Z, light, amb)
-        v = render("lambertian", material=m, normal=AXIS_Z, light=light,
-                   ambient=amb)
+        v = predict_values(observation(m, AXIS_Z, **light, **amb))[0]
         assert np.array_equal(v, post_process(u))
 
     def test_quantized_unlit(self):
-        v = render("unlit", material=np.full(3, 0.002), quantize=True)
+        v = predict_values(observation(np.full(3, 0.002), kind="unlit"),
+                           quantize=True)[0]
         assert v == pytest.approx(np.full(3, 1 / 255), abs=0)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValidationError):
-            render("phong", material=np.ones(3))
 
 
 def _sphere(rng):

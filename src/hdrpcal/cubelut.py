@@ -32,9 +32,11 @@ clean linear interpolation there.)
 When each output channel depends only on its own grid index (a separable
 cube, such as every impulse and gamma-correction cube), trilinear
 interpolation reduces exactly to one piecewise-linear curve per channel,
-which the tonemap evaluates instead of the eight cell corners; separability
-is decided once per :class:`CubeLUT`.  Disabled tonemapping is ``None``
-(see :func:`hdrpcal.scene.post_process`), not a tonemap object.
+which the tonemap evaluates instead of the eight cell corners, and
+:func:`serialize_cube` writes from the three curves, with the same bytes
+as writing every cell.  Separability is decided once per :class:`CubeLUT`,
+on bit patterns (``-0.0`` is not ``0.0``).  Disabled tonemapping is
+``None`` (see :func:`hdrpcal.scene.post_process`), not a tonemap object.
 """
 
 from __future__ import annotations
@@ -197,7 +199,9 @@ class CubeLUT:
         # Decided once: the test costs more than one separable interpolation.
         out = self.outputs
         curves = (out[:, 0, 0, 0], out[0, :, 0, 1], out[0, 0, :, 2])
-        return curves if np.array_equal(out, _separable_outputs(curves)) else None
+        # Compared as bits, so serialize_cube's curve path never drops a stray -0.0.
+        bits = _separable_outputs(curves).view(np.uint64)
+        return curves if np.array_equal(out.view(np.uint64), bits) else None
 
 
 def _parse_floats(tokens: list[str], raw: str, lineno: int, count: int,
@@ -298,7 +302,9 @@ def parse_cube(source) -> CubeLUT:
 
 
 def serialize_cube(lut: CubeLUT, file=None) -> str:
-    """Emit .cube text; round-trips through :func:`parse_cube` within 1e-6."""
+    """Emit .cube text, each value as ``format(v, ".8g")``; round-trips
+    through :func:`parse_cube` within 1e-6.  A separable cube is written
+    from its three curves, with the same bytes as writing every cell."""
     lines = []
     if lut.title is not None:
         lines.append(f'TITLE "{lut.title}"')
@@ -307,8 +313,14 @@ def serialize_cube(lut: CubeLUT, file=None) -> str:
         lines.append("DOMAIN_MIN " + " ".join(f"{v:.8g}" for v in lut.domain_min))
     if not np.array_equal(lut.domain_max, np.ones(3)):
         lines.append("DOMAIN_MAX " + " ".join(f"{v:.8g}" for v in lut.domain_max))
-    cells = format_floats(lut.outputs.transpose(2, 1, 0, 3).ravel(), ".8g")
-    rows = ("%s %s %s\n" * lut.size ** 3) % tuple(cells.tolist())
+    curves = lut.separable_channels()
+    if curves is None:
+        cells = format_floats(lut.outputs.transpose(2, 1, 0, 3).ravel(), ".8g")
+        rows = ("%s %s %s\n" * lut.size ** 3) % tuple(cells.tolist())
+    else:  # the n^2 "r g " prefixes, red fastest, then one block per blue value
+        r, g, b = (format_floats(c, ".8g").tolist() for c in curves)
+        prefixes = [f"{x} {y} " for y in g for x in r] + [""]
+        rows = "".join(f"{z}\n".join(prefixes) for z in b)
     text = "\n".join(lines) + "\n" + rows
     if file is not None:
         file.write(text)

@@ -198,8 +198,7 @@ def fit_achromatic(measurements) -> tuple[AchromaticDisplay, FitReport]:
                         max_nfev=FIT_MAX_EVALS)
     if res.status == 0:
         raise ConvergenceError(
-            f"achromatic fit did not converge within {FIT_MAX_EVALS} evaluations",
-            last_iterate=res.x)
+            f"achromatic fit did not converge within {FIT_MAX_EVALS} evaluations")
     display = AchromaticDisplay(l0=float(res.x[0]), l1=float(res.x[1]),
                                 gamma=float(res.x[2]))
     report = FitReport(residual_rms=float(np.sqrt(np.mean(res.fun ** 2))),
@@ -239,8 +238,7 @@ def _fit_gamma(v: np.ndarray, p: np.ndarray, channel: str) -> float:
     res = least_squares(resid, np.array([2.2]), bounds=([1e-6], [np.inf]),
                         xtol=1e-14, ftol=None, gtol=None, max_nfev=FIT_MAX_EVALS)
     if res.status == 0:
-        raise ConvergenceError(f"gamma fit for channel {channel} did not converge",
-                               last_iterate=res.x)
+        raise ConvergenceError(f"gamma fit for channel {channel} did not converge")
     return float(res.x[0])
 
 

@@ -59,11 +59,7 @@ class DegenerateDataError(FitError):
 
 
 class ConvergenceError(FitError):
-    """An iterative fit hit its iteration cap; carries the last iterate."""
-
-    def __init__(self, message: str, *, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """An iterative fit hit its iteration cap."""
 
 
 class EstimationError(HdrpcalError, RuntimeError):

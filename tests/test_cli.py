@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -113,6 +114,14 @@ class TestGenDeltaCubes:
         with open(outdir / "delta_16.cube") as fh:
             lut = parse_cube(fh)
         assert np.array_equal(lut.outputs, make_delta_cube(16).outputs)
+
+    def test_bytes_pinned(self, tmp_path):
+        assert run("gen-delta-cubes", "--out", str(tmp_path)) == 0
+        digest = hashlib.sha256()
+        for path in sorted(tmp_path.glob("*.cube")):
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == ("2dacc6bfe108c6b115ac3bebbd652805"
+                                      "b702a5894b479038e523e4189a4a702f")
 
 
 class TestEstimateKnots:

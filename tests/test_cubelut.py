@@ -434,6 +434,15 @@ class TestSeparable:
             np.interp(u[:, k], active, curves[k][2:]) for k in range(3)])
         assert tm.apply(u) == pytest.approx(expected, abs=1e-12)
 
+    def test_signed_zero_cell_is_not_separable(self):
+        outputs = make_delta_cube(7).outputs.copy()
+        outputs[5, 9, 3, 0] = -0.0
+        lut = CubeLUT(outputs)
+        assert lut.separable_channels() is None
+        rows = serialize_cube(lut).splitlines()
+        assert rows[1 + 5 + 32 * 9 + 32 ** 2 * 3] == "-0 0 0"
+        assert sum("-0" in row for row in rows) == 1
+
     def test_separable_path_matches_trilinear(self):
         grid = default_knot_grid()
         lut = separable_cube(grid, (lambda x: np.clip(x / 60.0, 0, 1),

@@ -4,8 +4,11 @@ with 0, 1, 2 or 64 without letting an exception escape.
 
 Inputs are arbitrary text, truncated valid documents, valid documents with
 arbitrary text spliced in and, for line-based formats, rows of typical and
-edge-case tokens, all capped near 2 kB.  Example generation is
-derandomized, so every run tries the same inputs.
+edge-case tokens, all capped near 2 kB.  Fast paths are checked against
+their reference paths too: the bulk .cube read against the line walk, the
+.cube writer against per-value formatting, and the sample batch against
+the sample CSV reader.  Example generation is derandomized, so every run
+tries the same inputs.
 """
 
 import io
@@ -18,7 +21,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hdrpcal.cli import _load_sweeps, main
-from hdrpcal.cubelut import KnotGrid, _walk_rows, default_knot_grid, parse_cube
+from hdrpcal.cubelut import (CubeLUT, KnotGrid, _separable_outputs, _walk_rows,
+                             default_knot_grid, parse_cube, serialize_cube)
 from hdrpcal.display import (AchromaticDisplay, load_achromatic_csv, load_chromatic_csv,
                              load_display, save_display)
 from hdrpcal.errors import HdrpcalError, SampleFormatError, ValidationError
@@ -165,6 +169,40 @@ def test_cube_bulk_parse_matches_ordered_walk(text):
         return (lut.outputs.tobytes(), lut.title, lut.domain_min.tobytes(),
                 lut.domain_max.tobytes())
     assert _outcome(parsed) == _outcome(lambda: _walked_cube(text))
+
+
+def _cube_lines_per_value(lut: CubeLUT) -> list[str]:
+    """The .cube text lines of ``lut`` written one value at a time, red
+    fastest (a list, so a failure names the first differing line)."""
+    rows = lut.outputs.transpose(2, 1, 0, 3).reshape(-1, 3).tolist()
+    return [f"LUT_3D_SIZE {lut.size}",
+            *(" ".join(format(x, ".8g") for x in row) for row in rows), ""]
+
+
+CURVE_VALUES = (st.sampled_from([0.0, -0.0, 1.0, 1.657e-9])
+                | st.integers(10_000_001, 99_999_999).map(lambda k: k / 1e8))
+
+
+@settings(fuzz, max_examples=25)  # a 33^3 cube is written three times
+@given(st.integers(2, 33).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(CURVE_VALUES, min_size=n, max_size=n), min_size=3, max_size=3),
+    st.tuples(*[st.integers(1, max(n - 2, 1))] * 3), st.integers(0, 2))))
+def test_separable_cube_text_matches_per_value_text(drawn):
+    """Both serialize paths write ``format(v, ".8g")`` per value: a separable
+    cube, and the same cube with one interior cell set to -0.0."""
+    curves, cell, channel = drawn
+    outputs = _separable_outputs([np.array(c) for c in curves])
+    lut = CubeLUT(outputs)
+    assert lut.separable_channels() is not None
+    assert serialize_cube(lut).split("\n") == _cube_lines_per_value(lut)
+    if lut.size > 2:
+        flipped = outputs.copy()
+        before = flipped[(*cell, channel)]
+        flipped[(*cell, channel)] = -0.0
+        lut = CubeLUT(flipped)
+        assert serialize_cube(lut).split("\n") == _cube_lines_per_value(lut)
+        still = np.signbit(before) and before == 0.0
+        assert (lut.separable_channels() is not None) == still
 
 
 MIXED = generate_samples(4, seed=2) + generate_samples(2, seed=3, kind="unlit")

@@ -1,5 +1,4 @@
-"""The one reader behind every CSV file the package reads, and the float
-formatter behind the .cube and SVG writers.
+"""The one reader behind every CSV file the package reads.
 
 A table is one header line, compared with spaces removed, then one data
 row per line; blank lines and lines starting with ``#`` are skipped.  Each
@@ -87,11 +86,3 @@ def reject_first(bad, explain, what: str, default: str = "") -> None:
         [(line, text)] = explain(rows[:1])
         raise ValidationError(f"{what} line {line}: {text or default}")
 
-
-def format_floats(values, spec: str) -> np.ndarray:
-    """``format(v, spec)`` of every float in ``values``, in their shape; each
-    bit pattern is formatted once (so ``-0.0`` and ``0.0`` stay apart)."""
-    arr = np.asarray(values, dtype=float)
-    keys, inverse = np.unique(arr.view(np.uint64), return_inverse=True)
-    table = np.array([format(v, spec) for v in keys.view(float).tolist()], dtype=object)
-    return table[inverse].reshape(arr.shape)

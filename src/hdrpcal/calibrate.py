@@ -16,8 +16,8 @@ The estimators recover the pipeline's hidden constants from rendered
 samples: the global gain from a regression through the origin, and the
 tonemapping knot coordinates either from impulse-cube sweeps or by direct
 optimization of model predictions.  The latter is a nonlinear least-squares
-problem, solved by one Levenberg-Marquardt call over the log of the first
-knot and of the gaps between knots.
+problem, solved by one Levenberg-Marquardt call with the exact Jacobian
+over the log of the first knot and of the gaps between knots.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares, lsq_linear
 
-from .colorspace import srgb_decode, srgb_decode3
+from .colorspace import SRGB_LINEAR_BREAK, srgb_decode, srgb_decode3
 # Not called here; the benchmark tracer requires this module binding.
 from .colorspace import srgb_encode3  # noqa: F401
 from .cubelut import (ACTIVE_START, DEFAULT_GRID_SIZE, CubeLUT, KnotGrid,
@@ -349,6 +349,7 @@ class KnotOptimizeReport:
     holdout_median_255: float
     n_evaluations: int
     converged: bool
+    unsupported_knots: tuple[int, ...] = ()
     notes: tuple[str, ...] = ()
 
 
@@ -356,6 +357,34 @@ def _predict(knots: np.ndarray, u: np.ndarray, lut: CubeLUT) -> np.ndarray:
     """Framebuffer values of unprocessed ``u`` tonemapped by ``lut`` over
     the active knot coordinates ``knots``."""
     return _post_process(u, lambda x: _interpolate(knots, lut, x))
+
+
+def _knot_jacobian(knots: np.ndarray, u: np.ndarray, lut: CubeLUT) -> np.ndarray:
+    """d/dknots of ``_predict(knots, u, lut).ravel()``, (3N, K).  In a cell of
+    width d an axis weight w has dw/dk_lo = (x - k_hi)/d^2 and dw/dk_hi =
+    -(x - k_lo)/d^2, or 0 where x is clamped; dt/dw comes from the 8 cell
+    corners (a separable cube has only the own-axis term), dv/dt is the
+    sRGB encode slope."""
+    n, start = lut.size, lut.size - knots.size
+    idx, w = _locate(knots, np.clip(u, knots[0], knots[-1]))
+    o = np.array([0, 1])
+    cell = ((idx[:, 0] + start) * n + idx[:, 1] + start) * n + idx[:, 2] + start
+    corners = lut.outputs.reshape(-1, 3).take(  # (2, 2, 2, N, 3)
+        cell + ((o[:, None, None] * n + o[:, None]) * n + o)[..., None], axis=0)
+    weights = np.stack([1.0 - w, w])  # (2, N, 3)
+    dt_dw = np.stack([np.einsum("pqnc,pn,qn->nc", np.diff(corners, axis=a).squeeze(a),
+                                *(weights[..., b] for b in range(3) if b != a))
+                      for a in range(3)], axis=-1)  # (N, channel, axis)
+    t = np.clip(_interpolate(knots, lut, u), 0.0, 1.0)
+    dt_dw *= np.where(t <= SRGB_LINEAR_BREAK, 12.92, (1.055 / 2.4) * np.maximum(
+        t, SRGB_LINEAR_BREAK) ** (1.0 / 2.4 - 1.0))[..., None]
+    lo, hi = knots[idx], knots[idx + 1]
+    dw = np.where((u > knots[0]) & (u < knots[-1]), 1.0 / (hi - lo) ** 2, 0.0)
+    values = np.tile(dt_dw, 2) * np.hstack([(u - hi) * dw, (lo - u) * dw])[:, None]
+    flat = (np.arange(3 * len(u)).reshape(-1, 3, 1) * knots.size
+            + np.hstack([idx, idx + 1])[:, None])  # (N, channel, axis and knot)
+    return np.bincount(flat.ravel(), values.ravel(),
+                       minlength=3 * len(u) * knots.size).reshape(-1, knots.size)
 
 
 def _knots_from_log_gaps(a: np.ndarray) -> np.ndarray:
@@ -376,12 +405,14 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
     model is biased there), and a :data:`HOLDOUT_FRACTION` drawn from
     ``seed`` (a non-negative integer) is scored but never optimized on.
     The fit is one nonlinear least-squares solve of the training prediction
-    residuals (``scipy.optimize.least_squares``, Levenberg-Marquardt with a
-    finite-difference Jacobian) over the log of the first knot and the log
-    gaps between neighbours, so the knots stay strictly increasing without
-    a penalty.  ``n_evaluations`` counts every residual evaluation, the
-    Jacobian's included; when the solver stops without converging,
-    ``notes`` holds its message.
+    residuals (``scipy.optimize.least_squares``, Levenberg-Marquardt with
+    the exact Jacobian) over the log of the first knot and the log gaps
+    between neighbours, so the knots stay strictly increasing without a
+    penalty.  ``n_evaluations`` counts residual and Jacobian evaluations
+    alike, one pass over the training data each.  ``unsupported_knots``
+    (1-based grid indices, as in the knot CSV) and ``notes`` name the knots
+    no training residual depends on at the solution; ``notes`` also holds
+    the solver's message when it stops without converging.
     """
     if len(datasets) < 2:
         raise EstimationError("need samples under at least 2 distinct cubes")
@@ -415,6 +446,7 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
                               f"than the {init.active_values.size} knots to fit")
 
     evaluations = 0
+    rows = np.cumsum([0] + [3 * len(u) for u, _, _ in train_sets])
 
     def residuals(a: np.ndarray) -> np.ndarray:
         nonlocal evaluations
@@ -422,6 +454,21 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
         knots = _knots_from_log_gaps(a)
         return np.concatenate([(_predict(knots, u, lut) - v).ravel()
                                for u, v, lut in train_sets])
+
+    def knot_jacobian(knots: np.ndarray) -> np.ndarray:
+        nonlocal evaluations
+        evaluations += 1
+        jac = np.empty((rows[-1], knots.size))
+        for (u, _, lut), lo, hi in zip(train_sets, rows, rows[1:]):
+            jac[lo:hi] = _knot_jacobian(knots, u, lut)
+        return jac
+
+    def jacobian(a: np.ndarray) -> np.ndarray:
+        # k_i = exp(a_0) + ... + exp(a_i), so dk_i/da_j = exp(a_j) for j <= i
+        jac = knot_jacobian(_knots_from_log_gaps(a))
+        for j in range(a.size - 2, -1, -1):
+            jac[:, j] += jac[:, j + 1]
+        return np.multiply(jac, np.exp(a), out=jac)
 
     a0 = np.log(np.concatenate([init.active_values[:1],
                                 np.diff(init.active_values)]))
@@ -433,7 +480,7 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
         converged = True
         notes.append("initial grid already optimal")
     else:
-        res = least_squares(residuals, a0, method="lm")
+        res = least_squares(residuals, a0, jac=jacobian, method="lm")
         a_best, sse_final = res.x, float(np.sum(res.fun ** 2))
         converged = bool(res.success)
         if not converged:
@@ -442,6 +489,10 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
     knots = _knots_from_log_gaps(a_best)
     if np.any(np.diff(knots) <= 0):
         raise EstimationError("optimized knots are not strictly increasing")
+    unsupported = tuple((np.flatnonzero(~knot_jacobian(knots).any(axis=0))
+                         + init.active_start).tolist())
+    if unsupported:
+        notes.append("unsupported knots: " + ", ".join(map(str, unsupported)))
     grid = KnotGrid.from_active(knots, size=init.size,
                                 active_start=init.active_start)
 
@@ -455,6 +506,6 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
         n_train=n_train, n_holdout=n_holdout, n_excluded=n_excluded,
         train_median_255=median_err(train_sets),
         holdout_median_255=median_err(holdout_sets),
-        n_evaluations=evaluations,
-        converged=converged, notes=tuple(notes))
+        n_evaluations=evaluations, converged=converged,
+        unsupported_knots=unsupported, notes=tuple(notes))
     return grid, report

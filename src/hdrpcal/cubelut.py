@@ -49,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._table import format_floats, read_table, reject_first
+from ._table import read_table, reject_first
 from .errors import (CubeFormatError, CubeTruncationError, UnsupportedCubeError,
                      ValidationError)
 
@@ -302,9 +302,10 @@ def parse_cube(source) -> CubeLUT:
 
 
 def serialize_cube(lut: CubeLUT, file=None) -> str:
-    """Emit .cube text, each value as ``format(v, ".8g")``; round-trips
-    through :func:`parse_cube` within 1e-6.  A separable cube is written
-    from its three curves, with the same bytes as writing every cell."""
+    """Emit .cube text, each value as ``"%.8g" % v`` (the same text as
+    ``format(v, ".8g")``, ``-0.0`` included); round-trips through
+    :func:`parse_cube` within 1e-6.  A separable cube is written from its
+    three curves, with the same bytes as writing every cell."""
     lines = []
     if lut.title is not None:
         lines.append(f'TITLE "{lut.title}"')
@@ -315,10 +316,10 @@ def serialize_cube(lut: CubeLUT, file=None) -> str:
         lines.append("DOMAIN_MAX " + " ".join(f"{v:.8g}" for v in lut.domain_max))
     curves = lut.separable_channels()
     if curves is None:
-        cells = format_floats(lut.outputs.transpose(2, 1, 0, 3).ravel(), ".8g")
-        rows = ("%s %s %s\n" * lut.size ** 3) % tuple(cells.tolist())
+        cells = lut.outputs.transpose(2, 1, 0, 3).ravel().tolist()
+        rows = ("%.8g %.8g %.8g\n" * lut.size ** 3) % tuple(cells)
     else:  # the n^2 "r g " prefixes, red fastest, then one block per blue value
-        r, g, b = (format_floats(c, ".8g").tolist() for c in curves)
+        r, g, b = (["%.8g" % v for v in c.tolist()] for c in curves)
         prefixes = [f"{x} {y} " for y in g for x in r] + [""]
         rows = "".join(f"{z}\n".join(prefixes) for z in b)
     text = "\n".join(lines) + "\n" + rows

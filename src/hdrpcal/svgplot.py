@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._table import format_floats
-
 _PANEL_W = 420
 _PANEL_H = 380
 _MARGIN = 52
@@ -38,10 +36,11 @@ class _Panel:
         return _PANEL_H - _MARGIN - frac * (_PANEL_H - 2 * _MARGIN)
 
     def points(self, xs, ys, color: str = "#1f6fb4"):
-        cx, cy = format_floats([self._sx(np.asarray(xs, dtype=float).ravel()),
-                                self._sy(np.asarray(ys, dtype=float).ravel())], ".6g")
-        tail = f'" r="{POINT_RADIUS}" fill="{color}" fill-opacity="0.55"/>'
-        self.elems.extend(('<circle cx="' + cx + '" cy="' + cy + tail).tolist())
+        cx = self._sx(np.asarray(xs, dtype=float).ravel()).tolist()
+        cy = self._sy(np.asarray(ys, dtype=float).ravel()).tolist()
+        circle = ('<circle cx="%.6g" cy="%.6g" '
+                  f'r="{POINT_RADIUS}" fill="{color}" fill-opacity="0.55"/>')
+        self.elems.extend(circle % xy for xy in zip(cx, cy))
 
     def line(self, x0, y0, x1, y1, color: str = "#333", dash: str | None = None):
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""

@@ -3,17 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hdrpcal.calibrate import (DeltaSweep, GammaCorrectionSpec,
-                               build_correction_cube, estimate_knots_delta,
+from hdrpcal.calibrate import (DeltaSweep, GammaCorrectionSpec, _knot_jacobian,
+                               _predict, build_correction_cube, estimate_knots_delta,
                                estimate_knots_optimize, estimate_scale_constant,
                                gamma_tonemap)
 from hdrpcal.colorspace import srgb_decode, srgb_encode, srgb_encode3
-from hdrpcal.cubelut import (CubeTonemap, DELTA_KNOTS, KnotGrid,
+from hdrpcal.cubelut import (CubeLUT, CubeTonemap, DELTA_KNOTS, KnotGrid,
                              default_knot_grid, make_delta_cube, separable_cube)
 from hdrpcal.display import AchromaticDisplay, ChromaticDisplay
 from hdrpcal.errors import (DegenerateDataError, EstimationError, FitError,
                             ValidationError)
-from hdrpcal.harness import generate_samples
+from hdrpcal.harness import generate_samples, predict_unprocessed
 
 DISPLAY = AchromaticDisplay(l0=2.0, l1=98.0, gamma=2.2)
 
@@ -345,11 +345,33 @@ class TestEstimateKnotsOptimize:
         assert report.objective_final <= report.objective_init
 
     def test_perturbed_init_converges_quickly(self):
-        # The count includes the finite-difference Jacobian's evaluations.
+        # The count is residual and Jacobian evaluations alike, one pass over
+        # the training data each.
         _, datasets, init = self.perturbed_study()
         _, report = estimate_knots_optimize(datasets, init, seed=0)
         assert report.converged, report.notes
-        assert report.n_evaluations < 1000
+        assert report.n_evaluations < 100
+        assert report.unsupported_knots == ()
+
+    def test_unsupported_knots_listed(self):
+        # At exposure 0 every unprocessed value stays below about 1.5, so
+        # the top knots have no training sample in either adjacent cell.
+        grid = default_knot_grid()
+        datasets = []
+        for seed, power in ((10, 0.5), (11, 0.25)):
+            lut = separable_cube(grid, lambda x, p=power: np.clip(x / 58.9, 0, 1) ** p)
+            datasets.append((generate_samples(
+                1500, seed=seed, kind="lambertian", tonemap=CubeTonemap(grid, lut),
+                quantize=True, exposure_choices=(0.0,)), lut))
+        rng = np.random.default_rng(0)
+        init = KnotGrid.from_active(np.sort(grid.active_values * rng.uniform(0.9, 1.1, 30)))
+        est, report = estimate_knots_optimize(datasets, init, seed=0)
+        top = max(float(predict_unprocessed(s).max()) for s, _ in datasets)
+        expected = tuple(m for m in range(4, 33) if est.values[m - 2] > top)
+        assert len(expected) >= 11
+        assert report.converged
+        assert report.unsupported_knots == expected
+        assert report.notes == ("unsupported knots: " + ", ".join(map(str, expected)),)
 
     @pytest.mark.parametrize("seed", [-1, 0.5])
     def test_invalid_seed(self, seed):
@@ -373,3 +395,30 @@ class TestEstimateKnotsOptimize:
         total = sum(len(s) for s, _ in datasets)
         assert 0 < report.n_excluded < total
         assert report.n_train + report.n_holdout == total - report.n_excluded
+
+
+class TestKnotJacobian:
+    @staticmethod
+    def central_differences(knots, u, lut):
+        columns = []
+        for j in range(knots.size):
+            step = np.zeros(knots.size)
+            step[j] = 1e-7 * knots[j]
+            columns.append((_predict(knots + step, u, lut)
+                            - _predict(knots - step, u, lut)).ravel() / (2 * step[j]))
+        return np.column_stack(columns)
+
+    @pytest.mark.parametrize("separable", [True, False])
+    def test_matches_central_differences(self, separable):
+        grid = default_knot_grid()
+        knots = grid.active_values
+        rng = np.random.default_rng(7)
+        lut = (separable_cube(grid, lambda x: np.sqrt(np.clip(x / 58.9, 0, 1)))
+               if separable else CubeLUT(rng.uniform(0.0, 1.0, (32, 32, 32, 3))))
+        assert (lut.separable_channels() is not None) == separable
+        u = np.exp(rng.uniform(np.log(1e-5), np.log(100.0), (300, 3)))
+        u[:2] = [[1e-5, 2e-5, 1e-4], [70.0, 100.0, 80.0]]  # clamped at both ends
+        jac = _knot_jacobian(knots, u, lut)
+        ref = self.central_differences(knots, u, lut)
+        assert np.max(np.abs(jac - ref)) <= 1e-6 * np.max(np.abs(ref))
+        assert not jac[:6].any()

@@ -189,16 +189,16 @@ class TestEstimateKnots:
         assert run("estimate-knots", "--mode", "optimize", "--in", str(csv)) == 64
 
     @staticmethod
-    def optimize_args(tmp_path):
-        # samples generated under two known cubes, exposures spreading the
-        # unprocessed values across every knot cell
+    def optimize_args(tmp_path, exposures=(-6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0,
+                                           8.0, 10.0, 12.0)):
+        # samples generated under two known cubes, the default exposures
+        # spreading the unprocessed values across every knot cell
         grid = default_knot_grid()
         from hdrpcal.cubelut import separable_cube, serialize_cube
         from hdrpcal.harness import generate_samples, save_samples
         umax = float(grid.active_values[-1])
         shapes = [lambda x: np.clip(x / umax, 0, 1),
                   lambda x: np.sqrt(np.clip(x / umax, 0, 1))]
-        exposures = (-6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
         args = ["estimate-knots", "--mode", "optimize"]
         for i, fn in enumerate(shapes):
             lut = separable_cube(grid, fn)
@@ -226,6 +226,12 @@ class TestEstimateKnots:
         grid = default_knot_grid()
         rel = np.abs(est.active_values - grid.active_values) / grid.active_values
         assert rel.max() < 1e-3
+
+    def test_optimize_mode_names_unsupported_knots(self, tmp_path, capsys):
+        # at exposure 0 no sample reaches the top knot cells
+        assert run(*self.optimize_args(tmp_path, exposures=(0.0,))) == 0
+        assert re.search(r"\(\d+ evaluations, converged: unsupported knots: [\d, ]+, 32\)",
+                         capsys.readouterr().err)
 
     def test_optimize_mode_reports_no_convergence(self, tmp_path, capsys,
                                                   monkeypatch):

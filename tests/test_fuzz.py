@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from hdrpcal.cli import _load_sweeps, main
 from hdrpcal.cubelut import (CubeLUT, KnotGrid, _separable_outputs, _walk_rows,
@@ -203,6 +203,19 @@ def test_separable_cube_text_matches_per_value_text(drawn):
         assert serialize_cube(lut).split("\n") == _cube_lines_per_value(lut)
         still = np.signbit(before) and before == 0.0
         assert (lut.separable_channels() is not None) == still
+
+
+@settings(fuzz, max_examples=25)
+@example(3, [-0.0, 0.0, 0.12345678], 0)
+@given(st.integers(2, 17), st.lists(CURVE_VALUES, min_size=2, max_size=6),
+       st.integers(0, 2**32 - 1))
+def test_general_cube_text_matches_per_value_text(n, palette, seed):
+    """The cell path writes ``format(v, ".8g")`` per value: cubes whose
+    cells are drawn from a few values, signed zeros among them."""
+    pick = np.random.default_rng(seed).integers(0, len(palette), (n, n, n, 3))
+    lut = CubeLUT(np.array(palette)[pick])
+    assume(lut.separable_channels() is None)
+    assert serialize_cube(lut).split("\n") == _cube_lines_per_value(lut)
 
 
 MIXED = generate_samples(4, seed=2) + generate_samples(2, seed=3, kind="unlit")

@@ -17,7 +17,9 @@ samples: the global gain from a regression through the origin, and the
 tonemapping knot coordinates either from impulse-cube sweeps or by direct
 optimization of model predictions.  The latter is a nonlinear least-squares
 problem, solved by one Levenberg-Marquardt call with the exact Jacobian
-over the log of the first knot and of the gaps between knots.
+over the log of the first knot and of the gaps between knots.  The Jacobian
+takes each point's cell corners from the tonemap's own kernel in
+:mod:`hdrpcal.cubelut` and adds only the chain rule.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from .colorspace import SRGB_LINEAR_BREAK, srgb_decode, srgb_decode3
 # Not called here; the benchmark tracer requires this module binding.
 from .colorspace import srgb_encode3  # noqa: F401
 from .cubelut import (ACTIVE_START, DEFAULT_GRID_SIZE, CubeLUT, KnotGrid,
-                      _interpolate, _locate, _separable_outputs, default_knot_grid)
+                      _cell_corners, _interpolate, _locate,
+                      _separable_outputs, default_knot_grid)
 from .display import AchromaticDisplay, ChromaticDisplay
-from .errors import (DegenerateDataError, EstimationError, FitError,
-                     ValidationError)
+from .errors import FitError, ValidationError
 from .harness import (MATERIAL_FLOOR, SampleBatch, check_seed,
                       predict_unprocessed)
 from .scene import DEFAULT_SCALE_CONSTANT, _post_process
@@ -214,10 +216,10 @@ def estimate_scale_constant(samples: SampleBatch) -> ScaleEstimate:
     y = predicted[keep]
     denom = float(np.sum(x * x))
     if denom == 0.0 or float(np.sum(y * y)) == 0.0:
-        raise DegenerateDataError("all predictions or observations are zero")
+        raise FitError("all predictions or observations are zero")
     slope = float(np.sum(x * y)) / denom
     if slope <= 0:
-        raise DegenerateDataError(f"non-positive regression slope {slope!r}")
+        raise FitError(f"non-positive regression slope {slope!r}")
     return ScaleEstimate(c=1.0 / slope, slope=slope, n_samples=len(samples),
                          n_channel_points=int(keep.sum()),
                          n_saturated=int((~keep).sum()))
@@ -303,7 +305,7 @@ def estimate_knots_delta(sweeps) -> tuple[KnotGrid, DeltaEstimateReport]:
     by_m = {s.m: s for s in sweeps}
     missing = [m for m in active if m not in by_m]
     if missing:
-        raise EstimationError(f"missing sweeps for knot indices {missing}")
+        raise FitError(f"missing sweeps for knot indices {missing}")
 
     no_response = []
     anomalies: dict[int, str] = {}
@@ -318,7 +320,7 @@ def estimate_knots_delta(sweeps) -> tuple[KnotGrid, DeltaEstimateReport]:
     for m in active:
         sweep = by_m[m]
         if float(sweep.outputs.max()) <= NO_RESPONSE_LEVEL:
-            raise EstimationError(f"sweep {m} is flat; cannot estimate its knot")
+            raise FitError(f"sweep {m} is flat; cannot estimate its knot")
         apex, anomaly = _sweep_apex(sweep)
         if anomaly:
             anomalies[m] = anomaly
@@ -332,7 +334,7 @@ def estimate_knots_delta(sweeps) -> tuple[KnotGrid, DeltaEstimateReport]:
     try:
         grid = KnotGrid.from_active(estimates)
     except ValidationError as exc:
-        raise EstimationError(f"knot estimates are not strictly increasing: {exc}")
+        raise FitError(f"knot estimates are not strictly increasing: {exc}")
     return grid, DeltaEstimateReport(estimates=estimates,
                                      no_response=tuple(no_response),
                                      anomalies=anomalies)
@@ -365,12 +367,7 @@ def _knot_jacobian(knots: np.ndarray, u: np.ndarray, lut: CubeLUT) -> np.ndarray
     -(x - k_lo)/d^2, or 0 where x is clamped; dt/dw comes from the 8 cell
     corners (a separable cube has only the own-axis term), dv/dt is the
     sRGB encode slope."""
-    n, start = lut.size, lut.size - knots.size
-    idx, w = _locate(knots, np.clip(u, knots[0], knots[-1]))
-    o = np.array([0, 1])
-    cell = ((idx[:, 0] + start) * n + idx[:, 1] + start) * n + idx[:, 2] + start
-    corners = lut.outputs.reshape(-1, 3).take(  # (2, 2, 2, N, 3)
-        cell + ((o[:, None, None] * n + o[:, None]) * n + o)[..., None], axis=0)
+    idx, w, corners = _cell_corners(knots, lut, u)
     weights = np.stack([1.0 - w, w])  # (2, N, 3)
     dt_dw = np.stack([np.einsum("pqnc,pn,qn->nc", np.diff(corners, axis=a).squeeze(a),
                                 *(weights[..., b] for b in range(3) if b != a))
@@ -415,9 +412,9 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
     the solver's message when it stops without converging.
     """
     if len(datasets) < 2:
-        raise EstimationError("need samples under at least 2 distinct cubes")
+        raise FitError("need samples under at least 2 distinct cubes")
     if init.active_start != ACTIVE_START:
-        raise EstimationError("optimization expects the standard active range")
+        raise FitError("optimization expects the standard active range")
 
     rng = np.random.default_rng(check_seed(seed))
     train_sets, holdout_sets = [], []
@@ -440,10 +437,10 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
         n_train += int(np.sum(~holdout))
         n_holdout += int(np.sum(holdout))
     if not train_sets:
-        raise EstimationError("no training samples survive the material filter")
+        raise FitError("no training samples survive the material filter")
     if 3 * n_train < init.active_values.size:
-        raise EstimationError(f"{n_train} training samples give fewer residuals "
-                              f"than the {init.active_values.size} knots to fit")
+        raise FitError(f"{n_train} training samples give fewer residuals "
+                       f"than the {init.active_values.size} knots to fit")
 
     evaluations = 0
     rows = np.cumsum([0] + [3 * len(u) for u, _, _ in train_sets])
@@ -475,20 +472,15 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
     sse_init = float(np.sum(residuals(a0) ** 2))
     notes: list[str] = []
 
-    if sse_init <= 1e-20:
-        a_best, sse_final = a0, sse_init
-        converged = True
-        notes.append("initial grid already optimal")
-    else:
-        res = least_squares(residuals, a0, jac=jacobian, method="lm")
-        a_best, sse_final = res.x, float(np.sum(res.fun ** 2))
-        converged = bool(res.success)
-        if not converged:
-            notes.append(res.message)
+    res = least_squares(residuals, a0, jac=jacobian, method="lm")
+    sse_final = float(np.sum(res.fun ** 2))
+    converged = bool(res.success)
+    if not converged:
+        notes.append(res.message)
 
-    knots = _knots_from_log_gaps(a_best)
+    knots = _knots_from_log_gaps(res.x)
     if np.any(np.diff(knots) <= 0):
-        raise EstimationError("optimized knots are not strictly increasing")
+        raise FitError("optimized knots are not strictly increasing")
     unsupported = tuple((np.flatnonzero(~knot_jacobian(knots).any(axis=0))
                          + init.active_start).tolist())
     if unsupported:

@@ -35,8 +35,7 @@ from .cubelut import (DEFAULT_GRID_SIZE, CubeTonemap, KnotGrid,
                       serialize_cube)
 from .display import fit_achromatic, fit_chromatic, load_achromatic_csv, \
     load_chromatic_csv, load_display, save_display
-from .errors import (EstimationError, FitError, HdrpcalError, UsageError,
-                     ValidationError)
+from .errors import FitError, HdrpcalError, UsageError, ValidationError
 from .harness import (MATERIAL_FLOOR, generate_samples, load_samples,
                       save_samples, validate_model)
 from .scene import DEFAULT_SCALE_CONSTANT
@@ -351,7 +350,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"hdrpcal: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FitError, EstimationError) as exc:
+    except FitError as exc:
         print(f"hdrpcal: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except (HdrpcalError, OSError) as exc:

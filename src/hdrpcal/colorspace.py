@@ -7,14 +7,14 @@ reach the framebuffer.  Framebuffer values are quantized to multiples of
 1/255.
 
 All operations are pure, accept scalars or numpy arrays, and raise
-:class:`~hdrpcal.errors.DomainError` on out-of-domain input.
+:class:`~hdrpcal.errors.ValidationError` on out-of-domain input.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ValidationError
 
 # Encoded-side breakpoint of the piecewise sRGB curve.
 SRGB_ENCODED_BREAK = 0.04045
@@ -31,9 +31,9 @@ def _checked(x, op: str, triplet: bool = False) -> np.ndarray:
     offending channel."""
     arr = np.asarray(x, dtype=float)
     if triplet and arr.shape[-1:] != (3,):
-        raise DomainError(f"{op}: expected shape (..., 3), got {arr.shape}")
+        raise ValidationError(f"{op}: expected shape (..., 3), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{op}: input must be finite")
+        raise ValidationError(f"{op}: input must be finite")
     bad = (arr < 0.0) | (arr > 1.0)
     if np.any(bad):
         if triplet:
@@ -41,7 +41,7 @@ def _checked(x, op: str, triplet: bool = False) -> np.ndarray:
             where = f"channel {CHANNEL_NAMES[channel]}"
         else:
             where = f"input {arr[bad].flat[0]!r}"
-        raise DomainError(f"{op}: {where} outside [0, 1]")
+        raise ValidationError(f"{op}: {where} outside [0, 1]")
     return arr
 
 

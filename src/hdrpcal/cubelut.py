@@ -27,7 +27,9 @@ trilinearly in between.  Empirically the first two knots play no role:
 interpolation runs over knots 3..n only, and inputs below u*_3 or above
 u*_n clamp to the edge of that active range.  (The engine also shows an
 interpolation anomaly between u*_3 and u*_4; this model deliberately uses
-clean linear interpolation there.)
+clean linear interpolation there.)  One private kernel locates each point's
+knot cell and gathers its eight corner outputs; the tonemap sums them, and
+the knot fit in :mod:`hdrpcal.calibrate` differentiates the same corners.
 
 When each output channel depends only on its own grid index (a separable
 cube, such as every impulse and gamma-correction cube), trilinear
@@ -406,21 +408,21 @@ def _interpolate(knots: np.ndarray, lut: CubeLUT, x: np.ndarray) -> np.ndarray:
     if curves is not None:
         return np.column_stack([np.interp(x[:, k], knots, curves[k][start:])
                                 for k in range(3)])
-    cube = lut.outputs[start:, start:, start:, :]
-    return _trilinear(knots, cube, np.clip(x, knots[0], knots[-1]))
-
-
-def _trilinear(knots: np.ndarray, cube: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Trilinear interpolation of ``cube`` ((K,K,K,3)) over shared non-uniform
-    axis coordinates ``knots`` ((K,)) at points ``x`` ((N,3), already clipped)."""
-    idx, w = _locate(knots, x)
-    out = np.zeros((x.shape[0], 3))
-    for di in (0, 1):
-        wi = w[:, 0] if di else 1.0 - w[:, 0]
-        for dj in (0, 1):
-            wj = w[:, 1] if dj else 1.0 - w[:, 1]
-            for dk in (0, 1):
-                wk = w[:, 2] if dk else 1.0 - w[:, 2]
-                corner = cube[idx[:, 0] + di, idx[:, 1] + dj, idx[:, 2] + dk]
-                out += corner * (wi * wj * wk)[:, None]
+    _, w, corners = _cell_corners(knots, lut, x)
+    wr, wg, wb = np.stack([1.0 - w.T, w.T], axis=1)  # (2, N) each: lower, upper
+    out = np.zeros(x.shape)
+    for i, j, k in np.ndindex(2, 2, 2):  # one corner at a time, in a fixed order
+        out += corners[i, j, k] * (wr[i] * wg[j] * wb[k])[:, None]
     return out
+
+
+def _cell_corners(knots: np.ndarray, lut: CubeLUT, x: np.ndarray) -> tuple:
+    """Cell ``idx`` and weights ``w`` of points ``x`` ((N, 3)) on each axis
+    (see :func:`_locate`), and the outputs of ``lut`` at the cell corners,
+    ``corners[i, j, k]`` at red, green, blue offsets i, j, k: (2, 2, 2, N, 3)."""
+    idx, w = _locate(knots, x)
+    shape = (lut.size,) * 3
+    cell = np.ravel_multi_index((idx + lut.size - knots.size).T, shape)
+    offsets = np.ravel_multi_index(np.indices((2, 2, 2)), shape)
+    corners = lut.outputs.reshape(-1, 3).take(cell + offsets[..., None], axis=0)
+    return idx, w, corners

@@ -31,8 +31,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from ._table import read_table, reject_first
-from .errors import (ConvergenceError, DegenerateDataError, DomainError,
-                     FitError, ValidationError)
+from .errors import FitError, ValidationError
 
 FIT_MAX_EVALS = 500
 FIT_STEP_TOL = 1e-10
@@ -63,7 +62,7 @@ class AchromaticDisplay:
         """Displayed luminance for framebuffer value(s) v in [0, 1]."""
         arr = np.asarray(v, dtype=float)
         if np.any(~np.isfinite(arr)) or np.any(arr < 0) or np.any(arr > 1):
-            raise DomainError("framebuffer value outside [0, 1]")
+            raise ValidationError("framebuffer value outside [0, 1]")
         out = self.l1 * arr ** self.gamma + self.l0
         return float(out) if np.ndim(v) == 0 else out
 
@@ -101,9 +100,9 @@ class ChromaticDisplay:
         """CIE XYZ of framebuffer triplet(s) v in [0, 1]^3."""
         arr = np.asarray(v, dtype=float)
         if arr.shape[-1:] != (3,) or np.any(~np.isfinite(arr)):
-            raise DomainError("expected finite (..., 3) framebuffer values")
+            raise ValidationError("expected finite (..., 3) framebuffer values")
         if np.any(arr < 0) or np.any(arr > 1):
-            raise DomainError("framebuffer value outside [0, 1]")
+            raise ValidationError("framebuffer value outside [0, 1]")
         return (arr ** self.gammas) @ self.primaries.T + self.background
 
 
@@ -186,7 +185,7 @@ def fit_achromatic(measurements) -> tuple[AchromaticDisplay, FitReport]:
     if v.min() > 0.1 or v.max() < 0.9:
         raise FitError("insufficient data: need v levels near 0 and near 1")
     if np.ptp(lum) == 0:
-        raise DegenerateDataError("constant luminance readings carry no information")
+        raise FitError("constant luminance readings carry no information")
 
     def resid(theta):
         l0, l1, gamma = theta
@@ -197,7 +196,7 @@ def fit_achromatic(measurements) -> tuple[AchromaticDisplay, FitReport]:
                         xtol=FIT_STEP_TOL, ftol=None, gtol=None,
                         max_nfev=FIT_MAX_EVALS)
     if res.status == 0:
-        raise ConvergenceError(
+        raise FitError(
             f"achromatic fit did not converge within {FIT_MAX_EVALS} evaluations")
     display = AchromaticDisplay(l0=float(res.x[0]), l1=float(res.x[1]),
                                 gamma=float(res.x[2]))
@@ -238,7 +237,7 @@ def _fit_gamma(v: np.ndarray, p: np.ndarray, channel: str) -> float:
     res = least_squares(resid, np.array([2.2]), bounds=([1e-6], [np.inf]),
                         xtol=1e-14, ftol=None, gtol=None, max_nfev=FIT_MAX_EVALS)
     if res.status == 0:
-        raise ConvergenceError(f"gamma fit for channel {channel} did not converge")
+        raise FitError(f"gamma fit for channel {channel} did not converge")
     return float(res.x[0])
 
 

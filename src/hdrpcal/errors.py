@@ -7,12 +7,9 @@ class HdrpcalError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DomainError(HdrpcalError, ValueError):
-    """Numeric input outside the mathematical domain of an operation."""
-
-
 class ValidationError(HdrpcalError, ValueError):
-    """A value violates a structural invariant (range, unit norm, shape)."""
+    """A value lies outside the domain of an operation or violates a structural
+    invariant (range, unit norm, shape)."""
 
 
 class CubeFormatError(HdrpcalError, ValueError):
@@ -51,19 +48,8 @@ class SampleFormatError(HdrpcalError, ValueError):
 
 
 class FitError(HdrpcalError, RuntimeError):
-    """Model fitting failed (insufficient data, bad conditioning, ...)."""
-
-
-class DegenerateDataError(FitError):
-    """The data carries no information about the parameters."""
-
-
-class ConvergenceError(FitError):
-    """An iterative fit hit its iteration cap."""
-
-
-class EstimationError(HdrpcalError, RuntimeError):
-    """A knot or constant estimation procedure could not produce a result."""
+    """A fit or estimate could not produce a result (insufficient or degenerate
+    data, no convergence, bad conditioning, ...)."""
 
 
 class UsageError(HdrpcalError):

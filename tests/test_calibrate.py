@@ -11,8 +11,7 @@ from hdrpcal.colorspace import srgb_decode, srgb_encode, srgb_encode3
 from hdrpcal.cubelut import (CubeLUT, CubeTonemap, DELTA_KNOTS, KnotGrid,
                              default_knot_grid, make_delta_cube, separable_cube)
 from hdrpcal.display import AchromaticDisplay, ChromaticDisplay
-from hdrpcal.errors import (DegenerateDataError, EstimationError, FitError,
-                            ValidationError)
+from hdrpcal.errors import FitError, ValidationError
 from hdrpcal.harness import generate_samples, predict_unprocessed
 
 DISPLAY = AchromaticDisplay(l0=2.0, l1=98.0, gamma=2.2)
@@ -243,7 +242,7 @@ class TestEstimateScaleConstant:
         samples = generate_samples(200, seed=11, kind="lambertian",
                                    directional_intensity_range=(0.0, 0.0),
                                    ambient_intensity_range=(0.0, 0.0))
-        with pytest.raises(DegenerateDataError):
+        with pytest.raises(FitError, match="^all predictions or observations are zero$"):
             estimate_scale_constant(samples)
 
 
@@ -274,7 +273,7 @@ class TestEstimateKnotsDelta:
     def test_missing_sweep(self):
         grid = default_knot_grid()
         sweeps = [s for s in synthetic_sweeps(grid) if s.m != 10]
-        with pytest.raises(EstimationError, match="10"):
+        with pytest.raises(FitError, match=r"^missing sweeps for knot indices \[10\]$"):
             estimate_knots_delta(sweeps)
 
     def test_flat_active_sweep_is_error(self):
@@ -282,7 +281,7 @@ class TestEstimateKnotsDelta:
         sweeps = synthetic_sweeps(grid)
         xs = sweeps[5].inputs
         sweeps[5] = DeltaSweep(m=6, inputs=xs, outputs=np.zeros_like(xs))
-        with pytest.raises(EstimationError, match="flat"):
+        with pytest.raises(FitError, match="^sweep 6 is flat; cannot estimate its knot$"):
             estimate_knots_delta(sweeps)
 
     def test_non_unimodal_flagged(self):
@@ -322,11 +321,16 @@ def study_datasets(quantize, seeds, count=500,
 
 class TestEstimateKnotsOptimize:
     def test_fixed_point_noiseless(self):
+        # unquantized samples rendered under the init grid: the solver starts
+        # at its optimum, stays there and reports convergence
         grid, datasets = study_datasets(quantize=False, seeds=(31, 32, 33))
         est, report = estimate_knots_optimize(datasets, grid, seed=0)
-        assert report.objective_init < 1e-20
+        assert report.objective_init <= 1e-20
+        assert report.converged, report.notes
         rel = np.abs(est.active_values - grid.active_values) / grid.active_values
-        assert rel.max() < 1e-9
+        assert rel.max() <= 1e-12
+        assert not any("already optimal" in note for note in report.notes)
+        assert all(note.startswith("unsupported knots: ") for note in report.notes)
 
     @staticmethod
     def perturbed_study():
@@ -381,12 +385,12 @@ class TestEstimateKnotsOptimize:
 
     def test_requires_two_cubes(self):
         grid, datasets = study_datasets(quantize=False, seeds=(51, 52, 53))
-        with pytest.raises(EstimationError):
+        with pytest.raises(FitError, match="^need samples under at least 2 distinct cubes$"):
             estimate_knots_optimize(datasets[:1], grid)
 
     def test_fewer_residuals_than_knots(self):
         grid, datasets = study_datasets(quantize=False, seeds=(51, 52), count=8)
-        with pytest.raises(EstimationError, match="fewer residuals than the 30 knots"):
+        with pytest.raises(FitError, match="fewer residuals than the 30 knots"):
             estimate_knots_optimize(datasets, grid, seed=0)
 
     def test_material_filter_counted(self):

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from hdrpcal import cli, errors
 from hdrpcal.calibrate import GammaCorrectionSpec, build_correction_cube
 from hdrpcal.cli import main
 from hdrpcal.cubelut import (CubeTonemap, KnotGrid, default_knot_grid,
@@ -451,6 +452,34 @@ class TestMakeCubeAndValidate:
         assert run("validate", "--in", str(samples), "--out", str(r1)) == 0
         assert run("validate", "--in", str(samples), "--out", str(r2)) == 0
         assert r1.read_bytes() == r2.read_bytes()
+
+
+#: The exit code of ``main`` for each error class a handler may raise.
+EXIT_CODES = {
+    errors.HdrpcalError: 2,
+    errors.ValidationError: 2,
+    errors.CubeFormatError: 2,
+    errors.CubeTruncationError: 2,
+    errors.UnsupportedCubeError: 2,
+    errors.SampleFormatError: 2,
+    errors.FitError: 1,
+    errors.UsageError: 64,
+}
+
+
+class TestExitCodes:
+    def test_table_covers_every_error_class(self):
+        defined = {value for value in vars(errors).values()
+                   if isinstance(value, type) and value.__module__ == errors.__name__}
+        assert defined == set(EXIT_CODES)
+
+    @pytest.mark.parametrize("error", list(EXIT_CODES), ids=lambda e: e.__name__)
+    def test_exit_code(self, error, tmp_path, monkeypatch, capsys):
+        def handler(args):
+            raise error("handler failed")
+        monkeypatch.setitem(cli._HANDLERS, "gen-delta-cubes", handler)
+        assert run("gen-delta-cubes", "--out", str(tmp_path)) == EXIT_CODES[error]
+        assert "handler failed" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -3,12 +3,13 @@ import io
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from hdrpcal.calibrate import GammaCorrectionSpec, build_correction_cube
 from hdrpcal.colorspace import srgb_encode3
 from hdrpcal.cubelut import (CubeLUT, CubeRangeWarning, CubeTonemap,
                              DELTA_KNOTS, KnotGrid, OPTIMIZED_KNOTS,
-                             _interpolate, _trilinear, default_knot_grid,
+                             _interpolate, default_knot_grid,
                              make_delta_cube, parse_cube, separable_cube,
                              serialize_cube)
 from hdrpcal.display import AchromaticDisplay
@@ -409,6 +410,28 @@ class TestApplyTonemap:
             tm.apply(np.zeros((2, 2)))
 
 
+    def test_general_matches_grid_interpolator(self):
+        # an independent trilinear reference over the active subgrid
+        rng = np.random.default_rng(3)
+        grid = default_knot_grid()
+        lut = random_lut(rng, 32)
+        k = grid.active_values
+        u = np.exp(rng.uniform(-11, 4.6, (5000, 3)))  # 1.7e-5 .. 99
+        assert np.any(u < k[0]) and np.any(u > k[-1])
+        reference = RegularGridInterpolator((k, k, k), lut.outputs[2:, 2:, 2:])
+        out = CubeTonemap(grid, lut).apply(u)
+        assert np.max(np.abs(out - reference(np.clip(u, k[0], k[-1])))) <= 1e-15
+
+    def test_general_output_pinned(self):
+        # the bytes of a general-cube tonemap, corners summed in a fixed order
+        rng = np.random.default_rng(13)
+        lut = random_lut(rng, 32)
+        u = np.exp(rng.uniform(-11, 4.6, (20000, 3)))
+        out = CubeTonemap(default_knot_grid(), lut).apply(u)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == (
+            "3f8dbe8f2e3f8dc7daace68c7dd4109414771c4c3b35b0f8c4377fe1e4975e92")
+
+
 class TestSeparable:
     def test_separable_channels_detected(self):
         grid = default_knot_grid()
@@ -443,14 +466,15 @@ class TestSeparable:
         assert rows[1 + 5 + 32 * 9 + 32 ** 2 * 3] == "-0 0 0"
         assert sum("-0" in row for row in rows) == 1
 
-    def test_separable_path_matches_trilinear(self):
+    def test_separable_path_matches_trilinear(self, monkeypatch):
         grid = default_knot_grid()
         lut = separable_cube(grid, (lambda x: np.clip(x / 60.0, 0, 1),
                                     lambda x: np.clip(np.sqrt(x / 60), 0, 1),
                                     lambda x: np.clip(x / 3.0, 0, 1) ** 2))
         knots = grid.active_values
         u = np.random.default_rng(7).uniform(0, 70, (2000, 3))
-        trilinear = _trilinear(knots, lut.outputs[2:, 2:, 2:],
-                               np.clip(u, knots[0], knots[-1]))
         assert lut.separable_channels() is not None
-        assert np.max(np.abs(_interpolate(knots, lut, u) - trilinear)) <= 1e-15
+        separable = _interpolate(knots, lut, u)
+        # the same cells through the general path: the 8 corners summed
+        monkeypatch.setattr(CubeLUT, "separable_channels", lambda self: None)
+        assert np.max(np.abs(separable - _interpolate(knots, lut, u))) <= 1e-15

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares, lsq_linear
 
-from .colorspace import SRGB_LINEAR_BREAK, srgb_decode, srgb_decode3
+from .colorspace import SRGB_LINEAR_BREAK, _checked, srgb_decode, srgb_decode3
 # Not called here; the benchmark tracer requires this module binding.
 from .colorspace import srgb_encode3  # noqa: F401
 from .cubelut import (ACTIVE_START, DEFAULT_GRID_SIZE, CubeLUT, KnotGrid,
@@ -104,9 +104,7 @@ class GammaCorrectionSpec:
 def _gamma_tonemap(u, w, gamma, r: float):
     """f(u) = s(h^-1(clip((1 + w)*u/r - w, 0, 1))) with h(v) = v**gamma;
     ``w`` and ``gamma`` broadcast against ``u``, and a scalar u gives a float."""
-    arr = np.asarray(u, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0):
-        raise ValidationError("unprocessed values must be finite and >= 0")
+    arr = _checked(u, "channel_tonemaps", hi=np.inf)
     arg = np.clip((1.0 + w) * arr / r - w, 0.0, 1.0)
     out = srgb_decode(arg ** (1.0 / gamma))
     return float(out) if np.ndim(u) == 0 else out
@@ -114,9 +112,7 @@ def _gamma_tonemap(u, w, gamma, r: float):
 
 def gamma_tonemap(spec: GammaCorrectionSpec, u):
     """Exact gamma-correction tonemap of (..., 3) triplets, either display kind."""
-    arr = np.asarray(u, dtype=float)
-    if arr.shape[-1:] != (3,):
-        raise ValidationError(f"expected (..., 3) input, got shape {arr.shape}")
+    arr = _checked(u, "gamma_tonemap", triplet=True, hi=np.inf)
     return np.stack([f(arr[..., k]) for k, f in enumerate(spec.channel_tonemaps())],
                     axis=-1)
 

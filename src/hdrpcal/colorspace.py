@@ -25,23 +25,24 @@ SRGB_LINEAR_BREAK = SRGB_ENCODED_BREAK / 12.92
 CHANNEL_NAMES = ("r", "g", "b")
 
 
-def _checked(x, op: str, triplet: bool = False) -> np.ndarray:
-    """``x`` as a float array after the domain check shared by every public
-    operation; ``triplet`` also requires shape (..., 3) and names the first
-    offending channel."""
+def _checked(x, op: str, triplet: bool = False, hi: float = 1.0) -> np.ndarray:
+    """``x`` as a float array after the one domain check of the package's
+    input arrays: finite and within [0, hi] (1 or inf); ``triplet`` also
+    requires shape (..., 3) and names the first offending channel.  Every
+    message starts with ``op``."""
     arr = np.asarray(x, dtype=float)
     if triplet and arr.shape[-1:] != (3,):
         raise ValidationError(f"{op}: expected shape (..., 3), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{op}: input must be finite")
-    bad = (arr < 0.0) | (arr > 1.0)
+    bad = (arr < 0.0) | (arr > hi)
     if np.any(bad):
         if triplet:
             channel = int(np.argmax(np.any(bad.reshape(-1, 3), axis=0)))
             where = f"channel {CHANNEL_NAMES[channel]}"
         else:
-            where = f"input {arr[bad].flat[0]!r}"
-        raise ValidationError(f"{op}: {where} outside [0, 1]")
+            where = f"input {float(arr[bad].flat[0])}"
+        raise ValidationError(f"{op}: {where} outside [0, {hi:g}]")
     return arr
 
 

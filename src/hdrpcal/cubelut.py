@@ -52,6 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from ._table import read_table, reject_first
+from .colorspace import _checked
 from .errors import (CubeFormatError, CubeTruncationError, UnsupportedCubeError,
                      ValidationError)
 
@@ -107,9 +108,7 @@ class KnotGrid:
         if arr.ndim != 1 or not 1 <= self.active_start < arr.size:
             raise ValidationError(f"knot grid needs 1 <= active_start < size, got "
                                   f"active_start {self.active_start}, size {arr.size}")
-        active = self.active_values
-        if not np.all(np.isfinite(active)) or np.any(active < 0):
-            raise ValidationError("active knots must be finite and >= 0")
+        active = _checked(self.active_values, "KnotGrid", hi=np.inf)
         if np.any(np.diff(active) <= 0):
             raise ValidationError("active knots must be strictly increasing")
 
@@ -176,10 +175,7 @@ class CubeLUT:
         n = arr.shape[0]
         if arr.shape != (n, n, n, 3):
             raise ValidationError(f"cube outputs must be (n, n, n, 3), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("cube outputs must be finite")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValidationError("cube outputs must lie in [0, 1]")
+        _checked(arr, "CubeLUT")
         arr.setflags(write=False)
         object.__setattr__(self, "outputs", arr)
         for name in ("domain_min", "domain_max"):
@@ -379,11 +375,7 @@ class CubeTonemap:
                 f"knot grid size {self.grid.size} != cube size {self.lut.size}")
 
     def apply(self, u):
-        arr = np.asarray(u, dtype=float)
-        if arr.shape[-1:] != (3,):
-            raise ValidationError(f"expected (..., 3) input, got shape {arr.shape}")
-        if np.any(~np.isfinite(arr)) or np.any(arr < 0):
-            raise ValidationError("tonemap input must be finite and >= 0")
+        arr = _checked(u, "CubeTonemap.apply", triplet=True, hi=np.inf)
         out = _interpolate(self.grid.active_values, self.lut, arr.reshape(-1, 3))
         return out.reshape(arr.shape)
 

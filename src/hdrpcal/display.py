@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from ._table import read_table, reject_first
+from .colorspace import _checked
 from .errors import FitError, ValidationError
 
 FIT_MAX_EVALS = 500
@@ -60,9 +61,7 @@ class AchromaticDisplay:
 
     def luminance(self, v):
         """Displayed luminance for framebuffer value(s) v in [0, 1]."""
-        arr = np.asarray(v, dtype=float)
-        if np.any(~np.isfinite(arr)) or np.any(arr < 0) or np.any(arr > 1):
-            raise ValidationError("framebuffer value outside [0, 1]")
+        arr = _checked(v, "AchromaticDisplay.luminance")
         out = self.l1 * arr ** self.gamma + self.l0
         return float(out) if np.ndim(v) == 0 else out
 
@@ -98,11 +97,7 @@ class ChromaticDisplay:
 
     def xyz(self, v) -> np.ndarray:
         """CIE XYZ of framebuffer triplet(s) v in [0, 1]^3."""
-        arr = np.asarray(v, dtype=float)
-        if arr.shape[-1:] != (3,) or np.any(~np.isfinite(arr)):
-            raise ValidationError("expected finite (..., 3) framebuffer values")
-        if np.any(arr < 0) or np.any(arr > 1):
-            raise ValidationError("framebuffer value outside [0, 1]")
+        arr = _checked(v, "ChromaticDisplay.xyz", triplet=True)
         return (arr ** self.gammas) @ self.primaries.T + self.background
 
 
@@ -117,17 +112,14 @@ class Measurement:
     xyz: np.ndarray | None = None
 
     def __post_init__(self):
-        v = np.array(self.v, dtype=float)
-        if v.shape[-1:] != (3,) or np.any(~np.isfinite(v)) or np.any(v < 0) or np.any(v > 1):
-            raise ValidationError("measurement v must be a triplet in [0, 1]")
+        v = _checked(np.array(self.v, dtype=float), "Measurement v", triplet=True)
         if (self.luminance is None) == (self.xyz is None):
             raise ValidationError("measurement needs exactly one of luminance or xyz")
         kind, shape = ("luminance", v.shape[:-1]) if self.xyz is None else ("xyz", v.shape)
         reading = np.array(getattr(self, kind), dtype=float)
         if reading.shape != shape:
             raise ValidationError(f"{kind} readings must have shape {shape}")
-        if np.any(~np.isfinite(reading)) or np.any(reading < 0):
-            raise ValidationError(f"{kind} reading must be >= 0")
+        _checked(reading, f"Measurement {kind}", hi=np.inf)
         for name, arr in (("v", v), (kind, reading)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -299,21 +291,19 @@ def fit_chromatic(measurements) -> tuple[ChromaticDisplay, FitReport]:
     return display, report
 
 
+#: Display JSON ``kind`` of each display class; the other keys are its fields.
+_DISPLAY_KINDS = {"achromatic": AchromaticDisplay, "chromatic": ChromaticDisplay}
+
+
 def save_display(display, file, report: FitReport | None = None) -> None:
     """Persist a fitted display as JSON with a ``kind`` discriminator."""
-    if isinstance(display, AchromaticDisplay):
-        doc = {"kind": "achromatic", "l0": display.l0, "l1": display.l1,
-               "gamma": display.gamma}
-    elif isinstance(display, ChromaticDisplay):
-        doc = {"kind": "chromatic",
-               "primary_r": display.primary_r.tolist(),
-               "primary_g": display.primary_g.tolist(),
-               "primary_b": display.primary_b.tolist(),
-               "background": display.background.tolist(),
-               "gammas": display.gammas.tolist(),
-               "weights": display.weights.tolist()}
-    else:
+    kinds = [k for k, cls in _DISPLAY_KINDS.items() if isinstance(display, cls)]
+    if not kinds:
         raise ValidationError(f"not a display model: {display!r}")
+    doc = {"kind": kinds[0]}
+    for f in fields(display):
+        value = getattr(display, f.name)
+        doc[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
     if report is not None:
         doc["fit"] = {"residual_rms": report.residual_rms,
                       "n_points": report.n_points}
@@ -332,16 +322,12 @@ def load_display(file):
     if not isinstance(doc, dict):
         raise ValidationError("display JSON must be an object")
     kind = doc.get("kind")
-    if kind == "achromatic":
-        cls, keys = AchromaticDisplay, ("l0", "l1", "gamma")
-    elif kind == "chromatic":
-        cls, keys = ChromaticDisplay, ("primary_r", "primary_g", "primary_b",
-                                       "background", "gammas", "weights")
-    else:
+    cls = _DISPLAY_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ValidationError(f"unknown display kind {kind!r}")
-    vector = kind == "chromatic"
-    fields = {}
-    for key in keys:
+    vector = cls is ChromaticDisplay
+    values = {}
+    for key in (f.name for f in fields(cls)):
         if key not in doc:
             raise ValidationError(f"{kind} display JSON: missing key {key!r}")
         value = doc[key]
@@ -352,8 +338,8 @@ def load_display(file):
             expected = "a list of finite numbers" if vector else "a finite number"
             raise ValidationError(f"{kind} display JSON: {key!r} must be "
                                   f"{expected}, got {json.dumps(value)}")
-        fields[key] = numbers if vector else numbers[0]
-    return cls(**fields)
+        values[key] = numbers if vector else numbers[0]
+    return cls(**values)
 
 
 def load_achromatic_csv(file) -> Measurement:

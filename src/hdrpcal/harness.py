@@ -39,7 +39,7 @@ import numpy as np
 
 from . import svgplot
 from ._table import PROBLEMS, read_table
-from .colorspace import quantize_8bit
+from .colorspace import _checked, quantize_8bit
 # Not called here; the benchmark tracer requires this module binding.
 from .colorspace import srgb_encode3  # noqa: F401
 from .errors import SampleFormatError, ValidationError
@@ -426,9 +426,7 @@ def simulate_characterization(display, levels, tonemap=None,
     the arrays ``(u, v, readings)``: the (N, 3) unprocessed and
     post-processed triplets and the readings, luminance (N,) or XYZ (N, 3).
     """
-    levels = np.asarray(levels, dtype=float)
-    if np.any(levels < 0):
-        raise ValidationError("levels must be >= 0")
+    levels = _checked(levels, "simulate_characterization", hi=np.inf)
     if mode == "achromatic":
         u = np.repeat(levels[:, None], 3, axis=1)
     elif mode == "chromatic":

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .colorspace import _encode, srgb_decode3
+from .colorspace import _checked, _encode, srgb_decode3
 from .errors import ValidationError
 
 #: Default pipeline gain, estimated from rendered samples (see
@@ -65,12 +65,7 @@ def post_process(u, tonemap=None) -> np.ndarray:
     :class:`~hdrpcal.cubelut.CubeTonemap`; ``None`` disables tonemapping,
     making f the identity clamped to the displayable range [0, 1].
     """
-    arr = np.asarray(u, dtype=float)
-    if arr.shape[-1:] != (3,):
-        raise ValidationError(f"expected (..., 3) unprocessed values, "
-                              f"got shape {arr.shape}")
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0.0):
-        raise ValidationError("unprocessed values must be finite and >= 0")
+    arr = _checked(u, "post_process", triplet=True, hi=np.inf)
     return _post_process(arr, None if tonemap is None else tonemap.apply)
 
 

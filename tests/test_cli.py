@@ -454,6 +454,87 @@ class TestMakeCubeAndValidate:
         assert r1.read_bytes() == r2.read_bytes()
 
 
+#: sha256 of each output body of the session in ``golden_session``.
+GOLDEN = {
+    "simulate":
+        "0af929ce1313c56d138662d5a4f0d1114b2eef29e108b9f604d3f3e53d95d833",
+    "fit-c":
+        "e1391dd0633d48f0ebe4b6cf5cd46c3585770e8b4563045b6bf91dfcdef1514c",
+    "estimate-knots":
+        "ee7fc197745096cb3409f08e2a02cb8737033221115dcfeab15d6b0227ec8202",
+    "fit-display achromatic":
+        "21a80c932819de32c308fce342376a250ec59b93af7551d86ad760d84662008a",
+    "fit-display chromatic":
+        "f561c6ccc1951d0cde9b6fb71cc18cbfce93566a7f6457dddb5da6362ddfed1e",
+    "make-cube":
+        "7aaa267c2d465599c836c4ac0b5f7442fb8a00837b8c7927c2af8c455c2004b4",
+    "simulate through the cube":
+        "19422cf7c169d893272c903a1f56f1c96f25c723b4ab8821dfc7a2844ebe12a3",
+    "validate csv":
+        "7b756f3c3698389f22e9762fe88361a5daddd137d394e1b33f30605c4145ef97",
+    "validate svg":
+        "7145b96ec59b6a5d83648465fc531b6c2763566282794601377be25721bd849e",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_session(tmp_path_factory):
+    """One calibration session on small fixed inputs; the path of each
+    output body, by ``GOLDEN`` key."""
+    d = tmp_path_factory.mktemp("golden")
+    out = {name: d / name.replace(" ", "_") for name in GOLDEN}
+    # impulse sweeps over the built-in knots, for delta-mode estimation
+    xs = np.geomspace(1e-5, 100, 120)
+    rows = ["m,u,t"]
+    for m in range(1, 33):
+        t = CubeTonemap(default_knot_grid(), make_delta_cube(m)).apply(
+            np.column_stack([xs, xs, xs]))[:, 0]
+        rows.extend(f"{m},{x:.12g},{y:.12g}" for x, y in zip(xs, t))
+    (d / "sweeps.csv").write_text("\n".join(rows) + "\n")
+    # L = 2 + 98 v^2.2, and an additive display with sRGB-like primaries
+    levels = np.linspace(0, 1, 11)
+    (d / "achromatic.csv").write_text("v,L\n" + "".join(
+        f"{v:.4f},{2 + 98 * v ** 2.2:.10g}\n" for v in levels))
+    primaries = np.array([[41.24, 21.26, 1.93], [35.76, 71.52, 11.92],
+                          [18.05, 7.22, 95.03]])
+    stims = np.vstack([np.zeros(3)] + [np.outer(levels[1:], np.eye(3)[k])
+                                       for k in range(3)])
+    xyz = (stims ** np.array([1.8, 2.2, 2.6])) @ primaries + [0.9, 1.0, 1.1]
+    (d / "chromatic.csv").write_text("v_r,v_g,v_b,X,Y,Z\n" + "".join(
+        ",".join(f"{x:.12g}" for x in row) + "\n" for row in np.hstack([stims, xyz])))
+    for argv in (
+            ["simulate", "--samples", "150", "--seed", "31", "--quantize",
+             "--out", out["simulate"]],
+            ["fit-c", "--in", out["simulate"], "--out", out["fit-c"]],
+            ["estimate-knots", "--mode", "delta", "--in", d / "sweeps.csv",
+             "--out", out["estimate-knots"]],
+            ["fit-display", "--mode", "achromatic", "--in", d / "achromatic.csv",
+             "--out", out["fit-display achromatic"]],
+            ["fit-display", "--mode", "chromatic", "--in", d / "chromatic.csv",
+             "--out", out["fit-display chromatic"]],
+            ["make-cube", "--display", out["fit-display achromatic"], "--r", "1.111",
+             "--refine", "--knots", out["estimate-knots"], "--out", out["make-cube"]],
+            ["simulate", "--samples", "150", "--seed", "32", "--tonemap",
+             out["make-cube"], "--knots", out["estimate-knots"],
+             "--out", out["simulate through the cube"]],
+            # scored against the built-in knots, not the estimated ones
+            ["validate", "--in", out["simulate through the cube"], "--tonemap",
+             out["make-cube"], "--out", out["validate csv"],
+             "--plot", out["validate svg"]]):
+        assert run("--quiet", *map(str, argv)) == 0, argv
+    return out
+
+
+class TestGoldenBytes:
+    """Every subcommand's output body is byte-stable across versions, not
+    only across runs; ``gen-delta-cubes`` is pinned in TestGenDeltaCubes."""
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_output_bytes(self, golden_session, name):
+        body = golden_session[name].read_bytes()
+        assert hashlib.sha256(body).hexdigest() == GOLDEN[name]
+
+
 #: The exit code of ``main`` for each error class a handler may raise.
 EXIT_CODES = {
     errors.HdrpcalError: 2,

@@ -26,9 +26,11 @@ class TestSrgbDecode:
         assert srgb_decode(0.5) == pytest.approx(0.21404114048223255, abs=1e-15)
 
     def test_domain_errors(self):
-        with pytest.raises(ValidationError, match=r"^srgb_decode: input .*-0\.001.* outside"):
+        with pytest.raises(ValidationError,
+                           match=r"^srgb_decode: input -0\.001 outside \[0, 1\]$"):
             srgb_decode(-0.001)
-        with pytest.raises(ValidationError, match=r"^srgb_decode: input .*1\.001.* outside"):
+        with pytest.raises(ValidationError,
+                           match=r"^srgb_decode: input 1\.001 outside \[0, 1\]$"):
             srgb_decode(1.001)
         with pytest.raises(ValidationError, match="^srgb_decode: input must be finite$"):
             srgb_decode(float("nan"))
@@ -61,7 +63,7 @@ class TestSrgbEncode:
 
     def test_domain_error(self):
         with pytest.raises(ValidationError,
-                           match=r"^srgb_encode: input .*1\.5.* outside \[0, 1\]$"):
+                           match=r"^srgb_encode: input 1\.5 outside \[0, 1\]$"):
             srgb_encode(1.5)
 
 

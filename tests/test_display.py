@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
-from hdrpcal.display import (AchromaticDisplay, ChromaticDisplay, Measurement,
-                             fit_achromatic, fit_chromatic,
+from hdrpcal.display import (AchromaticDisplay, ChromaticDisplay, FitReport,
+                             Measurement, fit_achromatic, fit_chromatic,
                              load_achromatic_csv, load_chromatic_csv,
                              load_display, save_display,
                              solve_background_weights)
@@ -43,18 +44,36 @@ def chromatic_ramp(display, vs):
 
 
 class TestMeasurement:
+    # A case whose message changed keeps the id its old message gave it, so
+    # that test names stay stable.
     @pytest.mark.parametrize("v,readings,match", [
-        (np.zeros(2), {"luminance": 1.0}, "v must be a triplet in \\[0, 1\\]"),
-        (np.array([0.0, 0.5, 1.5]), {"luminance": 1.0}, "v must be a triplet"),
-        (np.array([0.0, -0.1, 0.0]), {"xyz": np.ones(3)}, "v must be a triplet"),
-        (np.array([0.0, np.nan, 0.0]), {"luminance": 1.0}, "v must be a triplet"),
-        (np.zeros(3), {"luminance": -1.0}, "^luminance reading must be >= 0$"),
-        (np.zeros(3), {"xyz": np.array([1.0, 1.0, -1.0])}, "^xyz reading must be >= 0$"),
+        pytest.param(np.zeros(2), {"luminance": 1.0},
+                     r"^Measurement v: expected shape \(\.\.\., 3\), got \(2,\)$",
+                     id=r"v0-readings0-v must be a triplet in \[0, 1\]"),
+        pytest.param(np.array([0.0, 0.5, 1.5]), {"luminance": 1.0},
+                     r"^Measurement v: channel b outside \[0, 1\]$",
+                     id="v1-readings1-v must be a triplet"),
+        pytest.param(np.array([0.0, -0.1, 0.0]), {"xyz": np.ones(3)},
+                     r"^Measurement v: channel g outside \[0, 1\]$",
+                     id="v2-readings2-v must be a triplet"),
+        pytest.param(np.array([0.0, np.nan, 0.0]), {"luminance": 1.0},
+                     "^Measurement v: input must be finite$",
+                     id="v3-readings3-v must be a triplet"),
+        pytest.param(np.zeros(3), {"luminance": -1.0},
+                     r"^Measurement luminance: input -1\.0 outside \[0, inf\]$",
+                     id="v4-readings4-^luminance reading must be >= 0$"),
+        pytest.param(np.zeros(3), {"xyz": np.array([1.0, 1.0, -1.0])},
+                     r"^Measurement xyz: input -1\.0 outside \[0, inf\]$",
+                     id="v5-readings5-^xyz reading must be >= 0$"),
         (np.zeros(3), {"xyz": np.ones(2)}, r"^xyz readings must have shape \(3,\)$"),
         (np.zeros((4, 3)), {"luminance": np.ones(3)}, r"shape \(4,\)$"),
         (np.zeros((4, 3)), {"xyz": np.ones(3)}, r"shape \(4, 3\)$"),
-        (np.zeros((2, 4, 3)), {"luminance": -np.eye(4)[:2]}, "luminance reading must be"),
-        (np.full((2, 3), 2.0), {"xyz": np.ones((2, 3))}, "v must be a triplet"),
+        pytest.param(np.zeros((2, 4, 3)), {"luminance": -np.eye(4)[:2]},
+                     r"^Measurement luminance: input -1\.0 outside \[0, inf\]$",
+                     id="v9-readings9-luminance reading must be"),
+        pytest.param(np.full((2, 3), 2.0), {"xyz": np.ones((2, 3))},
+                     r"^Measurement v: channel r outside \[0, 1\]$",
+                     id="v10-readings10-v must be a triplet"),
         (np.zeros(3), {}, "exactly one of luminance or xyz"),
         (np.zeros(3), {"luminance": 1.0, "xyz": np.ones(3)}, "exactly one")])
     def test_invalid_rejected(self, v, readings, match):
@@ -88,7 +107,8 @@ class TestAchromaticModel:
 
     def test_domain_error(self):
         d = AchromaticDisplay(l0=1.0, l1=10.0, gamma=2.0)
-        with pytest.raises(ValidationError, match=r"^framebuffer value outside \[0, 1\]$"):
+        with pytest.raises(ValidationError, match=r"^AchromaticDisplay\.luminance: "
+                                                  r"input 1\.2 outside \[0, 1\]$"):
             d.luminance(1.2)
 
     def test_invariants_enforced(self):
@@ -374,6 +394,21 @@ class TestPersistence:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             load_display(io.StringIO('{"kind": "plasma"}'))
+
+    def test_json_bytes_pinned(self):
+        # int and np.float64 fields, each kind with and without a fit report
+        displays = (AchromaticDisplay(l0=2, l1=np.float64(98.0), gamma=2.2),
+                    make_chromatic(gammas=(2, np.float64(2.2), 2.6)))
+        report = FitReport(residual_rms=np.float64(0.0125), n_points=11,
+                           residuals=np.zeros(11))
+        digest = hashlib.sha256()
+        for display in displays:
+            for fit in (None, report):
+                buf = io.StringIO()
+                save_display(display, buf, fit)
+                digest.update(buf.getvalue().encode())
+        assert digest.hexdigest() == ("f576574dcf1ac6656fd3c9848c82b20f"
+                                      "99e59aac927d2b06eb18b5869441902f")
 
     @pytest.mark.parametrize("text", ["", '{"kind": ', "[" * 5000])
     def test_not_json_rejected(self, text):

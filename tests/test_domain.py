@@ -1,0 +1,89 @@
+"""Every entry point that takes an input array rejects a non-finite value,
+a value below 0, a value above its upper bound and, for (..., 3) input, a
+wrong last axis, with a ValidationError that starts with the entry point's
+name."""
+
+import re
+
+import numpy as np
+import pytest
+
+from hdrpcal.calibrate import GammaCorrectionSpec, gamma_tonemap
+from hdrpcal.colorspace import (quantize_8bit, srgb_decode, srgb_decode3,
+                                srgb_encode, srgb_encode3)
+from hdrpcal.cubelut import (CubeLUT, CubeTonemap, KnotGrid, default_knot_grid,
+                             make_delta_cube)
+from hdrpcal.display import AchromaticDisplay, ChromaticDisplay, Measurement
+from hdrpcal.errors import ValidationError
+from hdrpcal.harness import simulate_characterization
+from hdrpcal.scene import post_process
+
+ACHROMATIC = AchromaticDisplay(l0=1.0, l1=10.0, gamma=2.2)
+CHROMATIC = ChromaticDisplay(primary_r=[41.24, 21.26, 1.93],
+                             primary_g=[35.76, 71.52, 11.92],
+                             primary_b=[18.05, 7.22, 95.03],
+                             background=[0.5, 0.5, 0.5], gammas=[2.2] * 3,
+                             weights=[0.01] * 3)
+SPEC = GammaCorrectionSpec(ACHROMATIC, input_range=1.111)
+TONEMAP = CubeTonemap(default_knot_grid(), make_delta_cube(16))
+TRIPLETS = np.full((4, 3), 0.5)
+LEVELS = np.array([0.1, 0.25, 0.5, 0.75])
+
+#: op, call on an input array, a valid input, whether it is (..., 3) with a
+#: checked last axis, and the upper bound.  A bad value replaces the first
+#: element of the valid input.
+ENTRY_POINTS = [
+    ("srgb_decode", srgb_decode, LEVELS, False, 1.0),
+    ("srgb_encode", srgb_encode, LEVELS, False, 1.0),
+    ("srgb_decode3", srgb_decode3, TRIPLETS, True, 1.0),
+    ("srgb_encode3", srgb_encode3, TRIPLETS, True, 1.0),
+    ("quantize_8bit", quantize_8bit, TRIPLETS, True, 1.0),
+    ("post_process", post_process, TRIPLETS, True, np.inf),
+    ("CubeTonemap.apply", TONEMAP.apply, TRIPLETS, True, np.inf),
+    ("gamma_tonemap", lambda x: gamma_tonemap(SPEC, x), TRIPLETS, True, np.inf),
+    ("channel_tonemaps", SPEC.channel_tonemaps()[0], LEVELS, False, np.inf),
+    ("AchromaticDisplay.luminance", ACHROMATIC.luminance, LEVELS, False, 1.0),
+    ("ChromaticDisplay.xyz", CHROMATIC.xyz, TRIPLETS, True, 1.0),
+    ("Measurement v", lambda x: Measurement(v=x, luminance=np.ones(x.shape[:-1])),
+     TRIPLETS, True, 1.0),
+    ("Measurement luminance", lambda x: Measurement(v=TRIPLETS, luminance=x),
+     LEVELS, False, np.inf),
+    ("Measurement xyz", lambda x: Measurement(v=TRIPLETS, xyz=x),
+     TRIPLETS, False, np.inf),
+    ("CubeLUT", lambda x: CubeLUT(x.reshape(2, 2, 2, 3)), np.full(24, 0.5),
+     False, 1.0),
+    ("KnotGrid", lambda x: KnotGrid(np.concatenate([[np.nan, np.nan], x])),
+     LEVELS, False, np.inf),
+    ("simulate_characterization",
+     lambda x: simulate_characterization(ACHROMATIC, x), LEVELS, False, np.inf),
+]
+
+
+def cases():
+    for op, call, valid, triplet, hi in ENTRY_POINTS:
+        where = "channel r" if triplet else "input {}"
+        bad = [("nan", np.nan, "input must be finite"),
+               ("inf", np.inf, "input must be finite"),
+               ("below 0", -0.5, f"{where.format(-0.5)} outside [0, {hi:g}]")]
+        if hi < np.inf:
+            bad.append(("above hi", 1.5, f"{where.format(1.5)} outside [0, {hi:g}]"))
+        for case, value, message in bad:
+            x = valid.copy()
+            x.flat[0] = value
+            yield pytest.param(call, x, f"{op}: {message}", id=f"{op}-{case}")
+        if triplet:
+            yield pytest.param(call, valid[..., :2],
+                               f"{op}: expected shape (..., 3), got (4, 2)",
+                               id=f"{op}-last axis")
+
+
+@pytest.mark.parametrize("op, call, valid, triplet, hi", ENTRY_POINTS,
+                         ids=[entry[0] for entry in ENTRY_POINTS])
+def test_valid_input_accepted(op, call, valid, triplet, hi):
+    call(valid.copy())
+
+
+@pytest.mark.parametrize("call, x, message", cases())
+def test_out_of_domain_rejected(call, x, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(x)

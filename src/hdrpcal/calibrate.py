@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares, lsq_linear
 
-from .colorspace import SRGB_LINEAR_BREAK, _checked, srgb_decode, srgb_decode3
+from .colorspace import (SRGB_LINEAR_BREAK, _checked, _freeze, srgb_decode,
+                         srgb_decode3)
 # Not called here; the benchmark tracer requires this module binding.
 from .colorspace import srgb_encode3  # noqa: F401
 from .cubelut import (ACTIVE_START, DEFAULT_GRID_SIZE, CubeLUT, KnotGrid,
@@ -223,14 +224,15 @@ def estimate_scale_constant(samples: SampleBatch) -> ScaleEstimate:
 
 @dataclass(frozen=True, eq=False)
 class DeltaSweep:
-    """Scalar tonemap response to one impulse cube: (input, output) pairs."""
+    """Scalar tonemap response to one impulse cube: (input, output) pairs,
+    stored as read-only copies with the outputs clipped to [0, 1]."""
 
     m: int
     inputs: np.ndarray
     outputs: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.inputs, dtype=float)
+        u = np.array(self.inputs, dtype=float)
         t = np.asarray(self.outputs, dtype=float)
         if u.ndim != 1 or u.shape != t.shape or u.size < 4:
             raise ValidationError("sweep needs matching input/output vectors "
@@ -239,8 +241,7 @@ class DeltaSweep:
             raise ValidationError("sweep inputs must be strictly increasing")
         if np.any(t < -1e-12) or np.any(t > 1 + 1e-12):
             raise ValidationError("sweep outputs must lie in [0, 1]")
-        object.__setattr__(self, "inputs", u)
-        object.__setattr__(self, "outputs", np.clip(t, 0.0, 1.0))
+        _freeze(self, inputs=u, outputs=np.clip(t, 0.0, 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,13 +363,13 @@ def _knot_jacobian(knots: np.ndarray, u: np.ndarray, lut: CubeLUT) -> np.ndarray
     width d an axis weight w has dw/dk_lo = (x - k_hi)/d^2 and dw/dk_hi =
     -(x - k_lo)/d^2, or 0 where x is clamped; dt/dw comes from the 8 cell
     corners (a separable cube has only the own-axis term), dv/dt is the
-    sRGB encode slope."""
-    idx, w, corners = _cell_corners(knots, lut, u)
+    sRGB encode slope at the trilinear blend t of the same corners."""
+    idx, w, corners, t = _cell_corners(knots, lut, u)
     weights = np.stack([1.0 - w, w])  # (2, N, 3)
     dt_dw = np.stack([np.einsum("pqnc,pn,qn->nc", np.diff(corners, axis=a).squeeze(a),
                                 *(weights[..., b] for b in range(3) if b != a))
                       for a in range(3)], axis=-1)  # (N, channel, axis)
-    t = np.clip(_interpolate(knots, lut, u), 0.0, 1.0)
+    t = np.clip(t, 0.0, 1.0)
     dt_dw *= np.where(t <= SRGB_LINEAR_BREAK, 12.92, (1.055 / 2.4) * np.maximum(
         t, SRGB_LINEAR_BREAK) ** (1.0 / 2.4 - 1.0))[..., None]
     lo, hi = knots[idx], knots[idx + 1]
@@ -484,16 +485,14 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
     grid = KnotGrid.from_active(knots, size=init.size,
                                 active_start=init.active_start)
 
-    def median_err(sets) -> float:
-        errs = [np.abs(_predict(knots, u, lut) - v).ravel()
-                for u, v, lut in sets]
-        return float(np.median(np.concatenate(errs)) * 255.0) if errs else float("nan")
-
+    holdout = [np.abs(_predict(knots, u, lut) - v).ravel() for u, v, lut in holdout_sets]
     report = KnotOptimizeReport(
         objective_init=sse_init, objective_final=sse_final,
         n_train=n_train, n_holdout=n_holdout, n_excluded=n_excluded,
-        train_median_255=median_err(train_sets),
-        holdout_median_255=median_err(holdout_sets),
+        # MINPACK returns the training residuals at res.x.
+        train_median_255=float(np.median(np.abs(res.fun)) * 255.0),
+        holdout_median_255=(float(np.median(np.concatenate(holdout)) * 255.0)
+                            if holdout else float("nan")),
         n_evaluations=evaluations, converged=converged,
         unsupported_knots=unsupported, notes=tuple(notes))
     return grid, report

@@ -46,6 +46,14 @@ def _checked(x, op: str, triplet: bool = False, hi: float = 1.0) -> np.ndarray:
     return arr
 
 
+def _freeze(obj, **arrays):
+    """Store ``arrays`` read-only on ``obj``, a frozen dataclass; return ``obj``."""
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+    return obj
+
+
 def _decode(arr: np.ndarray) -> np.ndarray:
     """The sRGB decoding formula, without the domain check."""
     return np.where(arr <= SRGB_ENCODED_BREAK,

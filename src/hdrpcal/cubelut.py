@@ -52,7 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from ._table import read_table, reject_first
-from .colorspace import _checked
+from .colorspace import _checked, _freeze
 from .errors import (CubeFormatError, CubeTruncationError, UnsupportedCubeError,
                      ValidationError)
 
@@ -102,12 +102,10 @@ class KnotGrid:
     active_start: int = ACTIVE_START
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-        if arr.ndim != 1 or not 1 <= self.active_start < arr.size:
+        _freeze(self, values=np.array(self.values, dtype=float))
+        if self.values.ndim != 1 or not 1 <= self.active_start < self.size:
             raise ValidationError(f"knot grid needs 1 <= active_start < size, got "
-                                  f"active_start {self.active_start}, size {arr.size}")
+                                  f"active_start {self.active_start}, size {self.size}")
         active = _checked(self.active_values, "KnotGrid", hi=np.inf)
         if np.any(np.diff(active) <= 0):
             raise ValidationError("active knots must be strictly increasing")
@@ -171,17 +169,12 @@ class CubeLUT:
     domain_max: np.ndarray = field(default_factory=lambda: np.ones(3))
 
     def __post_init__(self):
-        arr = np.asarray(self.outputs, dtype=float).copy()
-        n = arr.shape[0]
-        if arr.shape != (n, n, n, 3):
+        arr = np.array(self.outputs, dtype=float)
+        if arr.shape != arr.shape[:1] * 3 + (3,):
             raise ValidationError(f"cube outputs must be (n, n, n, 3), got {arr.shape}")
-        _checked(arr, "CubeLUT")
-        arr.setflags(write=False)
-        object.__setattr__(self, "outputs", arr)
-        for name in ("domain_min", "domain_max"):
-            v = np.asarray(getattr(self, name), dtype=float).copy()
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+        _freeze(self, outputs=_checked(arr, "CubeLUT"),
+                domain_min=np.array(self.domain_min, dtype=float),
+                domain_max=np.array(self.domain_max, dtype=float))
 
     @property
     def size(self) -> int:
@@ -400,21 +393,21 @@ def _interpolate(knots: np.ndarray, lut: CubeLUT, x: np.ndarray) -> np.ndarray:
     if curves is not None:
         return np.column_stack([np.interp(x[:, k], knots, curves[k][start:])
                                 for k in range(3)])
-    _, w, corners = _cell_corners(knots, lut, x)
-    wr, wg, wb = np.stack([1.0 - w.T, w.T], axis=1)  # (2, N) each: lower, upper
-    out = np.zeros(x.shape)
-    for i, j, k in np.ndindex(2, 2, 2):  # one corner at a time, in a fixed order
-        out += corners[i, j, k] * (wr[i] * wg[j] * wb[k])[:, None]
-    return out
+    return _cell_corners(knots, lut, x)[3]
 
 
 def _cell_corners(knots: np.ndarray, lut: CubeLUT, x: np.ndarray) -> tuple:
     """Cell ``idx`` and weights ``w`` of points ``x`` ((N, 3)) on each axis
-    (see :func:`_locate`), and the outputs of ``lut`` at the cell corners,
-    ``corners[i, j, k]`` at red, green, blue offsets i, j, k: (2, 2, 2, N, 3)."""
+    (see :func:`_locate`), the outputs of ``lut`` at the cell corners,
+    ``corners[i, j, k]`` at red, green, blue offsets i, j, k: (2, 2, 2, N, 3),
+    and their trilinear blend, the tonemap at ``x``: (N, 3)."""
     idx, w = _locate(knots, x)
     shape = (lut.size,) * 3
     cell = np.ravel_multi_index((idx + lut.size - knots.size).T, shape)
     offsets = np.ravel_multi_index(np.indices((2, 2, 2)), shape)
     corners = lut.outputs.reshape(-1, 3).take(cell + offsets[..., None], axis=0)
-    return idx, w, corners
+    wr, wg, wb = np.stack([1.0 - w.T, w.T], axis=1)  # (2, N) each: lower, upper
+    out = np.zeros(x.shape)
+    for i, j, k in np.ndindex(2, 2, 2):  # one corner at a time, in a fixed order
+        out += corners[i, j, k] * (wr[i] * wg[j] * wb[k])[:, None]
+    return idx, w, corners, out

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from ._table import read_table, reject_first
-from .colorspace import _checked
+from .colorspace import _checked, _freeze
 from .errors import FitError, ValidationError
 
 FIT_MAX_EVALS = 500
@@ -78,13 +78,11 @@ class ChromaticDisplay:
     weights: np.ndarray
 
     def __post_init__(self):
-        for name in ("primary_r", "primary_g", "primary_b", "background",
-                     "gammas", "weights"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
+        arrays = {f.name: np.array(getattr(self, f.name), dtype=float) for f in fields(self)}
+        for name, arr in arrays.items():
             if arr.shape != (3,) or not np.all(np.isfinite(arr)):
                 raise ValidationError(f"{name} must be a finite 3-vector")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, **arrays)
         if np.any(np.array([self.primary_r[1], self.primary_g[1], self.primary_b[1]]) <= 0):
             raise ValidationError("primary Y components must be > 0")
         if np.any(self.gammas <= 0):
@@ -119,10 +117,7 @@ class Measurement:
         reading = np.array(getattr(self, kind), dtype=float)
         if reading.shape != shape:
             raise ValidationError(f"{kind} readings must have shape {shape}")
-        _checked(reading, f"Measurement {kind}", hi=np.inf)
-        for name, arr in (("v", v), (kind, reading)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, v=v, **{kind: _checked(reading, f"Measurement {kind}", hi=np.inf)})
 
 
 @dataclass(frozen=True, eq=False)

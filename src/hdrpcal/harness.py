@@ -7,8 +7,9 @@ the in-package pipeline (the synthetic oracle), and records everything.
 
 Samples are held column-wise in a :class:`SampleBatch`; every function
 that takes samples takes a batch, and one observation is a one-row batch.
-A batch holds its columns to the sample contract when it is built, and
-:func:`load_samples` checks files against the same rules, naming lines:
+A batch's columns are checked once against the sample contract: by the
+constructor, or by :func:`load_samples`, which names the file lines that
+break it.  Slices, masks and joins of checked batches are not checked again:
 
 - every field is finite, and ``m`` and ``v`` are in [0, 1];
 - on Lambertian rows, ``d`` is in [0, 1], ``a``, ``i_d`` and ``i_a`` are
@@ -33,13 +34,13 @@ and normal fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import svgplot
 from ._table import PROBLEMS, read_table
-from .colorspace import _checked, quantize_8bit
+from .colorspace import _checked, _freeze, quantize_8bit
 # Not called here; the benchmark tracer requires this module binding.
 from .colorspace import srgb_encode3  # noqa: F401
 from .errors import SampleFormatError, ValidationError
@@ -82,13 +83,13 @@ class SampleBatch:
     ``d`` and ``a`` are the material, directional-light and ambient colors,
     ``n`` and ``l`` the normal and light direction, ``i_d`` and ``i_a`` the
     intensities, ``e`` the exposure and ``v`` the recorded post-processed
-    value; triplet columns have shape (N, 3), the others (N,).  Columns are
-    checked once against the sample contract (see the module docstring),
-    copied and stored read-only; a broken row raises
-    ``ValidationError("sample {i}: {problem}")``.
+    value; triplet columns have shape (N, 3), the others (N,).  The
+    constructor copies the columns, checks them against the sample contract
+    (see the module docstring) and stores them read-only; a broken row
+    raises ``ValidationError("sample {i}: {problem}")``.
 
     A batch supports ``len``, ``+`` with another batch, and slice or
-    boolean-mask indexing (yielding a batch).
+    boolean-mask indexing (yielding a batch, not checked again).
     """
 
     lambertian: np.ndarray
@@ -120,9 +121,7 @@ class SampleBatch:
         if problems.any():
             i, k = divmod(int(np.argmax(problems)), problems.shape[1])
             raise ValidationError(f"sample {i}: {_ROW_PROBLEMS[4 + k]}")
-        for name, arr in columns.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, **columns)
 
     @property
     def kinds(self) -> np.ndarray:
@@ -137,12 +136,16 @@ class SampleBatch:
     def __getitem__(self, key) -> SampleBatch:
         if isinstance(key, (int, np.integer)):
             raise TypeError("index a SampleBatch by slice or boolean mask, not integer")
-        return SampleBatch(**{name: getattr(self, name)[key] for name in _COLUMNS})
+        rows = np.arange(len(self))[key]  # a key picks rows; each column keeps its shape
+        if rows.ndim != 1:
+            raise ValidationError("sample kind mask must be one-dimensional")
+        return _freeze(object.__new__(SampleBatch),
+                       **{name: getattr(self, name)[rows] for name in _COLUMNS})
 
     def __add__(self, other: SampleBatch) -> SampleBatch:
-        return SampleBatch(**{name: np.concatenate([getattr(self, name),
-                                                    getattr(other, name)])
-                              for name in _COLUMNS})
+        return _freeze(object.__new__(SampleBatch),
+                       **{name: np.concatenate([getattr(self, name), getattr(other, name)])
+                          for name in _COLUMNS})
 
 
 def check_seed(seed) -> int:
@@ -236,11 +239,10 @@ def generate_samples(count: int, seed: int, kind: str = "lambertian",
                     l=_sphere(draws[:, 9], draws[:, 10]),
                     a=ambient_color_max * draws[:, 11:14],
                     i_a=a_lo + (a_hi - a_lo) * draws[:, 14], e=choices[pick])
-    batch = SampleBatch(lambertian=np.full(count, kind == "lambertian"),
-                        m=draws[:, 0:3], v=zeros3, **cols)
-    return replace(batch, v=predict_values(batch, tonemap=tonemap,
-                                           scale_constant=scale_constant,
-                                           quantize=quantize))
+    cols.update(lambertian=np.full(count, kind == "lambertian"), m=draws[:, 0:3])
+    v = predict_values(_freeze(object.__new__(SampleBatch), **cols), tonemap=tonemap,
+                       scale_constant=scale_constant, quantize=quantize)
+    return SampleBatch(v=v, **cols)
 
 
 def save_samples(samples: SampleBatch, file) -> None:
@@ -297,11 +299,10 @@ def load_samples(file) -> SampleBatch:
     """
     (kinds, *fields), problem, explain = read_table(
         file, SAMPLE_CSV_HEADER, "s" + "f" * 21, "sample CSV", SampleFormatError)
-    nums = np.column_stack(fields)
     lam = kinds == "lambertian"
-    m, n, d, l, a, v = (nums[:, k:k + 3] for k in (0, 3, 6, 10, 13, 18))
-    columns = dict(lambertian=lam, m=m, n=n, d=d, i_d=nums[:, 9], l=l, a=a,
-                   i_a=nums[:, 16], e=nums[:, 17], v=v)
+    m, n, d, l, a, v = (np.column_stack(fields[k:k + 3]) for k in (0, 3, 6, 10, 13, 18))
+    columns = dict(lambertian=lam, m=m, n=n, d=d, i_d=fields[9].copy(), l=l, a=a,
+                   i_a=fields[16].copy(), e=fields[17].copy(), v=v)
     checks = np.column_stack([  # one column per _ROW_PROBLEMS entry
         problem == 1,
         problem == 2,
@@ -328,7 +329,7 @@ def load_samples(file) -> SampleBatch:
             norm = np.linalg.norm(vec, axis=1)
             off = lam & (np.abs(norm - 1.0) > 1e-12)
             vec[off] /= norm[off, None]
-    return SampleBatch(**columns)
+    return _freeze(object.__new__(SampleBatch), **columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,6 +428,9 @@ def simulate_characterization(display, levels, tonemap=None,
     post-processed triplets and the readings, luminance (N,) or XYZ (N, 3).
     """
     levels = _checked(levels, "simulate_characterization", hi=np.inf)
+    if levels.ndim != 1:
+        raise ValidationError("simulate_characterization: expected 1-D levels, "
+                              f"got shape {levels.shape}")
     if mode == "achromatic":
         u = np.repeat(levels[:, None], 3, axis=1)
     elif mode == "chromatic":

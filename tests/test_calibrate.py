@@ -256,6 +256,16 @@ def synthetic_sweeps(grid, points=3000, lo=1e-5, hi=100.0, indices=range(1, 33))
     return sweeps
 
 
+def test_delta_sweep_stores_read_only_copies():
+    u, t = np.linspace(0.1, 1.0, 5), np.full(5, 0.5)
+    sweep = DeltaSweep(m=3, inputs=u, outputs=t)
+    u[0], t[0] = -5.0, 0.9
+    assert sweep.inputs[0] == 0.1 and sweep.outputs[0] == 0.5
+    for arr in (sweep.inputs, sweep.outputs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.2
+
+
 class TestEstimateKnotsDelta:
     def test_closed_loop_recovery(self):
         grid = default_knot_grid()
@@ -376,6 +386,8 @@ class TestEstimateKnotsOptimize:
         assert report.converged
         assert report.unsupported_knots == expected
         assert report.notes == ("unsupported knots: " + ", ".join(map(str, expected)),)
+        # Taken from the solver's residuals, bit for bit a fresh training pass.
+        assert report.train_median_255 == 0.25140305745207026
 
     @pytest.mark.parametrize("seed", [-1, 0.5])
     def test_invalid_seed(self, seed):

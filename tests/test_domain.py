@@ -1,7 +1,7 @@
 """Every entry point that takes an input array rejects a non-finite value,
 a value below 0, a value above its upper bound and, for (..., 3) input, a
 wrong last axis, with a ValidationError that starts with the entry point's
-name."""
+name.  Entry points that need a fixed number of axes reject the others."""
 
 import re
 
@@ -85,5 +85,18 @@ def test_valid_input_accepted(op, call, valid, triplet, hi):
 
 @pytest.mark.parametrize("call, x, message", cases())
 def test_out_of_domain_rejected(call, x, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(x)
+
+
+@pytest.mark.parametrize("call, x, message", [
+    (CubeLUT, 0.5, "cube outputs must be (n, n, n, 3), got ()"),
+    (CubeLUT, np.full((2, 2, 3), 0.5), "cube outputs must be (n, n, n, 3), got (2, 2, 3)"),
+    (lambda x: simulate_characterization(ACHROMATIC, x), 0.5,
+     "simulate_characterization: expected 1-D levels, got shape ()"),
+    (lambda x: simulate_characterization(ACHROMATIC, x), np.full((2, 2), 0.5),
+     "simulate_characterization: expected 1-D levels, got shape (2, 2)"),
+], ids=["CubeLUT scalar", "CubeLUT 3-D", "levels scalar", "levels 2-D"])
+def test_wrong_axes_rejected(call, x, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call(x)

@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hdrpcal import harness
 from hdrpcal.calibrate import (GammaCorrectionSpec, build_correction_cube,
-                               estimate_knots_optimize)
+                               estimate_knots_optimize, estimate_scale_constant)
 from hdrpcal.cubelut import (CubeTonemap, DELTA_KNOTS, default_knot_grid,
                              make_delta_cube, separable_cube)
 from hdrpcal.display import AchromaticDisplay, ChromaticDisplay
@@ -114,6 +115,11 @@ class TestSampleBatch:
             assert np.array_equal(getattr(part, name), getattr(batch, name)[1:3])
         mask = np.array([True, False] * 3)
         assert_batches_identical(batch[mask], batch[0::2])
+        message = "^sample kind mask must be one-dimensional$"
+        with pytest.raises(ValidationError, match=message):
+            batch[None]
+        with pytest.raises(ValidationError, match=message):
+            batch[:, None]
 
     def test_no_integer_index_or_iteration(self):
         batch = generate_samples(3, seed=0)
@@ -157,6 +163,31 @@ class TestSampleBatch:
         with pytest.raises(ValidationError, match=re.escape(
                 "sample 0: post-processed value outside [0, 1]")):
             validate_model(replace(batch, v=np.full((3, 3), 7.0)))
+
+    def test_contract_runs_once_per_batch(self, monkeypatch):
+        # Rows of checked batches are not checked again.
+        batch = generate_samples(200, seed=29)
+        text = io.StringIO()
+        save_samples(batch, text)
+        calls = []
+        contract = harness._sample_problems
+        monkeypatch.setattr(harness, "_sample_problems",
+                            lambda **columns: calls.append(1) or contract(**columns))
+        expected = {
+            "constructor": (lambda: replace(batch), 1),
+            "load_samples": (lambda: load_samples(io.StringIO(text.getvalue())), 1),
+            "generate_samples": (lambda: generate_samples(200, seed=29), 1),
+            "slice": (lambda: batch[1:5], 0),
+            "mask": (lambda: batch[batch.m[:, 0] > 0.5], 0),
+            "+": (lambda: batch + batch, 0),
+            "estimate_scale_constant": (lambda: estimate_scale_constant(batch), 0),
+        }
+        runs = {}
+        for name, (call, _) in expected.items():
+            calls.clear()
+            call()
+            runs[name] = len(calls)
+        assert runs == {name: count for name, (_, count) in expected.items()}
 
 
 GAIN_CALLS = {

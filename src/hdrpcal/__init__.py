@@ -3,7 +3,7 @@ tonemapping, display characterization, and gamma-correction tooling."""
 
 from .calibrate import (DeltaSweep, GammaCorrectionSpec, build_correction_cube,
                         estimate_knots_delta, estimate_knots_optimize,
-                        estimate_scale_constant, gamma_tonemap)
+                        estimate_scale_constant, gamma_tonemap, load_sweeps)
 from .colorspace import (quantize_8bit, srgb_decode, srgb_decode3, srgb_encode,
                          srgb_encode3)
 from .cubelut import (CubeLUT, CubeTonemap, KnotGrid, default_knot_grid,
@@ -25,7 +25,7 @@ __all__ = [
     "SampleBatch", "build_correction_cube", "default_knot_grid",
     "estimate_knots_delta", "estimate_knots_optimize", "estimate_scale_constant",
     "fit_achromatic", "fit_chromatic", "gamma_tonemap", "generate_samples",
-    "light_direction_from_rotation", "load_display", "load_samples",
+    "light_direction_from_rotation", "load_display", "load_samples", "load_sweeps",
     "make_delta_cube", "parse_cube", "post_process", "predict_unprocessed",
     "predict_values", "quantize_8bit", "save_display", "save_samples",
     "separable_cube", "serialize_cube", "simulate_characterization",

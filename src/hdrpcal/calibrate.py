@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares, lsq_linear
 
+from ._table import read_table, reject_first
 from .colorspace import (SRGB_LINEAR_BREAK, _checked, _freeze, srgb_decode,
                          srgb_decode3)
 # Not called here; the benchmark tracer requires this module binding.
@@ -242,6 +243,20 @@ class DeltaSweep:
         if np.any(t < -1e-12) or np.any(t > 1 + 1e-12):
             raise ValidationError("sweep outputs must lie in [0, 1]")
         _freeze(self, inputs=u, outputs=np.clip(t, 0.0, 1.0))
+
+
+def load_sweeps(file) -> list[DeltaSweep]:
+    """Read a sweep CSV (header ``m,u,t``) from a text stream: one
+    :class:`DeltaSweep` per impulse index ``m``, in ascending ``m``, each
+    with its rows in ascending ``u``."""
+    (m, u, t), problem, explain = read_table(file, "m,u,t", "iff", "sweep CSV")
+    reject_first(problem, explain, "sweep CSV")
+    order = np.lexsort((u, m))  # stable: by m, then u
+    m, u, t = m[order], u[order], t[order]
+    indices, starts = np.unique(m, return_index=True)
+    return [DeltaSweep(m=int(k), inputs=u_k, outputs=t_k)
+            for k, u_k, t_k in zip(indices, np.split(u, starts[1:]),
+                                   np.split(t, starts[1:]))]
 
 
 @dataclass(frozen=True, eq=False)

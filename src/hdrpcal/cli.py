@@ -10,13 +10,13 @@ data), 2 I/O or format error, 64 usage error.  Messages go to stderr; data
 goes to the requested output file, or to stdout when no output is given.
 File bodies are byte-stable for identical flags and inputs; run metadata
 (tool version, resolved configuration, timestamp) goes to a ``.meta.json``
-sidecar next to each output file.
+sidecar next to each ``--out`` file and the ``validate --plot`` SVG (the
+impulse cubes of ``gen-delta-cubes`` get none); a writer that fails leaves no file.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import datetime
 import io
 import json
@@ -26,10 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._table import read_table, reject_first
-from .calibrate import (DeltaSweep, GammaCorrectionSpec, build_correction_cube,
+from .calibrate import (GammaCorrectionSpec, build_correction_cube,
                         estimate_knots_delta, estimate_knots_optimize,
-                        estimate_scale_constant)
+                        estimate_scale_constant, load_sweeps)
 from .cubelut import (DEFAULT_GRID_SIZE, CubeTonemap, KnotGrid,
                       default_knot_grid, make_delta_cube, parse_cube,
                       serialize_cube)
@@ -79,23 +78,24 @@ def _build_parser() -> _Parser:
                         help="suppress informational messages on stderr")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     fmt = argparse.ArgumentDefaultsHelpFormatter
+    # each flag that several subcommands share, defined once as a parent
+    gain, knots, tonemap = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    gain.add_argument("--c", type=_positive, default=DEFAULT_SCALE_CONSTANT,
+                      help="pipeline gain")
+    knots.add_argument("--knots", default=None,
+                       help="knot CSV; the built-in delta estimates if not given")
+    tonemap.add_argument("--tonemap", default="none",
+                         help="'none' or a path to a .cube file")
 
-    p = sub.add_parser("simulate", formatter_class=fmt,
+    p = sub.add_parser("simulate", formatter_class=fmt, parents=[tonemap, knots, gain],
                        help="generate random rendered samples")
     p.add_argument("--samples", type=_count, default=1000,
                    help="number of samples")
     p.add_argument("--seed", type=_seed, default=0, help="random seed")
     p.add_argument("--material", choices=["lambert", "unlit"], default="lambert",
                    help="material kind")
-    p.add_argument("--tonemap", default="none",
-                   help="'none' or a path to a .cube file")
-    p.add_argument("--knots", default=None,
-                   help="knot CSV used with a cube tonemap (default: built-in "
-                        "delta estimates)")
     p.add_argument("--quantize", action="store_true",
                    help="quantize values to 8-bit precision")
-    p.add_argument("--c", type=_positive, default=DEFAULT_SCALE_CONSTANT,
-                   help="pipeline gain")
     p.add_argument("--out", default=None, help="output sample CSV")
 
     p = sub.add_parser("fit-c", formatter_class=fmt,
@@ -107,7 +107,7 @@ def _build_parser() -> _Parser:
                        help="write the 32 impulse cube files")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("estimate-knots", formatter_class=fmt,
+    p = sub.add_parser("estimate-knots", formatter_class=fmt, parents=[gain],
                        help="estimate tonemapping knot coordinates")
     p.add_argument("--mode", choices=["delta", "optimize"], required=True)
     p.add_argument("--in", dest="infile", action="append", required=True,
@@ -119,8 +119,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--init", default=None,
                    help="initial knot CSV (optimize mode; default: built-in "
                         "delta estimates)")
-    p.add_argument("--c", type=_positive, default=DEFAULT_SCALE_CONSTANT,
-                   help="pipeline gain")
     p.add_argument("--seed", type=_seed, default=0, help="holdout split seed")
     p.add_argument("--out", default=None, help="output knot CSV")
 
@@ -132,27 +130,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=["achromatic", "chromatic"], required=True)
     p.add_argument("--out", default=None, help="output display JSON")
 
-    p = sub.add_parser("make-cube", formatter_class=fmt,
+    p = sub.add_parser("make-cube", formatter_class=fmt, parents=[knots],
                        help="emit a gamma-correction cube for a display")
     p.add_argument("--display", required=True, help="display JSON")
     p.add_argument("--r", type=_positive, default=1.0,
                    help="displayable input range r, for every channel")
     p.add_argument("--refine", action="store_true",
                    help="least-squares refine the knot outputs")
-    p.add_argument("--knots", default=None,
-                   help="knot CSV (default: built-in delta estimates)")
     p.add_argument("--out", default=None, help="output .cube file")
 
-    p = sub.add_parser("validate", formatter_class=fmt,
+    p = sub.add_parser("validate", formatter_class=fmt, parents=[tonemap, knots, gain],
                        help="score model predictions against recorded samples")
     p.add_argument("--in", dest="infile", required=True, help="sample CSV")
-    p.add_argument("--knots", default=None,
-                   help="knot CSV for the cube tonemap (default: built-in "
-                        "delta estimates)")
-    p.add_argument("--tonemap", default="none",
-                   help="'none' or a path to a .cube file")
-    p.add_argument("--c", type=_positive, default=DEFAULT_SCALE_CONSTANT,
-                   help="pipeline gain")
     p.add_argument("--filter-m", type=_fraction, default=MATERIAL_FLOOR,
                    help="material floor for the filtered error statistic")
     p.add_argument("--out", default=None, help="output report CSV")
@@ -165,13 +154,16 @@ def _info(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _emit(args, text: str, out: str | None) -> None:
-    """Write a text artifact to --out (with metadata sidecar) or stdout."""
+def _emit(args, write, out: str | None) -> None:
+    """Buffer the body ``write(file)`` writes, then put it in ``out`` with a
+    metadata sidecar, or on stdout when ``out`` is None."""
+    buf = io.StringIO()
+    write(buf)
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(buf.getvalue())
         return
     path = Path(out)
-    path.write_text(text)
+    path.write_text(buf.getvalue())
     meta = {"tool": "hdrpcal", "version": __version__, "command": args.command,
             "config": {k: v for k, v in sorted(vars(args).items())
                        if k not in ("command", "quiet")},
@@ -180,12 +172,12 @@ def _emit(args, text: str, out: str | None) -> None:
     _info(args, f"wrote {path}")
 
 
-@contextlib.contextmanager
-def _open(path: str, what: str):
-    """Open the input ``path`` as text; a decode error names the file."""
+def _read(path: str, what: str, reader):
+    """``reader(file)`` on the input ``path`` opened as text; a decode error
+    names the file."""
     try:
         with open(path) as fh:
-            yield fh
+            return reader(fh)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{what} {path}: {exc}") from exc
 
@@ -193,15 +185,13 @@ def _open(path: str, what: str):
 def _load_knots(knots_arg: str | None) -> KnotGrid:
     if knots_arg is None:
         return default_knot_grid()
-    with _open(knots_arg, "knot CSV") as fh:
-        return KnotGrid.from_csv(fh)
+    return _read(knots_arg, "knot CSV", KnotGrid.from_csv)
 
 
 def _load_tonemap(tonemap_arg: str, knots_arg: str | None):
     if tonemap_arg == "none":
         return None
-    with _open(tonemap_arg, "cube file") as fh:
-        lut = parse_cube(fh)
+    lut = _read(tonemap_arg, "cube file", parse_cube)
     return CubeTonemap(_load_knots(knots_arg), lut)
 
 
@@ -211,20 +201,16 @@ def _cmd_simulate(args) -> int:
     samples = generate_samples(args.samples, args.seed, kind=kind,
                                tonemap=tonemap, quantize=args.quantize,
                                scale_constant=args.c)
-    buf = io.StringIO()
-    save_samples(samples, buf)
-    _emit(args, buf.getvalue(), args.out)
+    _emit(args, lambda fh: save_samples(samples, fh), args.out)
     return EXIT_OK
 
 
 def _cmd_fit_c(args) -> int:
-    with _open(args.infile, "sample CSV") as fh:
-        samples = load_samples(fh)
-    est = estimate_scale_constant(samples)
+    est = estimate_scale_constant(_read(args.infile, "sample CSV", load_samples))
     doc = {"c": est.c, "slope": est.slope, "n_samples": est.n_samples,
            "n_channel_points": est.n_channel_points,
            "n_saturated_excluded": est.n_saturated}
-    _emit(args, json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(args, lambda fh: fh.write(json.dumps(doc, indent=2) + "\n"), args.out)
     return EXIT_OK
 
 
@@ -238,23 +224,11 @@ def _cmd_gen_delta_cubes(args) -> int:
     return EXIT_OK
 
 
-def _load_sweeps(path: str) -> list[DeltaSweep]:
-    with _open(path, "sweep CSV") as fh:
-        (m, u, t), problem, explain = read_table(fh, "m,u,t", "iff", "sweep CSV")
-    reject_first(problem, explain, "sweep CSV")
-    order = np.lexsort((u, m))  # stable: by m, then u
-    m, u, t = m[order], u[order], t[order]
-    indices, starts = np.unique(m, return_index=True)
-    return [DeltaSweep(m=int(k), inputs=u_k, outputs=t_k)
-            for k, u_k, t_k in zip(indices, np.split(u, starts[1:]),
-                                   np.split(t, starts[1:]))]
-
-
 def _cmd_estimate_knots(args) -> int:
     if args.mode == "delta":
         if len(args.infile) != 1:
             raise UsageError("delta mode takes exactly one --in sweep CSV")
-        grid, report = estimate_knots_delta(_load_sweeps(args.infile[0]))
+        grid, report = estimate_knots_delta(_read(args.infile[0], "sweep CSV", load_sweeps))
         for m in report.no_response:
             _info(args, f"knot {m}: no response (inactive)")
         for m, note in report.anomalies.items():
@@ -264,13 +238,9 @@ def _cmd_estimate_knots(args) -> int:
         if len(cubes) != len(args.infile):
             raise UsageError("optimize mode needs one --cube per --in")
         init = _load_knots(args.init)
-        datasets = []
-        for sample_path, cube_path in zip(args.infile, cubes):
-            with _open(sample_path, "sample CSV") as fh:
-                samples = load_samples(fh)
-            with _open(cube_path, "cube file") as fh:
-                lut = parse_cube(fh)
-            datasets.append((samples, lut))
+        datasets = [(_read(sample_path, "sample CSV", load_samples),
+                     _read(cube_path, "cube file", parse_cube))
+                    for sample_path, cube_path in zip(args.infile, cubes)]
         grid, report = estimate_knots_optimize(datasets, init,
                                                scale_constant=args.c,
                                                seed=args.seed)
@@ -280,51 +250,39 @@ def _cmd_estimate_knots(args) -> int:
         _info(args, f"train median |error| = {report.train_median_255:.4g}/255, "
                     f"holdout = {report.holdout_median_255:.4g}/255 "
                     f"({report.n_evaluations} evaluations, {status})")
-    buf = io.StringIO()
-    grid.to_csv(buf)
-    _emit(args, buf.getvalue(), args.out)
+    _emit(args, grid.to_csv, args.out)
     return EXIT_OK
 
 
 def _cmd_fit_display(args) -> int:
-    with _open(args.infile, "measurement CSV") as fh:
-        if args.mode == "achromatic":
-            display, report = fit_achromatic(load_achromatic_csv(fh))
-        else:
-            display, report = fit_chromatic(load_chromatic_csv(fh))
+    load, fit = ((load_achromatic_csv, fit_achromatic) if args.mode == "achromatic"
+                 else (load_chromatic_csv, fit_chromatic))
+    display, report = fit(_read(args.infile, "measurement CSV", load))
     _info(args, f"fit residual rms = {report.residual_rms:.6g} "
                 f"over {report.n_points} points")
-    buf = io.StringIO()
-    save_display(display, buf, report)
-    _emit(args, buf.getvalue(), args.out)
+    _emit(args, lambda fh: save_display(display, fh, report), args.out)
     return EXIT_OK
 
 
 def _cmd_make_cube(args) -> int:
-    with _open(args.display, "display JSON") as fh:
-        display = load_display(fh)
+    display = _read(args.display, "display JSON", load_display)
     spec = GammaCorrectionSpec(display, input_range=args.r)
     lut = build_correction_cube(spec, _load_knots(args.knots), refine=args.refine)
-    _emit(args, serialize_cube(lut), args.out)
+    _emit(args, lambda fh: serialize_cube(lut, fh), args.out)
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
-    with _open(args.infile, "sample CSV") as fh:
-        samples = load_samples(fh)
+    samples = _read(args.infile, "sample CSV", load_samples)
     tonemap = _load_tonemap(args.tonemap, args.knots)
     report = validate_model(samples, tonemap=tonemap, scale_constant=args.c,
                             material_floor=args.filter_m)
     _info(args, f"median |error| = {report.median_abs_255:.4g}/255 "
                 f"(filtered: {report.filtered_median_abs_255:.4g}/255, "
                 f"{report.n_excluded} samples excluded)")
-    buf = io.StringIO()
-    report.to_csv(buf)
-    _emit(args, buf.getvalue(), args.out)
+    _emit(args, report.to_csv, args.out)
     if args.plot is not None:
-        with open(args.plot, "w") as fh:
-            report.to_svg(fh)
-        _info(args, f"wrote {args.plot}")
+        _emit(args, report.to_svg, args.plot)
     return EXIT_OK
 
 

@@ -172,9 +172,16 @@ class CubeLUT:
         arr = np.array(self.outputs, dtype=float)
         if arr.shape != arr.shape[:1] * 3 + (3,):
             raise ValidationError(f"cube outputs must be (n, n, n, 3), got {arr.shape}")
-        _freeze(self, outputs=_checked(arr, "CubeLUT"),
-                domain_min=np.array(self.domain_min, dtype=float),
-                domain_max=np.array(self.domain_max, dtype=float))
+        lo = np.array(self.domain_min, dtype=float)
+        hi = np.array(self.domain_max, dtype=float)
+        if not (lo.shape == hi.shape == (3,)
+                and np.isfinite([lo, hi]).all() and np.all(lo < hi)):
+            raise ValidationError("cube domain must be 3 finite numbers per bound, min < max "
+                                  f"per channel; got {lo.tolist()} to {hi.tolist()}")
+        # parse_cube splits lines where str.splitlines does
+        if self.title is not None and self.title.splitlines() not in ([], [self.title]):
+            raise ValidationError(f"cube title must not hold a line break, got {self.title!r}")
+        _freeze(self, outputs=_checked(arr, "CubeLUT"), domain_min=lo, domain_max=hi)
 
     @property
     def size(self) -> int:

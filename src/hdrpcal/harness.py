@@ -370,18 +370,19 @@ class ValidationReport:
         errors = self.errors.ravel()
         guide = 1.0 / 255.0
         err_span = max(float(np.max(np.abs(errors))), guide) * 1.15
-        left = svgplot.make_panel(0, "predicted vs actual", "actual v",
-                                  "predicted v", (0.0, 1.0), (0.0, 1.0))
-        left.points(actual, predicted)
-        left.line(0.0, 0.0, 1.0, 1.0)
-        right = svgplot.make_panel(1, "prediction error", "actual v",
-                                   "predicted - actual", (0.0, 1.0),
-                                   (-err_span, err_span))
-        right.points(actual, errors, color="#b43a1f")
-        right.line(0.0, guide, 1.0, guide, color="#555", dash="4 3")
-        right.line(0.0, -guide, 1.0, -guide, color="#555", dash="4 3")
-        right.line(0.0, 0.0, 1.0, 0.0)
-        svgplot.scatter_panels([left, right], file)
+        svgplot.scatter_panels([
+            {"title": "predicted vs actual", "xlabel": "actual v",
+             "ylabel": "predicted v", "xlim": (0.0, 1.0), "ylim": (0.0, 1.0),
+             "points": [(actual, predicted, "#1f6fb4")],
+             "lines": [(0.0, 0.0, 1.0, 1.0, "#333", None)]},
+            {"title": "prediction error", "xlabel": "actual v",
+             "ylabel": "predicted - actual", "xlim": (0.0, 1.0),
+             "ylim": (-err_span, err_span),
+             "points": [(actual, errors, "#b43a1f")],
+             "lines": [(0.0, guide, 1.0, guide, "#555", "4 3"),
+                       (0.0, -guide, 1.0, -guide, "#555", "4 3"),
+                       (0.0, 0.0, 1.0, 0.0, "#333", None)]},
+        ], file)
 
 
 def validate_model(samples: SampleBatch, tonemap=None,

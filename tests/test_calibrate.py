@@ -1,3 +1,4 @@
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hdrpcal.calibrate import (DeltaSweep, GammaCorrectionSpec, _knot_jacobian,
                                _predict, build_correction_cube, estimate_knots_delta,
                                estimate_knots_optimize, estimate_scale_constant,
-                               gamma_tonemap)
+                               gamma_tonemap, load_sweeps)
 from hdrpcal.colorspace import srgb_decode, srgb_encode, srgb_encode3
 from hdrpcal.cubelut import (CubeLUT, CubeTonemap, DELTA_KNOTS, KnotGrid,
                              default_knot_grid, make_delta_cube, separable_cube)
@@ -264,6 +265,18 @@ def test_delta_sweep_stores_read_only_copies():
     for arr in (sweep.inputs, sweep.outputs):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.2
+
+
+def test_load_sweeps_groups_by_index_sorted_by_input():
+    text = "m,u,t\n4,0.3,0.1\n3,0.2,0.0\n# note\n4,0.1,0.0\n3,0.1,0.0\n" \
+           "4,0.2,1.0\n3,0.4,0.5\n3,0.3,1.0\n4,0.4,0.0\n"
+    sweeps = load_sweeps(io.StringIO(text))
+    assert [s.m for s in sweeps] == [3, 4]
+    assert sweeps[0].inputs.tolist() == [0.1, 0.2, 0.3, 0.4]
+    assert sweeps[0].outputs.tolist() == [0.0, 0.0, 1.0, 0.5]
+    assert sweeps[1].outputs.tolist() == [0.0, 1.0, 0.1, 0.0]
+    with pytest.raises(ValidationError, match="^sweep CSV line 3: non-numeric field$"):
+        load_sweeps(io.StringIO("m,u,t\n3,0.1,0\n3,x,0\n"))
 
 
 class TestEstimateKnotsDelta:

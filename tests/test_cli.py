@@ -1,11 +1,12 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hdrpcal import cli, errors
+from hdrpcal import cli, errors, harness
 from hdrpcal.calibrate import GammaCorrectionSpec, build_correction_cube
 from hdrpcal.cli import main
 from hdrpcal.cubelut import (CubeTonemap, KnotGrid, default_knot_grid,
@@ -533,6 +534,55 @@ class TestGoldenBytes:
     def test_output_bytes(self, golden_session, name):
         body = golden_session[name].read_bytes()
         assert hashlib.sha256(body).hexdigest() == GOLDEN[name]
+
+
+#: The ``config`` keys of each subcommand's sidecar: its options, by dest.
+SIDECAR_CONFIG = {
+    "simulate": ["c", "knots", "material", "out", "quantize", "samples", "seed",
+                 "tonemap"],
+    "fit-c": ["infile", "out"],
+    "estimate-knots": ["c", "cube", "infile", "init", "mode", "out", "seed"],
+    "fit-display": ["infile", "mode", "out"],
+    "make-cube": ["display", "knots", "out", "r", "refine"],
+    "validate": ["c", "filter_m", "infile", "knots", "out", "plot", "tonemap"],
+}
+
+
+class TestWritePath:
+    """Every ``--out`` file and the ``--plot`` SVG is written whole, with a
+    ``.meta.json`` sidecar, or not at all."""
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_sidecar_names_its_command(self, golden_session, name):
+        meta = json.loads(Path(f"{golden_session[name]}.meta.json").read_text())
+        command = name.split()[0]
+        assert meta["tool"] == "hdrpcal" and meta["command"] == command
+        assert list(meta["config"]) == SIDECAR_CONFIG[command]
+
+    def test_gen_delta_cubes_writes_no_sidecar(self, tmp_path):
+        assert run("gen-delta-cubes", "--out", str(tmp_path)) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"delta_{m:02d}.cube" for m in range(1, 33)]
+
+    @pytest.mark.parametrize("method, flag", [("to_svg", "--plot"), ("to_csv", "--out"),
+                                              ("to_csv", None)])
+    def test_failing_writer_leaves_no_file(self, tmp_path, monkeypatch, capsys,
+                                           method, flag):
+        samples = tmp_path / "s.csv"
+        assert run("simulate", "--samples", "20", "--seed", "1", "--out", str(samples)) == 0
+
+        def fail(report, file):
+            file.write("part of a body")
+            raise errors.ValidationError("writer failed")
+        monkeypatch.setattr(harness.ValidationReport, method, fail)
+        out = tmp_path / "out"
+        argv = ["validate", "--in", str(samples)] + ([flag, str(out)] if flag else [])
+        capsys.readouterr()
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert "writer failed" in captured.err
+        assert "part of a body" not in captured.out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.csv.meta.json"]
 
 
 #: The exit code of ``main`` for each error class a handler may raise.

@@ -1,7 +1,8 @@
 """Every entry point that takes an input array rejects a non-finite value,
 a value below 0, a value above its upper bound and, for (..., 3) input, a
 wrong last axis, with a ValidationError that starts with the entry point's
-name.  Entry points that need a fixed number of axes reject the others."""
+name.  Entry points that need a fixed number of axes reject the others.  A
+CubeLUT takes only a domain and a title that its writer and reader round-trip."""
 
 import re
 
@@ -12,7 +13,7 @@ from hdrpcal.calibrate import GammaCorrectionSpec, gamma_tonemap
 from hdrpcal.colorspace import (quantize_8bit, srgb_decode, srgb_decode3,
                                 srgb_encode, srgb_encode3)
 from hdrpcal.cubelut import (CubeLUT, CubeTonemap, KnotGrid, default_knot_grid,
-                             make_delta_cube)
+                             make_delta_cube, parse_cube, serialize_cube)
 from hdrpcal.display import AchromaticDisplay, ChromaticDisplay, Measurement
 from hdrpcal.errors import ValidationError
 from hdrpcal.harness import simulate_characterization
@@ -100,3 +101,37 @@ def test_out_of_domain_rejected(call, x, message):
 def test_wrong_axes_rejected(call, x, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call(x)
+
+
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("keyword, value", [
+    ("domain_min", [0, 0]),
+    ("domain_min", [np.nan, 0, 0]),
+    ("domain_min", [2, 2, 2]),  # above the default domain_max
+    ("domain_min", 5.0),
+    ("domain_max", [1, np.inf, 1]),
+    ("domain_max", [[1, 1, 1]]),
+    ("title", "a\nb"),
+] + [("title", f"a{c}") for c in LINE_BREAKS], ids=repr)
+def test_cube_domain_and_title_rejected(keyword, value):
+    """What ``serialize_cube`` could not write back through ``parse_cube``:
+    a domain bound that is not three finite numbers above the other bound,
+    and a title holding any line break ``str.splitlines`` splits on."""
+    message = "cube title must not" if keyword == "title" else "cube domain must be"
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        CubeLUT(np.zeros((2, 2, 2, 3)), **{keyword: value})
+
+
+@pytest.mark.parametrize("title, domain_min, domain_max", [
+    ("", [0, 0, 0], [1, 1, 1]),
+    ('a "b" \t', [-1, 0, 0.5], [1e30, 2, 0.75]),
+], ids=["defaults", "quoted title"])
+def test_cube_domain_and_title_round_trip(title, domain_min, domain_max):
+    lut = CubeLUT(np.zeros((2, 2, 2, 3)), title=title, domain_min=domain_min,
+                  domain_max=domain_max)
+    back = parse_cube(serialize_cube(lut))
+    assert back.title == title
+    assert back.domain_min.tolist() == domain_min
+    assert back.domain_max.tolist() == domain_max

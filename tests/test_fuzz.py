@@ -12,15 +12,14 @@ tries the same inputs.
 """
 
 import io
-import tempfile
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from hdrpcal.cli import _load_sweeps, main
+from hdrpcal.calibrate import load_sweeps
+from hdrpcal.cli import main
 from hdrpcal.cubelut import (CubeLUT, KnotGrid, _separable_outputs, _walk_rows,
                              default_knot_grid, parse_cube, serialize_cube)
 from hdrpcal.display import (AchromaticDisplay, load_achromatic_csv, load_chromatic_csv,
@@ -76,20 +75,10 @@ def tabular(valid: str, sep: str = ","):
     return damaged(valid) | rows
 
 
-def _load_sweeps_text(text: str):
-    fh = tempfile.NamedTemporaryFile("w", suffix=".csv", delete=False)
-    with fh:
-        fh.write(text)
-    try:
-        return _load_sweeps(fh.name)
-    finally:
-        Path(fh.name).unlink()
-
-
 READERS = [
     ("samples", lambda t: load_samples(io.StringIO(t)), tabular(SAMPLES)),
     ("knots", lambda t: KnotGrid.from_csv(io.StringIO(t)), tabular(KNOTS)),
-    ("sweeps", _load_sweeps_text, tabular(SWEEPS)),
+    ("sweeps", lambda t: load_sweeps(io.StringIO(t)), tabular(SWEEPS)),
     ("achromatic", lambda t: load_achromatic_csv(io.StringIO(t)), tabular(ACHROMATIC)),
     ("chromatic", lambda t: load_chromatic_csv(io.StringIO(t)), tabular(CHROMATIC)),
     ("display", lambda t: load_display(io.StringIO(t)), damaged(DISPLAY)),

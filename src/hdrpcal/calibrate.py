@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares, lsq_linear
 
 from ._table import read_table, reject_first
 from .colorspace import (SRGB_LINEAR_BREAK, _checked, _freeze, srgb_decode,
@@ -39,7 +38,7 @@ from .colorspace import srgb_encode3  # noqa: F401
 from .cubelut import (ACTIVE_START, DEFAULT_GRID_SIZE, CubeLUT, KnotGrid,
                       _cell_corners, _interpolate, _locate,
                       _separable_outputs, default_knot_grid)
-from .display import AchromaticDisplay, ChromaticDisplay
+from .display import AchromaticDisplay, ChromaticDisplay, least_squares
 from .errors import FitError, ValidationError
 from .harness import (MATERIAL_FLOOR, SampleBatch, check_seed,
                       predict_unprocessed)
@@ -117,6 +116,13 @@ def gamma_tonemap(spec: GammaCorrectionSpec, u):
     arr = _checked(u, "gamma_tonemap", triplet=True, hi=np.inf)
     return np.stack([f(arr[..., k]) for k, f in enumerate(spec.channel_tonemaps())],
                     axis=-1)
+
+
+def lsq_linear(*args, **kwargs):
+    """``scipy.optimize.lsq_linear``, imported on first use, as
+    :func:`hdrpcal.display.least_squares` is."""
+    from scipy.optimize import lsq_linear
+    return lsq_linear(*args, **kwargs)
 
 
 def _hat_matrix(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -417,8 +423,10 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
     residuals (``scipy.optimize.least_squares``, Levenberg-Marquardt with
     the exact Jacobian) over the log of the first knot and the log gaps
     between neighbours, so the knots stay strictly increasing without a
-    penalty.  ``n_evaluations`` counts residual and Jacobian evaluations
-    alike, one pass over the training data each.  ``unsupported_knots``
+    penalty; a step whose knots overflow or stop increasing in floating
+    point scores infinite residuals, which the solver rejects.
+    ``n_evaluations`` counts residual and Jacobian evaluations alike, one
+    pass over the training data each.  ``unsupported_knots``
     (1-based grid indices, as in the knot CSV) and ``notes`` name the knots
     no training residual depends on at the solution; ``notes`` also holds
     the solver's message when it stops without converging.
@@ -460,7 +468,10 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
     def residuals(a: np.ndarray) -> np.ndarray:
         nonlocal evaluations
         evaluations += 1
-        knots = _knots_from_log_gaps(a)
+        with np.errstate(over="ignore"):
+            knots = _knots_from_log_gaps(a)
+        if not (np.isfinite(knots[-1]) and np.all(np.diff(knots) > 0)):
+            return np.full(rows[-1], np.inf)
         return np.concatenate([(_predict(knots, u, lut) - v).ravel()
                                for u, v, lut in train_sets])
 

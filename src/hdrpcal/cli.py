@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import io
 import json
 import sys
 from pathlib import Path
@@ -154,16 +153,26 @@ def _info(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+class _Body(list):
+    """A text stream that keeps the strings written to it: a body held once."""
+
+    write = list.append
+
+    def tell(self) -> int:
+        return sum(map(len, self))
+
+
 def _emit(args, write, out: str | None) -> None:
     """Buffer the body ``write(file)`` writes, then put it in ``out`` with a
     metadata sidecar, or on stdout when ``out`` is None."""
-    buf = io.StringIO()
-    write(buf)
+    body = _Body()
+    write(body)
     if out is None:
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.writelines(body)
         return
     path = Path(out)
-    path.write_text(buf.getvalue())
+    with open(path, "w") as fh:
+        fh.writelines(body)
     meta = {"tool": "hdrpcal", "version": __version__, "command": args.command,
             "config": {k: v for k, v in sorted(vars(args).items())
                        if k not in ("command", "quiet")},

@@ -103,9 +103,10 @@ class KnotGrid:
 
     def __post_init__(self):
         _freeze(self, values=np.array(self.values, dtype=float))
-        if self.values.ndim != 1 or not 1 <= self.active_start < self.size:
-            raise ValidationError(f"knot grid needs 1 <= active_start < size, got "
-                                  f"active_start {self.active_start}, size {self.size}")
+        if self.values.ndim != 1 or not 1 <= self.active_start < self.size <= MAX_GRID_SIZE:
+            raise ValidationError(f"knot grid needs 1 <= active_start < size <= "
+                                  f"{MAX_GRID_SIZE}, got active_start {self.active_start}, "
+                                  f"size {self.size}")
         active = _checked(self.active_values, "KnotGrid", hi=np.inf)
         if np.any(np.diff(active) <= 0):
             raise ValidationError("active knots must be strictly increasing")
@@ -130,9 +131,15 @@ class KnotGrid:
         return cls(values, active_start)
 
     def to_csv(self, file) -> None:
-        file.write("index,u\n")
-        for i in range(self.active_start, self.size + 1):
-            file.write(f"{i},{self.values[i - 1]:.10g}\n")
+        """Write the active knots as ``index,u`` rows, each to 10 significant
+        digits, or all to 17 where 10 would not read back as strictly
+        increasing finite knots."""
+        text = [f"{u:.10g}" for u in self.active_values.tolist()]
+        back = np.array(text, dtype=float)
+        if not (np.isfinite(back).all() and np.all(np.diff(back) > 0)):
+            text = [f"{u:.17g}" for u in self.active_values.tolist()]
+        file.write("index,u\n" + "".join(f"{i},{u}\n"
+                                         for i, u in enumerate(text, self.active_start)))
 
     @classmethod
     def from_csv(cls, file) -> "KnotGrid":
@@ -172,6 +179,9 @@ class CubeLUT:
         arr = np.array(self.outputs, dtype=float)
         if arr.shape != arr.shape[:1] * 3 + (3,):
             raise ValidationError(f"cube outputs must be (n, n, n, 3), got {arr.shape}")
+        if not 2 <= arr.shape[0] <= MAX_GRID_SIZE:
+            raise ValidationError(f"cube size must be in 2..{MAX_GRID_SIZE}, "
+                                  f"got {arr.shape[0]}")
         lo = np.array(self.domain_min, dtype=float)
         hi = np.array(self.domain_max, dtype=float)
         if not (lo.shape == hi.shape == (3,)
@@ -223,7 +233,8 @@ def _parse_floats(tokens: list[str], raw: str, lineno: int, count: int,
 
 def _keyword(keys: dict, raw: str, lineno: int) -> bool:
     """Apply one line of .cube text to ``keys`` (its keyword values, by
-    :class:`CubeLUT` field name, and ``size``); False for a data row."""
+    :class:`CubeLUT` field name, ``size``, and ``domain_line``, the line of
+    the last DOMAIN keyword); False for a data row."""
     line = raw.strip()
     if not line or line.startswith("#"):
         return True
@@ -244,6 +255,7 @@ def _keyword(keys: dict, raw: str, lineno: int) -> bool:
         raise UnsupportedCubeError("1D LUTs are not supported", line=lineno)
     elif head in ("DOMAIN_MIN", "DOMAIN_MAX"):
         keys[head.lower()] = np.array(_parse_floats(line.split()[1:], raw, lineno, 3, head))
+        keys["domain_line"] = lineno
     elif ((head[0].isalpha() or head[0] == "_")
           and head.lower() not in ("nan", "inf", "infinity")):  # float() reads these
         raise CubeFormatError(f"unknown keyword {head!r}", line=lineno)
@@ -295,23 +307,28 @@ def parse_cube(source) -> CubeLUT:
             f"(worst excess {worst:g}); clamping", CubeRangeWarning, stacklevel=2)
         data = np.clip(data, 0.0, 1.0)
     # Rows run red-fastest: row index = i + n*j + n^2*k.
-    size = keys.pop("size")
-    return CubeLUT(data.reshape(size, size, size, 3).transpose(2, 1, 0, 3), **keys)
+    size, line = keys.pop("size"), keys.pop("domain_line", None)
+    try:
+        return CubeLUT(data.reshape(size, size, size, 3).transpose(2, 1, 0, 3), **keys)
+    except ValidationError as exc:  # the domain rule: the rest holds by parsing
+        raise CubeFormatError(str(exc), line=line) from None
 
 
 def serialize_cube(lut: CubeLUT, file=None) -> str:
     """Emit .cube text, each value as ``"%.8g" % v`` (the same text as
     ``format(v, ".8g")``, ``-0.0`` included); round-trips through
-    :func:`parse_cube` within 1e-6.  A separable cube is written from its
+    :func:`parse_cube` within 1e-6.  A domain value that 8 digits would not
+    read back exactly is written to 17.  A separable cube is written from its
     three curves, with the same bytes as writing every cell."""
     lines = []
     if lut.title is not None:
         lines.append(f'TITLE "{lut.title}"')
     lines.append(f"LUT_3D_SIZE {lut.size}")
-    if not np.array_equal(lut.domain_min, np.zeros(3)):
-        lines.append("DOMAIN_MIN " + " ".join(f"{v:.8g}" for v in lut.domain_min))
-    if not np.array_equal(lut.domain_max, np.ones(3)):
-        lines.append("DOMAIN_MAX " + " ".join(f"{v:.8g}" for v in lut.domain_max))
+    for head, bound, default in (("DOMAIN_MIN", lut.domain_min, 0.0),
+                                 ("DOMAIN_MAX", lut.domain_max, 1.0)):
+        if np.any(bound != default):  # 8 digits where they read back exactly
+            lines.append(head + "".join(f" {v:.8g}" if float(f"{v:.8g}") == v else f" {v:.17g}"
+                                        for v in bound.tolist()))
     curves = lut.separable_channels()
     if curves is None:
         cells = lut.outputs.transpose(2, 1, 0, 3).ravel().tolist()

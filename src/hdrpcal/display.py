@@ -28,7 +28,6 @@ import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from ._table import read_table, reject_first
 from .colorspace import _checked, _freeze
@@ -36,6 +35,13 @@ from .errors import FitError, ValidationError
 
 FIT_MAX_EVALS = 500
 FIT_STEP_TOL = 1e-10
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on first use: a run that
+    fits nothing never loads scipy."""
+    from scipy.optimize import least_squares
+    return least_squares(*args, **kwargs)
 
 
 @dataclass(frozen=True)

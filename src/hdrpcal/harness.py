@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import svgplot
-from ._table import PROBLEMS, read_table
+from ._table import PROBLEMS, read_table, write_rows
 from .colorspace import _checked, _freeze, quantize_8bit
 # Not called here; the benchmark tracer requires this module binding.
 from .colorspace import srgb_encode3  # noqa: F401
@@ -247,10 +247,9 @@ def generate_samples(count: int, seed: int, kind: str = "lambertian",
 
 def save_samples(samples: SampleBatch, file) -> None:
     """Write samples in the CSV schema; floats keep full precision."""
-    nums = np.column_stack([getattr(samples, name) for name in _ROW_FIELDS])
     file.write(SAMPLE_CSV_HEADER + "\n")
-    file.write("".join(_CSV_ROW % (kind, *row) for kind, row
-                       in zip(samples.kinds.tolist(), nums.tolist())))
+    write_rows(file, _CSV_ROW, [getattr(samples, name) for name in _ROW_FIELDS],
+               samples.kinds)
 
 
 #: Row problems in per-row precedence order: a rejected row reports the
@@ -355,9 +354,8 @@ class ValidationReport:
     def to_csv(self, file) -> None:
         file.write("kind,pred_r,pred_g,pred_b,actual_r,actual_g,actual_b,"
                    "err_r,err_g,err_b\n")
-        nums = np.column_stack([self.predicted, self.actual, self.errors])
-        file.write("".join(_REPORT_ROW % (kind, *row) for kind, row
-                           in zip(self.kinds.tolist(), nums.tolist())))
+        write_rows(file, _REPORT_ROW, [self.predicted, self.actual, self.errors],
+                   self.kinds)
         file.write(f"# median_abs_error_255 = {self.median_abs_255:.10g}\n")
         file.write(f"# filtered_median_abs_error_255 = "
                    f"{self.filtered_median_abs_255:.10g}\n")

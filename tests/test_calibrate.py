@@ -10,7 +10,8 @@ from hdrpcal.calibrate import (DeltaSweep, GammaCorrectionSpec, _knot_jacobian,
                                gamma_tonemap, load_sweeps)
 from hdrpcal.colorspace import srgb_decode, srgb_encode, srgb_encode3
 from hdrpcal.cubelut import (CubeLUT, CubeTonemap, DELTA_KNOTS, KnotGrid,
-                             default_knot_grid, make_delta_cube, separable_cube)
+                             default_knot_grid, make_delta_cube, parse_cube,
+                             separable_cube, serialize_cube)
 from hdrpcal.display import AchromaticDisplay, ChromaticDisplay
 from hdrpcal.errors import FitError, ValidationError
 from hdrpcal.harness import generate_samples, predict_unprocessed
@@ -401,6 +402,22 @@ class TestEstimateKnotsOptimize:
         assert report.notes == ("unsupported knots: " + ", ".join(map(str, expected)),)
         # Taken from the solver's residuals, bit for bit a fresh training pass.
         assert report.train_median_255 == 0.25140305745207026
+
+    def test_step_past_float_range_is_rejected(self):
+        # On these two correction cubes the solver tries log gaps beyond the
+        # range of exp, and later gaps too small to keep the knots apart.
+        # Each such step scores as no fit, without an overflow warning
+        # (warnings are errors here).
+        grid = default_knot_grid()
+        datasets = []
+        for seed, r, refine in ((32, 1.111, True), (33, 1.0, False)):
+            lut = parse_cube(serialize_cube(build_correction_cube(
+                GammaCorrectionSpec(DISPLAY, input_range=r), grid, refine=refine)))
+            datasets.append((generate_samples(150, seed=seed, quantize=True,
+                                              tonemap=CubeTonemap(grid, lut)), lut))
+        est, report = estimate_knots_optimize(datasets, grid)
+        assert report.converged, report.notes
+        assert np.all(np.diff(est.active_values) > 0)
 
     @pytest.mark.parametrize("seed", [-1, 0.5])
     def test_invalid_seed(self, seed):

@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -583,6 +585,20 @@ class TestWritePath:
         assert "writer failed" in captured.err
         assert "part of a body" not in captured.out
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.csv.meta.json"]
+
+    def test_body_is_held_once(self, tmp_path):
+        # Peak traced memory of writing a sample body through the CLI's write
+        # path, against the body's size: one copy plus one block in flight.
+        samples = harness.generate_samples(4000, seed=2)
+        out = tmp_path / "samples.csv"
+        args = argparse.Namespace(command="simulate", quiet=True)
+        tracemalloc.start()
+        try:
+            cli._emit(args, lambda fh: harness.save_samples(samples, fh), str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * out.stat().st_size, peak / out.stat().st_size
 
 
 #: The exit code of ``main`` for each error class a handler may raise.

@@ -2,7 +2,8 @@
 a value below 0, a value above its upper bound and, for (..., 3) input, a
 wrong last axis, with a ValidationError that starts with the entry point's
 name.  Entry points that need a fixed number of axes reject the others.  A
-CubeLUT takes only a domain and a title that its writer and reader round-trip."""
+CubeLUT takes only a domain and a title that its writer and reader round-trip,
+and a .cube file whose domain breaks that rule names its DOMAIN line."""
 
 import re
 
@@ -10,12 +11,13 @@ import numpy as np
 import pytest
 
 from hdrpcal.calibrate import GammaCorrectionSpec, gamma_tonemap
+from hdrpcal.cli import main
 from hdrpcal.colorspace import (quantize_8bit, srgb_decode, srgb_decode3,
                                 srgb_encode, srgb_encode3)
 from hdrpcal.cubelut import (CubeLUT, CubeTonemap, KnotGrid, default_knot_grid,
                              make_delta_cube, parse_cube, serialize_cube)
 from hdrpcal.display import AchromaticDisplay, ChromaticDisplay, Measurement
-from hdrpcal.errors import ValidationError
+from hdrpcal.errors import CubeFormatError, ValidationError
 from hdrpcal.harness import simulate_characterization
 from hdrpcal.scene import post_process
 
@@ -135,3 +137,30 @@ def test_cube_domain_and_title_round_trip(title, domain_min, domain_max):
     assert back.title == title
     assert back.domain_min.tolist() == domain_min
     assert back.domain_max.tolist() == domain_max
+
+
+@pytest.mark.parametrize("keywords, line", [
+    ("DOMAIN_MIN 1 1 1\n", 2),
+    ("DOMAIN_MAX 0 0.5 0.5\n", 2),
+    ('TITLE "t"\nDOMAIN_MIN 0.5 0.5 0.5\n# c\nDOMAIN_MAX 0.5 1 1\n', 5),
+], ids=["min at max", "max at min", "min at max, last line"])
+def test_cube_domain_error_names_its_line(tmp_path, capsys, keywords, line):
+    text = "LUT_3D_SIZE 2\n" + keywords + "0 0 0\n" * 8
+    with pytest.raises(CubeFormatError, match=rf"^cube domain must be .* \(line {line}\)$"):
+        parse_cube(text)
+    path = tmp_path / "bad.cube"
+    path.write_text(text)
+    assert main(["simulate", "--samples", "1", "--tonemap", str(path)]) == 2
+    assert f"(line {line})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: KnotGrid(np.arange(257.0)),
+     "knot grid needs 1 <= active_start < size <= 256, got active_start 3, size 257"),
+    (lambda: CubeLUT(np.zeros((1, 1, 1, 3))), "cube size must be in 2..256, got 1"),
+    (lambda: CubeLUT(np.zeros((0, 0, 0, 3))), "cube size must be in 2..256, got 0"),
+], ids=["knots 257", "cube 1", "cube 0"])
+def test_grid_size_outside_the_cube_format_rejected(make, message):
+    """The knot CSV and .cube readers take sizes 2..256 only."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        make()

@@ -6,24 +6,30 @@ Inputs are arbitrary text, truncated valid documents, valid documents with
 arbitrary text spliced in and, for line-based formats, rows of typical and
 edge-case tokens, all capped near 2 kB.  Fast paths are checked against
 their reference paths too: the bulk .cube read against the line walk, the
-.cube writer against per-value formatting, and the sample batch against
-the sample CSV reader.  Example generation is derandomized, so every run
-tries the same inputs.
+bulk CSV read against the per-field read, the .cube writer against
+per-value formatting, and the sample batch against the sample CSV reader.
+Each writer is checked against its reader: what a constructor accepts is
+written and read back equal.  Example generation is derandomized, so every
+run tries the same inputs.
 """
 
 import io
 import warnings
+from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+from hdrpcal import _table
+from hdrpcal._table import BLOCK_ROWS
 from hdrpcal.calibrate import load_sweeps
 from hdrpcal.cli import main
-from hdrpcal.cubelut import (CubeLUT, KnotGrid, _separable_outputs, _walk_rows,
-                             default_knot_grid, parse_cube, serialize_cube)
-from hdrpcal.display import (AchromaticDisplay, load_achromatic_csv, load_chromatic_csv,
-                             load_display, save_display)
+from hdrpcal.cubelut import (MAX_GRID_SIZE, CubeLUT, KnotGrid, _separable_outputs,
+                             _walk_rows, default_knot_grid, parse_cube, serialize_cube)
+from hdrpcal.display import (AchromaticDisplay, ChromaticDisplay, load_achromatic_csv,
+                             load_chromatic_csv, load_display, save_display)
 from hdrpcal.errors import HdrpcalError, SampleFormatError, ValidationError
 from hdrpcal.harness import (SAMPLE_CSV_HEADER, SampleBatch, _CSV_ROW, _ROW_FIELDS,
                              generate_samples, load_samples, save_samples)
@@ -51,8 +57,11 @@ CHROMATIC = "v_r,v_g,v_b,X,Y,Z\n0,0,0,1,1,1\n1,0,0,42,22,3\n0,1,0,36,72,12\n"
 DISPLAY = _text(lambda fh: save_display(AchromaticDisplay(l0=2.0, l1=98.0,
                                                           gamma=2.2), fh))
 
+# "1_0" and "\uff11" (a full-width 1) convert in Python but not in the bulk
+# parse; the bulk parse skips "\x1c" around a number, and Python does not.
 TOKENS = st.sampled_from(["0", "1", "2", "-2", "3", "32", "257", "0.5", "1e9",
-                          "1e999", "nan", "-inf", "x", "", "lambertian"])
+                          "1e999", "nan", "-inf", "x", "", "lambertian", "1_0",
+                          "\uff11", "\x1c1", "3.0"])
 
 
 def damaged(valid: str):
@@ -110,6 +119,36 @@ def _outcome(read):
         except HdrpcalError as exc:
             return (type(exc), str(exc), getattr(exc, "line", None),
                     getattr(exc, "column", None))
+
+
+def _state(value):
+    """``value`` in a form ``==`` compares bit for bit: arrays as dtype,
+    shape and bytes (object arrays as lists), dataclasses field by field."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape,
+                value.tolist() if value.dtype == object else value.tobytes())
+    if isinstance(value, (list, tuple)):
+        return [_state(v) for v in value]
+    if hasattr(value, "__dataclass_fields__"):
+        return (type(value), [_state(getattr(value, f.name)) for f in fields(value)])
+    return value
+
+
+# The readers that share the CSV table reader, whose bulk parse falls back to
+# a per-field read.
+TABLES = [r for r in READERS if r[0] in ("samples", "knots", "sweeps", "achromatic",
+                                         "chromatic")]
+
+
+@pytest.mark.parametrize("read,inputs", [r[1:] for r in TABLES], ids=[r[0] for r in TABLES])
+def test_bulk_csv_read_matches_per_field_read(read, inputs):
+    @fuzz
+    @given(inputs)
+    def check(text):
+        bulk = _outcome(lambda: _state(read(text)))
+        with mock.patch.object(_table, "_bulk", side_effect=ValueError):
+            assert _outcome(lambda: _state(read(text))) == bulk
+    check()
 
 
 def _walked_cube(text: str):
@@ -209,12 +248,14 @@ def test_general_cube_text_matches_per_value_text(n, palette, seed):
 
 MIXED = generate_samples(4, seed=2) + generate_samples(2, seed=3, kind="unlit")
 NUDGES = [1e-7, -3e-7, 9e-7, 2e-6, -1e-5, -1.0, 1.0]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# One field edit (keep, add): the field becomes keep * field + add.
+EDITS = FINITE.map(lambda x: (0.0, x)) | st.sampled_from(NUDGES).map(lambda d: (1.0, d))
 
 
 @fuzz
 @given(st.integers(0, len(MIXED) - 1), st.sampled_from(_ROW_FIELDS), st.integers(0, 2),
-       st.floats(allow_nan=False, allow_infinity=False).map(lambda x: (0.0, x))
-       | st.sampled_from(NUDGES).map(lambda d: (1.0, d)))
+       EDITS)
 @example(1, "i_a", 0, (0.0, -5.0))
 @example(0, "v", 1, (0.0, 7.0))
 @example(5, "n", 2, (0.0, 1e200))  # an unlit row: no norm rule, no overflow error
@@ -241,6 +282,144 @@ def test_batch_contract_is_the_sample_csv_contract(row, name, k, edit):
     except SampleFormatError as exc:
         line = row + 2
         assert str(exc) == f"rejected 1 sample row(s): line {line}: {problem} [rows: {line}]"
+
+
+@st.composite
+def sample_columns(draw):
+    """SampleBatch arguments: generated rows, on both sides of one write
+    block, some turned unlit with arbitrary finite vectors, and a few
+    fields edited as in :data:`EDITS`."""
+    n = draw(st.sampled_from([1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS]))
+    base = generate_samples(n, seed=draw(st.integers(0, 2**16)))
+    columns = {name: np.array(getattr(base, name)) for name in ("lambertian", *_ROW_FIELDS)}
+    for row in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        columns["lambertian"][row] = False
+        for name in ("n", "d", "l", "a"):
+            columns[name][row] = draw(st.lists(FINITE, min_size=3, max_size=3))
+    for row, name, k, (keep, add) in draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.sampled_from(_ROW_FIELDS), st.integers(0, 2), EDITS),
+            max_size=2)):
+        at = (row, k) if columns[name].ndim == 2 else row
+        columns[name][at] = keep * columns[name][at] + add
+    return columns
+
+
+def _same_samples(batch, back):
+    """Bit for bit, but for the documented renormalization: the reader
+    rescales a Lambertian row's normal or light direction that is further
+    than 1e-12 from unit norm."""
+    expected = {name: np.array(getattr(batch, name)) for name in ("lambertian", *_ROW_FIELDS)}
+    lam = expected["lambertian"]
+    for vec in (expected["n"], expected["l"]):
+        norm = np.linalg.norm(vec[lam], axis=1)
+        off = np.abs(norm - 1.0) > 1e-12
+        vec[np.flatnonzero(lam)[off]] /= norm[off, None]
+    return all(_state(expected[name]) == _state(getattr(back, name)) for name in expected)
+
+
+def _knot_text_values(values):
+    """The active knots as the knot CSV holds them: 10 significant digits,
+    or 17 where 10 would not read back as strictly increasing finite knots."""
+    ten = np.array([float(f"{v:.10g}") for v in values])
+    return ten if np.isfinite(ten).all() and np.all(np.diff(ten) > 0) else values
+
+
+def _same_knots(grid, back):
+    return ((back.size, back.active_start) == (grid.size, grid.active_start)
+            and _state(back.active_values) == _state(_knot_text_values(grid.active_values)))
+
+
+def _same_cube(lut, back):
+    """Outputs as ``%.8g`` text holds them; title and domain equal."""
+    eight = np.array([float("%.8g" % v) for v in lut.outputs.ravel()])
+    return (_state(back.outputs.ravel()) == _state(eight) and back.title == lut.title
+            and np.array_equal(back.domain_min, lut.domain_min)
+            and np.array_equal(back.domain_max, lut.domain_max))
+
+
+def _same_display(display, back):
+    def values(d):
+        return [_state(np.float64(getattr(d, f.name))) for f in fields(d)]
+    return type(back) is type(display) and values(back) == values(display)
+
+
+@st.composite
+def knot_arguments(draw):
+    """KnotGrid arguments: sizes on both sides of the largest grid,
+    nonnegative active knots (sorted or not, some closer than 10 digits tell
+    apart), inactive entries NaN or finite."""
+    size = draw(st.sampled_from([2, 3, 32, MAX_GRID_SIZE, MAX_GRID_SIZE + 1]))
+    start = draw(st.integers(max(1, size - 40), size - 1))
+    active = draw(st.lists(st.floats(0.0, allow_infinity=False) | st.sampled_from(
+        [1.0, 1.0 + 1e-12, 1.7976931348623157e308]), min_size=size - start + 1,
+        max_size=size - start + 1, unique=True))
+    if draw(st.booleans()):
+        active = sorted(active)
+    inactive = draw(st.lists(FINITE | st.just(np.nan), min_size=start - 1,
+                             max_size=start - 1))
+    return {"values": inactive + active, "active_start": start}
+
+
+def _bounds(pair):
+    lo, hi = np.minimum(*pair), np.maximum(*pair)
+    return {"domain_min": lo, "domain_max": hi}
+
+
+@st.composite
+def cube_arguments(draw):
+    """CubeLUT arguments: sizes 0 to 9 (a cube above the largest size would
+    take 400 MB), outputs from a few values (signed zeros and values outside
+    [0, 1] among them), any title, and a domain of arbitrary, nearly equal
+    or default bounds."""
+    n = draw(st.integers(0, 9))
+    palette = draw(st.lists(CURVE_VALUES | st.sampled_from([5e-324, 0.123456789123, 1.5]),
+                            min_size=1, max_size=5))
+    pick = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+        0, len(palette), (n, n, n, 3))
+    args = {"outputs": np.array(palette)[pick],
+            "title": draw(st.none() | st.text(max_size=20))}
+    bound = st.lists(FINITE, min_size=3, max_size=3).map(np.array)
+    domain = draw(st.none() | st.tuples(bound, bound).map(_bounds)
+                  | bound.map(lambda lo: _bounds((lo, np.nextafter(lo, np.inf)))))
+    return args | (domain or {})
+
+
+VECTOR = st.lists(FINITE, min_size=3, max_size=3)
+# most chromatic displays need positive primary Y components and gammas
+POSITIVE = st.lists(st.floats(0.0, exclude_min=True, allow_infinity=False),
+                    min_size=3, max_size=3)
+
+# (name, constructor argument strategy, constructor, writer, reader, equality)
+WRITERS = [
+    ("samples", sample_columns(), SampleBatch, save_samples, load_samples, _same_samples),
+    ("knots", knot_arguments(), KnotGrid, KnotGrid.to_csv, KnotGrid.from_csv, _same_knots),
+    ("cube", cube_arguments(), CubeLUT, serialize_cube, parse_cube, _same_cube),
+    ("achromatic", st.fixed_dictionaries({"l0": FINITE, "l1": FINITE,
+                                          "gamma": FINITE}),
+     AchromaticDisplay, save_display, load_display, _same_display),
+    ("chromatic", st.fixed_dictionaries({f.name: VECTOR | POSITIVE
+                                         for f in fields(ChromaticDisplay)}),
+     ChromaticDisplay, save_display, load_display, _same_display),
+]
+
+
+@pytest.mark.parametrize("arguments,make,write,read,same", [w[1:] for w in WRITERS],
+                         ids=[w[0] for w in WRITERS])
+def test_writer_output_reads_back(arguments, make, write, read, same):
+    """What a constructor accepts, its writer writes and its reader reads
+    back equal; the constructor raises nothing but ValidationError."""
+    @settings(fuzz, max_examples=40)
+    @given(arguments)
+    def check(kwargs):
+        try:
+            value = make(**kwargs)
+        except ValidationError:
+            return
+        buf = io.StringIO()
+        write(value, buf)
+        buf.seek(0)
+        assert same(value, read(buf))
+    check()
 
 
 # (name, argv with {fuzzed} for the fuzzed file and {name} for fixed files,

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -326,6 +327,38 @@ class TestSampleCsv:
             "line 1501: non-numeric field; line 1502: non-numeric field; "
             "line 2001: expected 22 columns, got 23; line 3001: non-numeric "
             "field [rows: 2, 1501, 1502, 2001, 3001]")
+
+    def test_clean_table_is_read_in_bulk(self, monkeypatch):
+        samples = generate_samples(20_000, seed=35) + generate_samples(50, seed=36,
+                                                                       kind="unlit")
+        buf = io.StringIO()
+        save_samples(samples, buf)
+
+        def per_field(*args):
+            raise AssertionError("per-field path used")
+        monkeypatch.setattr("hdrpcal._table._per_field", per_field)
+        assert_batches_identical(load_samples(io.StringIO(buf.getvalue())), samples)
+
+    def test_memory_stays_near_the_text(self, tmp_path):
+        # Peak traced memory against the text's size: the reader holds the
+        # text plus one array per column, the writer one block of rows.
+        samples = generate_samples(4000, seed=37)
+        path = tmp_path / "samples.csv"
+
+        def peak(call, mode):
+            tracemalloc.start()
+            try:
+                with open(path, mode) as fh:
+                    call(fh)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        written = peak(lambda fh: save_samples(samples, fh), "w")
+        read = peak(load_samples, "r")
+        size = path.stat().st_size
+        assert written < 1.5 * size, written / size
+        assert read < 3 * size, read / size
 
     def test_unlit_rows_skip_lighting_checks(self):
         buf = io.StringIO()

@@ -3,9 +3,11 @@ writer behind its long text bodies.
 
 A table is one header line, compared with spaces removed, then one data
 row per line; blank lines and lines starting with ``#`` are skipped.  Each
-field converts by its column's type letter: ``s`` text, ``i`` integer,
-``f`` float.  Float fields must be finite.  Only a table the bulk parse
-rejects is split into one string per field, to find and word its bad rows.
+field converts by its column's type letter, under the rules of ``float()``
+and ``int()``: ``s`` text, ``i`` integer, ``f`` float.  Float fields must be
+finite.  Rows convert :data:`BLOCK_ROWS` at a time, and only a block that
+fails is converted again row by row, to find and word its bad rows; so a
+table with bad rows is read in the memory of a clean one.
 """
 
 from __future__ import annotations
@@ -21,23 +23,22 @@ from .errors import ValidationError
 PROBLEMS = ("", "expected {} columns, got {}", "non-numeric field",
             "non-finite field")
 
-#: Rows a writer formats at a time, so it holds one block of text, not the body.
+#: Rows the reader converts, or a writer formats, at a time, so it holds one
+#: block of fields or text, not the whole table.
 BLOCK_ROWS = 512
 
 _DTYPES = {"s": object, "i": np.int64}  # "f" columns convert together
-#: The bulk parse skips these around a number as blanks; ``float`` rejects them.
-_BULK_UNSAFE = "\x1c\x1d\x1e\x1f"
 
 
-def _bulk(lines: list[str], types: str) -> tuple[list[np.ndarray], np.ndarray]:
-    """The columns of ``lines`` and the (rows, floats) block of the float
-    columns, parsed by one ``loadtxt`` call; the others split per line."""
-    block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                       usecols=[j for j, t in enumerate(types) if t == "f"])
-    rest = iter(block.T)
-    return [next(rest) if t == "f" else
-            np.fromiter((s.split(",", j + 1)[j] for s in lines), _DTYPES[t], len(lines))
-            for j, t in enumerate(types)], block
+def _convert(lines: list[str], types: str) -> list[np.ndarray]:
+    """The (rows, floats) block of the float fields of ``lines``, one row
+    each, then every other column; raises ``ValueError`` or
+    ``OverflowError`` if a field does not convert."""
+    fields = ",".join(lines).split(",")
+    floats = list(compress(fields, cycle([t == "f" for t in types])))
+    return [np.array(floats, dtype=float).reshape(-1, types.count("f")),
+            *(np.array(fields[j::len(types)], dtype=_DTYPES[t])
+              for j, t in enumerate(types) if t != "f")]
 
 
 def read_table(file, header: str, types: str, what: str, error=ValidationError):
@@ -52,25 +53,32 @@ def read_table(file, header: str, types: str, what: str, error=ValidationError):
     got = file.readline().strip().replace(" ", "")
     if got != header:
         raise error(f"{what}: expected header {header!r}, got {got!r}")
-    text = file.read()
-    bulk = not any(c in text for c in _BULK_UNSAFE)
-    raw = list(map(str.strip, text.split("\n")))
-    del text
+    raw = list(map(str.strip, file.read().split("\n")))
     lines = [s for s in raw if s and s[0] != "#"]
-    width = len(types)
+    width, filler = len(types), ",".join("0" * len(types))
     count = np.array([s.count(",") for s in lines], dtype=np.int64) + 1
     problem = (count != width).astype(np.int8)
     if problem.any():
-        filler = ",".join("0" * width)
         lines = [filler if p else s for s, p in zip(lines, problem.tolist())]
-    parsed = None
-    if bulk and lines:  # loadtxt warns on empty input
+    out = [np.empty((len(lines), types.count("f"))),
+           *(np.empty(len(lines), _DTYPES[t]) for t in types if t != "f")]
+    for lo in range(0, len(lines), BLOCK_ROWS):
+        rows = lines[lo:lo + BLOCK_ROWS]
         try:
-            parsed = _bulk(lines, types)
-        except (ValueError, OverflowError):
-            pass
-    columns, block = parsed or _per_field(lines, types, problem)
+            parts = _convert(rows, types)
+        except (ValueError, OverflowError):  # again row by row: a row that
+            for r, s in enumerate(rows):     # fails gets problem 2 and zeros
+                try:
+                    _convert([s], types)
+                except (ValueError, OverflowError):
+                    problem[lo + r], rows[r] = 2, filler
+            parts = _convert(rows, types)
+        for whole, part in zip(out, parts):
+            whole[lo:lo + len(rows)] = part
+    block, *other = out
     problem[(problem == 0) & ~np.all(np.isfinite(block), axis=1)] = 3
+    floats, other = iter(block.T), iter(other)
+    columns = [next(floats) if t == "f" else next(other) for t in types]
 
     def explain(rows):
         numbers = [n for n, s in enumerate(raw, start=2) if s and s[0] != "#"]
@@ -78,38 +86,6 @@ def read_table(file, header: str, types: str, what: str, error=ValidationError):
                 for r in rows]
 
     return columns, problem, explain
-
-
-def _per_field(lines: list[str], types: str, problem: np.ndarray) -> tuple:
-    """:func:`_bulk` from one string per field; a row with a field that fails
-    to convert, found by bisection, gets problem 2 and placeholder fields."""
-    width = len(types)
-    fields = ",".join(lines).split(",") if lines else []
-
-    def convert(fields):  # every float field in one call, the rest per column
-        floats = list(compress(fields, cycle([t == "f" for t in types])))
-        block = np.array(floats, dtype=float).reshape(-1, types.count("f"))
-        rest = iter(block.T)
-        return [next(rest) if t == "f" else np.array(fields[j::width], dtype=_DTYPES[t])
-                for j, t in enumerate(types)], block
-
-    try:
-        return convert(fields)
-    except (ValueError, OverflowError):
-        pass
-    bad = [(0, len(lines))]  # bisect spans known to hold a bad field
-    while bad:
-        lo, hi = bad.pop()
-        if hi - lo == 1:
-            problem[lo] = 2
-            fields[lo * width:hi * width] = ["0"] * width
-            continue
-        for half in ((lo + hi) // 2, hi), (lo, (lo + hi) // 2):
-            try:
-                convert(fields[half[0] * width:half[1] * width])
-            except (ValueError, OverflowError):
-                bad.append(half)
-    return convert(fields)
 
 
 def write_rows(file, row: str, columns, labels=None) -> None:

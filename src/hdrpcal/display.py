@@ -37,6 +37,13 @@ FIT_MAX_EVALS = 500
 FIT_STEP_TOL = 1e-10
 
 
+def _finite_number(x) -> bool:
+    """Whether ``x`` is an int or a float of finite float value; a numpy
+    scalar counts as its Python value, a bool does not."""
+    x = x.item() if isinstance(x, np.generic) else x
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
 def least_squares(*args, **kwargs):
     """``scipy.optimize.least_squares``, imported on first use: a run that
     fits nothing never loads scipy."""
@@ -53,11 +60,14 @@ class AchromaticDisplay:
     gamma: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.l0) and self.l0 >= 0):
+        for f in fields(self):
+            if not _finite_number(getattr(self, f.name)):
+                raise ValidationError(f"{f.name} must be a finite number")
+        if self.l0 < 0:
             raise ValidationError("l0 must be >= 0")
-        if not (np.isfinite(self.l1) and self.l1 > 0):
+        if self.l1 <= 0:
             raise ValidationError("l1 must be > 0")
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
+        if self.gamma <= 0:
             raise ValidationError("gamma must be > 0")
 
     @property
@@ -304,7 +314,7 @@ def save_display(display, file, report: FitReport | None = None) -> None:
     doc = {"kind": kinds[0]}
     for f in fields(display):
         value = getattr(display, f.name)
-        doc[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        doc[f.name] = value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
     if report is not None:
         doc["fit"] = {"residual_rms": report.residual_rms,
                       "n_points": report.n_points}
@@ -333,8 +343,7 @@ def load_display(file):
             raise ValidationError(f"{kind} display JSON: missing key {key!r}")
         value = doc[key]
         items = value if isinstance(value, list) else [value]
-        numbers = [float(x) for x in items if type(x) in (int, float)
-                   and abs(x) <= sys.float_info.max]
+        numbers = [float(x) for x in items if _finite_number(x)]
         if isinstance(value, list) != vector or len(numbers) != len(items):
             expected = "a list of finite numbers" if vector else "a finite number"
             raise ValidationError(f"{kind} display JSON: {key!r} must be "

@@ -299,9 +299,10 @@ def load_samples(file) -> SampleBatch:
     (kinds, *fields), problem, explain = read_table(
         file, SAMPLE_CSV_HEADER, "s" + "f" * 21, "sample CSV", SampleFormatError)
     lam = kinds == "lambertian"
-    m, n, d, l, a, v = (np.column_stack(fields[k:k + 3]) for k in (0, 3, 6, 10, 13, 18))
-    columns = dict(lambertian=lam, m=m, n=n, d=d, i_d=fields[9].copy(), l=l, a=a,
-                   i_a=fields[16].copy(), e=fields[17].copy(), v=v)
+    rest = iter(fields)
+    columns = {"lambertian": lam} | {
+        name: np.column_stack([next(rest) for _ in range(3)]) if name in _TRIPLETS
+        else next(rest).copy() for name in _ROW_FIELDS}
     checks = np.column_stack([  # one column per _ROW_PROBLEMS entry
         problem == 1,
         problem == 2,
@@ -324,7 +325,7 @@ def load_samples(file) -> SampleBatch:
     # Renormalize only when the text actually lost precision, so saved
     # samples round-trip bit for bit.  Unlit rows may hold any finite vectors.
     with np.errstate(over="ignore"):
-        for vec in (n, l):
+        for vec in (columns["n"], columns["l"]):
             norm = np.linalg.norm(vec, axis=1)
             off = lam & (np.abs(norm - 1.0) > 1e-12)
             vec[off] /= norm[off, None]

@@ -3,8 +3,12 @@ a value below 0, a value above its upper bound and, for (..., 3) input, a
 wrong last axis, with a ValidationError that starts with the entry point's
 name.  Entry points that need a fixed number of axes reject the others.  A
 CubeLUT takes only a domain and a title that its writer and reader round-trip,
-and a .cube file whose domain breaks that rule names its DOMAIN line."""
+and a .cube file whose domain breaks that rule names its DOMAIN line.  An
+AchromaticDisplay takes only int or float fields of finite value, numpy
+scalars among them, and its writer writes them as plain JSON numbers."""
 
+import io
+import json
 import re
 
 import numpy as np
@@ -16,7 +20,8 @@ from hdrpcal.colorspace import (quantize_8bit, srgb_decode, srgb_decode3,
                                 srgb_encode, srgb_encode3)
 from hdrpcal.cubelut import (CubeLUT, CubeTonemap, KnotGrid, default_knot_grid,
                              make_delta_cube, parse_cube, serialize_cube)
-from hdrpcal.display import AchromaticDisplay, ChromaticDisplay, Measurement
+from hdrpcal.display import (AchromaticDisplay, ChromaticDisplay, Measurement,
+                             load_display, save_display)
 from hdrpcal.errors import CubeFormatError, ValidationError
 from hdrpcal.harness import simulate_characterization
 from hdrpcal.scene import post_process
@@ -164,3 +169,34 @@ def test_grid_size_outside_the_cube_format_rejected(make, message):
     """The knot CSV and .cube readers take sizes 2..256 only."""
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         make()
+
+
+ACHROMATIC_FIELDS = {"l0": 1.0, "l1": 10.0, "gamma": 2.2}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gamma", 2**2000), ("gamma", 2**1024), ("l1", "2"), ("gamma", True),
+    ("l0", np.bool_(False)), ("l0", np.float32("nan")), ("l1", np.float64("inf")),
+    ("gamma", None),
+], ids=["2**2000", "2**1024", "str", "bool", "numpy bool", "float32 nan",
+        "float64 inf", "None"])
+def test_achromatic_field_not_a_finite_number_rejected(field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must be a finite number$"):
+        AchromaticDisplay(**ACHROMATIC_FIELDS | {field: value})
+
+
+@pytest.mark.parametrize("field, value, written", [
+    ("l0", np.float32(1.0), 1.0),
+    ("l0", np.float32(0.1), 0.10000000149011612),
+    ("l1", np.int64(7), 7),
+    ("gamma", 2**64, 2**64),
+    ("gamma", 3, 3),
+], ids=["float32", "float32 0.1", "int64", "2**64", "int"])
+def test_achromatic_numeric_fields_written_as_json_numbers(field, value, written):
+    """Numpy scalars are written as plain numbers, and an int stays an int."""
+    buf = io.StringIO()
+    save_display(AchromaticDisplay(**ACHROMATIC_FIELDS | {field: value}), buf)
+    doc = json.loads(buf.getvalue())
+    assert doc[field] == written and type(doc[field]) is type(written)
+    buf.seek(0)
+    assert getattr(load_display(buf), field) == float(value)

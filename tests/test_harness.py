@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hdrpcal import harness
+from hdrpcal import _table, harness
+from hdrpcal._table import BLOCK_ROWS, read_table
 from hdrpcal.calibrate import (GammaCorrectionSpec, build_correction_cube,
                                estimate_knots_optimize, estimate_scale_constant)
 from hdrpcal.cubelut import (CubeTonemap, DELTA_KNOTS, default_knot_grid,
@@ -27,6 +28,17 @@ def assert_batches_identical(a, b):
     assert len(a) == len(b)
     for name in COLUMNS:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def traced_peak(path, mode, call):
+    """Peak traced memory of ``call`` on ``path`` opened in ``mode``."""
+    tracemalloc.start()
+    try:
+        with open(path, mode) as fh:
+            call(fh)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def cube_tonemap():
@@ -312,53 +324,75 @@ class TestSampleCsv:
             f"rejected 1 sample row(s): line 2: {message} [rows: 2]")
 
     def test_bad_fields_in_a_long_table(self):
-        # The reader bisects a table whose fields fail to convert; every bad
-        # row is still found, at either end and side by side in the middle.
+        # The reader converts a block of rows at a time and a failing block
+        # again row by row; every bad row is still found: at either end,
+        # side by side in one block, on both sides of a block boundary and
+        # in the last, partial block (data rows 2560-2999).
         buf = io.StringIO()
         save_samples(generate_samples(3000, seed=34), buf)
         lines = buf.getvalue().splitlines()
-        for i, edit in ((1, {1: "x"}), (1500, {19: "0.5.5"}), (1501, {4: "--1"}),
-                        (2000, {22: "1"}), (3000, {21: "x"})):
+        for i, edit in ((1, {1: "x"}), (BLOCK_ROWS, {9: "1e"}),
+                        (BLOCK_ROWS + 1, {13: "1__0"}), (1500, {19: "0.5.5"}),
+                        (1501, {4: "--1"}), (2000, {22: "1"}), (2561, {16: ""}),
+                        (3000, {21: "x"})):
             lines[i] = self._edited(lines[i], edit)
+        text = "\n".join(lines) + "\n"
         with pytest.raises(SampleFormatError) as info:
-            load_samples(io.StringIO("\n".join(lines) + "\n"))
+            load_samples(io.StringIO(text))
+        rows = (2, 513, 514, 1501, 1502, 2001, 2562, 3001)
+        assert info.value.rows == rows
         assert str(info.value) == (
-            "rejected 5 sample row(s): line 2: non-numeric field; "
-            "line 1501: non-numeric field; line 1502: non-numeric field; "
-            "line 2001: expected 22 columns, got 23; line 3001: non-numeric "
-            "field [rows: 2, 1501, 1502, 2001, 3001]")
+            "rejected 8 sample row(s): line 2: non-numeric field; "
+            "line 513: non-numeric field; line 514: non-numeric field; "
+            "line 1501: non-numeric field; line 1502: non-numeric field "
+            f"[rows: {', '.join(map(str, rows))}]")
+        _, problem, explain = read_table(io.StringIO(text), SAMPLE_CSV_HEADER,
+                                         "s" + "f" * 21, "sample CSV")
+        texts = ["non-numeric field"] * 5 + ["expected 22 columns, got 23"] + [
+            "non-numeric field"] * 2
+        assert explain(np.flatnonzero(problem)) == list(zip(rows, texts))
 
-    def test_clean_table_is_read_in_bulk(self, monkeypatch):
+    def test_clean_table_is_converted_once_per_block(self, monkeypatch):
         samples = generate_samples(20_000, seed=35) + generate_samples(50, seed=36,
                                                                        kind="unlit")
         buf = io.StringIO()
         save_samples(samples, buf)
+        sizes = []
+        convert = _table._convert
 
-        def per_field(*args):
-            raise AssertionError("per-field path used")
-        monkeypatch.setattr("hdrpcal._table._per_field", per_field)
+        def counted(lines, types):
+            sizes.append(len(lines))
+            return convert(lines, types)
+        monkeypatch.setattr(_table, "_convert", counted)
         assert_batches_identical(load_samples(io.StringIO(buf.getvalue())), samples)
+        full, last = divmod(len(samples), BLOCK_ROWS)
+        assert sizes == [BLOCK_ROWS] * full + [last]
 
     def test_memory_stays_near_the_text(self, tmp_path):
         # Peak traced memory against the text's size: the reader holds the
         # text plus one array per column, the writer one block of rows.
         samples = generate_samples(4000, seed=37)
         path = tmp_path / "samples.csv"
-
-        def peak(call, mode):
-            tracemalloc.start()
-            try:
-                with open(path, mode) as fh:
-                    call(fh)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        written = peak(lambda fh: save_samples(samples, fh), "w")
-        read = peak(load_samples, "r")
+        written = traced_peak(path, "w", lambda fh: save_samples(samples, fh))
+        read = traced_peak(path, "r", load_samples)
         size = path.stat().st_size
         assert written < 1.5 * size, written / size
         assert read < 3 * size, read / size
+
+    def test_bad_field_is_read_in_the_memory_of_a_clean_table(self, tmp_path):
+        # Only the block holding the bad field is converted again, row by row.
+        clean, bad = tmp_path / "clean.csv", tmp_path / "bad.csv"
+        with open(clean, "w") as fh:
+            save_samples(generate_samples(4000, seed=38), fh)
+        lines = clean.read_text().splitlines()
+        lines[2000] = self._edited(lines[2000], {5: "x"})
+        bad.write_text("\n".join(lines) + "\n")
+
+        def rejected(fh):
+            with pytest.raises(SampleFormatError, match="line 2001: non-numeric field"):
+                load_samples(fh)
+        ratio = traced_peak(bad, "r", rejected) / traced_peak(clean, "r", load_samples)
+        assert ratio <= 1.5, ratio
 
     def test_unlit_rows_skip_lighting_checks(self):
         buf = io.StringIO()

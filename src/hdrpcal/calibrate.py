@@ -38,7 +38,8 @@ from .colorspace import srgb_encode3  # noqa: F401
 from .cubelut import (ACTIVE_START, DEFAULT_GRID_SIZE, CubeLUT, KnotGrid,
                       _cell_corners, _interpolate, _locate,
                       _separable_outputs, default_knot_grid)
-from .display import AchromaticDisplay, ChromaticDisplay, least_squares
+from .display import (AchromaticDisplay, ChromaticDisplay, _finite_number,
+                      least_squares)
 from .errors import FitError, ValidationError
 from .harness import (MATERIAL_FLOOR, SampleBatch, check_seed,
                       predict_unprocessed)
@@ -72,7 +73,9 @@ class GammaCorrectionSpec:
     input_range: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.input_range) or self.input_range <= 0:
+        if not _finite_number(self.input_range):
+            raise ValidationError("input range must be a finite number")
+        if self.input_range <= 0:
             raise ValidationError("input range must be > 0")
         if isinstance(self.display, ChromaticDisplay):
             if np.any(self.display.weights < 0):

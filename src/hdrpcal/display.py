@@ -24,6 +24,7 @@ achromatic ``v,L``; chromatic ``v_r,v_g,v_b,X,Y,Z``.
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -307,7 +308,9 @@ _DISPLAY_KINDS = {"achromatic": AchromaticDisplay, "chromatic": ChromaticDisplay
 
 
 def save_display(display, file, report: FitReport | None = None) -> None:
-    """Persist a fitted display as JSON with a ``kind`` discriminator."""
+    """Persist a fitted display as JSON with a ``kind`` discriminator; the fit
+    report's fields are written as a plain float and int.  The text is built
+    before the first write, so a failure writes nothing."""
     kinds = [k for k, cls in _DISPLAY_KINDS.items() if isinstance(display, cls)]
     if not kinds:
         raise ValidationError(f"not a display model: {display!r}")
@@ -316,10 +319,9 @@ def save_display(display, file, report: FitReport | None = None) -> None:
         value = getattr(display, f.name)
         doc[f.name] = value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
     if report is not None:
-        doc["fit"] = {"residual_rms": report.residual_rms,
-                      "n_points": report.n_points}
-    json.dump(doc, file, indent=2)
-    file.write("\n")
+        doc["fit"] = {"residual_rms": float(report.residual_rms),
+                      "n_points": operator.index(report.n_points)}
+    file.write(json.dumps(doc, indent=2) + "\n")
 
 
 def load_display(file):

@@ -4,8 +4,10 @@ wrong last axis, with a ValidationError that starts with the entry point's
 name.  Entry points that need a fixed number of axes reject the others.  A
 CubeLUT takes only a domain and a title that its writer and reader round-trip,
 and a .cube file whose domain breaks that rule names its DOMAIN line.  An
-AchromaticDisplay takes only int or float fields of finite value, numpy
-scalars among them, and its writer writes them as plain JSON numbers."""
+AchromaticDisplay and a GammaCorrectionSpec's input range take only int or
+float values of finite value, numpy scalars among them; the display writer
+writes them, and the fit report's fields, as plain JSON numbers, and writes
+nothing when a field cannot be written."""
 
 import io
 import json
@@ -20,8 +22,8 @@ from hdrpcal.colorspace import (quantize_8bit, srgb_decode, srgb_decode3,
                                 srgb_encode, srgb_encode3)
 from hdrpcal.cubelut import (CubeLUT, CubeTonemap, KnotGrid, default_knot_grid,
                              make_delta_cube, parse_cube, serialize_cube)
-from hdrpcal.display import (AchromaticDisplay, ChromaticDisplay, Measurement,
-                             load_display, save_display)
+from hdrpcal.display import (AchromaticDisplay, ChromaticDisplay, FitReport,
+                             Measurement, load_display, save_display)
 from hdrpcal.errors import CubeFormatError, ValidationError
 from hdrpcal.harness import simulate_characterization
 from hdrpcal.scene import post_process
@@ -200,3 +202,34 @@ def test_achromatic_numeric_fields_written_as_json_numbers(field, value, written
     assert doc[field] == written and type(doc[field]) is type(written)
     buf.seek(0)
     assert getattr(load_display(buf), field) == float(value)
+
+
+@pytest.mark.parametrize("value", [2**2000, "2", True], ids=["2**2000", "str", "bool"])
+def test_input_range_not_a_finite_number_rejected(value):
+    with pytest.raises(ValidationError, match="^input range must be a finite number$"):
+        GammaCorrectionSpec(ACHROMATIC, input_range=value)
+
+
+@pytest.mark.parametrize("field, value, written", [
+    ("residual_rms", np.float32(0.1), 0.10000000149011612),
+    ("n_points", np.int64(3), 3),
+], ids=["float32 rms", "int64 count"])
+def test_fit_report_fields_written_as_json_numbers(field, value, written):
+    report = FitReport(**{"residual_rms": 0.5, "n_points": 3} | {field: value},
+                       residuals=np.zeros(3))
+    buf = io.StringIO()
+    save_display(ACHROMATIC, buf, report)
+    fit = json.loads(buf.getvalue())["fit"]
+    assert fit[field] == written and type(fit[field]) is type(written)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("residual_rms", object()), ("n_points", 3.5),
+], ids=["object rms", "float count"])
+def test_fit_report_field_that_cannot_be_written_writes_nothing(field, value):
+    report = FitReport(**{"residual_rms": 0.5, "n_points": 3} | {field: value},
+                       residuals=np.zeros(3))
+    buf = io.StringIO()
+    with pytest.raises(TypeError):
+        save_display(ACHROMATIC, buf, report)
+    assert buf.getvalue() == ""

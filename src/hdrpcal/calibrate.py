@@ -31,15 +31,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._table import read_table, reject_first
-from .colorspace import (SRGB_LINEAR_BREAK, _checked, _freeze, srgb_decode,
-                         srgb_decode3)
+from .colorspace import (SRGB_LINEAR_BREAK, _checked, _finite_number, _freeze,
+                         srgb_decode, srgb_decode3)
 # Not called here; the benchmark tracer requires this module binding.
 from .colorspace import srgb_encode3  # noqa: F401
 from .cubelut import (ACTIVE_START, DEFAULT_GRID_SIZE, CubeLUT, KnotGrid,
-                      _cell_corners, _interpolate, _locate,
-                      _separable_outputs, default_knot_grid)
-from .display import (AchromaticDisplay, ChromaticDisplay, _finite_number,
-                      least_squares)
+                      _cell_corners, _interpolate, _separable_outputs,
+                      default_knot_grid)
+from .display import AchromaticDisplay, ChromaticDisplay, least_squares
 from .errors import FitError, ValidationError
 from .harness import (MATERIAL_FLOOR, SampleBatch, check_seed,
                       predict_unprocessed)
@@ -117,8 +116,7 @@ def _gamma_tonemap(u, w, gamma, r: float):
 def gamma_tonemap(spec: GammaCorrectionSpec, u):
     """Exact gamma-correction tonemap of (..., 3) triplets, either display kind."""
     arr = _checked(u, "gamma_tonemap", triplet=True, hi=np.inf)
-    return np.stack([f(arr[..., k]) for k, f in enumerate(spec.channel_tonemaps())],
-                    axis=-1)
+    return _gamma_tonemap(arr, *spec._channels, spec.input_range)
 
 
 def lsq_linear(*args, **kwargs):
@@ -126,17 +124,6 @@ def lsq_linear(*args, **kwargs):
     :func:`hdrpcal.display.least_squares` is."""
     from scipy.optimize import lsq_linear
     return lsq_linear(*args, **kwargs)
-
-
-def _hat_matrix(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Interpolation weights of each knot output at points x (with the
-    clamp-to-active-range semantics of the tonemap)."""
-    idx, w = _locate(knots, x)
-    mat = np.zeros((x.size, knots.size))
-    rows = np.arange(x.size)
-    mat[rows, idx] = 1.0 - w
-    mat[rows, idx + 1] += w
-    return mat
 
 
 def build_correction_cube(spec: GammaCorrectionSpec, knots: KnotGrid | None = None,
@@ -163,7 +150,8 @@ def build_correction_cube(spec: GammaCorrectionSpec, knots: KnotGrid | None = No
             raise ValidationError("input range must exceed the first active knot")
         xs = np.unique(np.concatenate([
             [0.0, r], np.geomspace(active[0], r, REFINE_POINTS)]))
-        mat = _hat_matrix(active, xs)
+        # Column j: the separable tonemap's interpolation of knot j's unit impulse.
+        mat = np.stack([np.interp(xs, active, e) for e in np.eye(active.size)], axis=1)
         supported = np.flatnonzero(mat.sum(axis=0) > 0)
         frozen = np.setdiff1d(np.arange(active.size), supported)
         targets = _gamma_tonemap(xs, w, gamma, r)
@@ -184,9 +172,7 @@ def build_correction_cube(spec: GammaCorrectionSpec, knots: KnotGrid | None = No
             else:
                 curves[c] = refined
 
-    full = np.empty((3, grid.size))
-    full[:, start:] = curves
-    full[:, :start] = curves[:, :1]
+    full = np.pad(curves, ((0, 0), (start, 0)), mode="edge")
     return CubeLUT(_separable_outputs(full), title="gamma correction")
 
 
@@ -489,8 +475,7 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
     def jacobian(a: np.ndarray) -> np.ndarray:
         # k_i = exp(a_0) + ... + exp(a_i), so dk_i/da_j = exp(a_j) for j <= i
         jac = knot_jacobian(_knots_from_log_gaps(a))
-        for j in range(a.size - 2, -1, -1):
-            jac[:, j] += jac[:, j + 1]
+        np.cumsum(jac[:, ::-1], axis=1, out=jac[:, ::-1])
         return np.multiply(jac, np.exp(a), out=jac)
 
     a0 = np.log(np.concatenate([init.active_values[:1],

@@ -12,6 +12,8 @@ All operations are pure, accept scalars or numpy arrays, and raise
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .errors import ValidationError
@@ -29,8 +31,12 @@ def _checked(x, op: str, triplet: bool = False, hi: float = 1.0) -> np.ndarray:
     """``x`` as a float array after the one domain check of the package's
     input arrays: finite and within [0, hi] (1 or inf); ``triplet`` also
     requires shape (..., 3) and names the first offending channel.  Every
-    message starts with ``op``."""
-    arr = np.asarray(x, dtype=float)
+    message starts with ``op``; input numpy cannot make a float array of
+    counts as not finite."""
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{op}: input must be finite") from None
     if triplet and arr.shape[-1:] != (3,):
         raise ValidationError(f"{op}: expected shape (..., 3), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -44,6 +50,13 @@ def _checked(x, op: str, triplet: bool = False, hi: float = 1.0) -> np.ndarray:
             where = f"input {float(arr[bad].flat[0])}"
         raise ValidationError(f"{op}: {where} outside [0, {hi:g}]")
     return arr
+
+
+def _finite_number(x) -> bool:
+    """The one scalar rule: ``x`` is an int or a float of finite float value; a
+    numpy scalar counts as its Python value, a bool does not."""
+    x = x.item() if isinstance(x, np.generic) else x
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
 def _freeze(obj, **arrays):

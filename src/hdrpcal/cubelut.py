@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -188,6 +189,8 @@ class CubeLUT:
                 and np.isfinite([lo, hi]).all() and np.all(lo < hi)):
             raise ValidationError("cube domain must be 3 finite numbers per bound, min < max "
                                   f"per channel; got {lo.tolist()} to {hi.tolist()}")
+        if self.title is not None and not isinstance(self.title, str):
+            raise ValidationError(f"cube title must be a string, got {self.title!r}")
         # parse_cube splits lines where str.splitlines does
         if self.title is not None and self.title.splitlines() not in ([], [self.title]):
             raise ValidationError(f"cube title must not hold a line break, got {self.title!r}")
@@ -214,6 +217,7 @@ class CubeLUT:
 
 def _parse_floats(tokens: list[str], raw: str, lineno: int, count: int,
                   what: str) -> list[float]:
+    """The numbers of ``tokens``, the last fields of line ``lineno``'s ``raw.split()``."""
     if len(tokens) != count:
         raise CubeFormatError(f"{what}: expected {count} numbers, got {len(tokens)}",
                               line=lineno)
@@ -222,12 +226,16 @@ def _parse_floats(tokens: list[str], raw: str, lineno: int, count: int,
         try:
             value = float(tok)
         except ValueError:
-            raise CubeFormatError(f"{what}: non-numeric token {tok!r}",
-                                  line=lineno, column=raw.find(tok) + 1) from None
-        if not math.isfinite(value):
-            raise CubeFormatError(f"{what}: non-finite value {tok!r}",
-                                  line=lineno, column=raw.find(tok) + 1)
-        values.append(value)
+            problem = "non-numeric token"
+        else:
+            if math.isfinite(value):
+                values.append(value)
+                continue
+            problem = "non-finite value"
+        # \S+ splits where str.split does; this token is field len(values) of tokens
+        field_at = list(re.finditer(r"\S+", raw))[len(values) - len(tokens)]
+        raise CubeFormatError(f"{what}: {problem} {tok!r}", line=lineno,
+                              column=field_at.start() + 1)
     return values
 
 

@@ -25,24 +25,16 @@ from __future__ import annotations
 
 import json
 import operator
-import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ._table import read_table, reject_first
-from .colorspace import _checked, _freeze
+from .colorspace import _checked, _finite_number, _freeze
 from .errors import FitError, ValidationError
 
 FIT_MAX_EVALS = 500
 FIT_STEP_TOL = 1e-10
-
-
-def _finite_number(x) -> bool:
-    """Whether ``x`` is an int or a float of finite float value; a numpy
-    scalar counts as its Python value, a bool does not."""
-    x = x.item() if isinstance(x, np.generic) else x
-    return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
 def least_squares(*args, **kwargs):

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import svgplot
 from ._table import PROBLEMS, read_table, write_rows
-from .colorspace import _checked, _freeze, quantize_8bit
+from .colorspace import _checked, _finite_number, _freeze, quantize_8bit
 # Not called here; the benchmark tracer requires this module binding.
 from .colorspace import srgb_encode3  # noqa: F401
 from .errors import SampleFormatError, ValidationError
@@ -158,7 +158,7 @@ def check_seed(seed) -> int:
 def predict_unprocessed(samples: SampleBatch,
                         scale_constant: float = DEFAULT_SCALE_CONSTANT) -> np.ndarray:
     """Unprocessed values implied by each sample's scene parameters."""
-    if not np.isfinite(scale_constant) or scale_constant <= 0:
+    if not _finite_number(scale_constant) or scale_constant <= 0:
         raise ValidationError("scale constant must be > 0")
     lam = samples.lambertian
     u = np.zeros_like(samples.m)
@@ -214,9 +214,9 @@ def generate_samples(count: int, seed: int, kind: str = "lambertian",
         raise ValidationError(f"unknown material kind {kind!r}")
     for name, rng_pair in (("directional", directional_intensity_range),
                            ("ambient", ambient_intensity_range)):
-        if rng_pair[0] < 0 or rng_pair[1] < rng_pair[0]:
+        if not (all(map(_finite_number, rng_pair)) and 0 <= rng_pair[0] <= rng_pair[1]):
             raise ValidationError(f"invalid {name} intensity range {rng_pair}")
-    if ambient_color_max < 0:
+    if not _finite_number(ambient_color_max) or ambient_color_max < 0:
         raise ValidationError("ambient_color_max must be >= 0")
     choices = np.array([float(e) for e in exposure_choices])
     if not choices.size:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .colorspace import _checked, _encode, srgb_decode3
+from .colorspace import _checked, _encode, _finite_number, srgb_decode3
 from .errors import ValidationError
 
 #: Default pipeline gain, estimated from rendered samples (see
@@ -50,7 +50,7 @@ def light_direction_from_rotation(x_deg: float, y_deg: float,
     *toward* the source is (0, 0, -1).  The z rotation never affects the
     result.  Angles are in degrees, matching the editor fields.
     """
-    if not (np.isfinite(x_deg) and np.isfinite(y_deg) and np.isfinite(z_deg)):
+    if not all(map(_finite_number, (x_deg, y_deg, z_deg))):
         raise ValidationError("rotation angles must be finite")
     x = np.radians(x_deg)
     y = np.radians(y_deg)

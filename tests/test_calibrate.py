@@ -1,4 +1,5 @@
 import io
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -83,6 +84,14 @@ class TestGammaTonemapChromatic:
         assert np.array_equal(gamma_tonemap(spec, np.zeros(3)), np.zeros(3))
         assert gamma_tonemap(spec, np.ones(3)) == pytest.approx(
             np.ones(3), abs=1e-15)
+
+    def test_one_triplet_matches_its_row_in_a_batch_bitwise(self):
+        spec = GammaCorrectionSpec(make_chromatic_display(), input_range=1.111)
+        u = np.random.default_rng(4).uniform(0.0, 1.2, (200, 3))
+        out = gamma_tonemap(spec, u)
+        for row, expected in zip(u, out):
+            assert np.array_equal(gamma_tonemap(spec, row).view(np.uint64),
+                                  expected.view(np.uint64))
 
     def test_rejects_non_triplets(self):
         spec = GammaCorrectionSpec(make_chromatic_display())
@@ -268,6 +277,17 @@ def test_delta_sweep_stores_read_only_copies():
             arr[0] = 0.2
 
 
+@pytest.mark.parametrize("inputs, outputs, message", [
+    ([0.1, 0.3, 0.2, 0.4], [0.0] * 4, "sweep inputs must be strictly increasing"),
+    ([0.1, 0.2, 0.2, 0.4], [0.0] * 4, "sweep inputs must be strictly increasing"),
+    ([0.1, 0.2, 0.3, 0.4], [0.0, 1.5, 0.0, 0.0], "sweep outputs must lie in [0, 1]"),
+    ([0.1, 0.2, 0.3, 0.4], [0.0, -0.1, 0.0, 0.0], "sweep outputs must lie in [0, 1]"),
+], ids=["inputs decrease", "inputs tie", "output above 1", "output below 0"])
+def test_delta_sweep_out_of_range_rejected(inputs, outputs, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        DeltaSweep(m=3, inputs=inputs, outputs=outputs)
+
+
 def test_load_sweeps_groups_by_index_sorted_by_input():
     text = "m,u,t\n4,0.3,0.1\n3,0.2,0.0\n# note\n4,0.1,0.0\n3,0.1,0.0\n" \
            "4,0.2,1.0\n3,0.4,0.5\n3,0.3,1.0\n4,0.4,0.0\n"
@@ -317,6 +337,24 @@ class TestEstimateKnotsDelta:
         sweeps[pos] = DeltaSweep(m=16, inputs=sweeps[pos].inputs, outputs=doctored)
         est, report = estimate_knots_delta(sweeps)
         assert 16 in report.anomalies
+
+    def test_estimates_out_of_order_are_sorted_with_a_note(self):
+        grid = default_knot_grid()
+        sweeps = synthetic_sweeps(grid, points=400)
+        est, _ = estimate_knots_delta(sweeps)
+        sweeps[9], sweeps[10] = (DeltaSweep(m=10, inputs=sweeps[10].inputs,
+                                            outputs=sweeps[10].outputs),
+                                 DeltaSweep(m=11, inputs=sweeps[9].inputs,
+                                            outputs=sweeps[9].outputs))
+        swapped, report = estimate_knots_delta(sweeps)
+        assert report.anomalies[0] == "estimates were not monotone in m; sorted"
+        assert np.array_equal(swapped.active_values, est.active_values)
+
+    def test_tied_estimates_are_error(self):
+        sweeps = synthetic_sweeps(default_knot_grid(), points=400)
+        sweeps[10] = DeltaSweep(m=11, inputs=sweeps[9].inputs, outputs=sweeps[9].outputs)
+        with pytest.raises(FitError, match="^knot estimates are not strictly increasing: "):
+            estimate_knots_delta(sweeps)
 
     def test_sparse_sweeps_still_recover(self):
         grid = default_knot_grid()

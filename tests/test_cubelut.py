@@ -64,6 +64,12 @@ class TestParse:
         with pytest.raises(CubeFormatError, match="LUT_3D_SIZE"):
             parse_cube("0 0 0\n")
 
+    @pytest.mark.parametrize("size", ["2.5", "257"])
+    def test_size_not_an_integer_in_range(self, size):
+        with pytest.raises(CubeFormatError, match=r"^LUT_3D_SIZE must be an integer in "
+                           rf"2\.\.256, got {float(size)} \(line 1\)$"):
+            parse_cube(f"LUT_3D_SIZE {size}\n")
+
     def test_truncated(self):
         text = "\n".join(MINIMAL_CUBE.splitlines()[:-1]) + "\n"
         with pytest.raises(CubeTruncationError, match="found 7"):
@@ -79,6 +85,18 @@ class TestParse:
             parse_cube(text)
         assert info.value.line == 8
         assert info.value.column == 3
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("LUT_3D_SIZE 2\nDOMAIN_MIN 0 D 0\n" + "0 0 0\n" * 8, 2, 14),
+        ("LUT_3D_SIZE S\n", 1, 13),
+        ("LUT_3D_SIZE 2\n" + "0 0 0\n" * 7 + "1e5 e5 0\n", 9, 5),
+    ], ids=["domain", "size", "data row"])
+    def test_column_is_where_the_token_was_split(self, text, line, column):
+        """The token's own column, not that of the first earlier text it
+        also matches."""
+        with pytest.raises(CubeFormatError, match="non-numeric token") as info:
+            parse_cube(text)
+        assert (info.value.line, info.value.column) == (line, column)
 
     @pytest.mark.parametrize("token", ["nan", "-nan", "inf", "-inf"])
     def test_non_finite_value_has_location(self, token):

@@ -295,6 +295,11 @@ class TestFitChromatic:
         with pytest.raises(FitError, match="background"):
             fit_chromatic(meas)
 
+    def test_endpoints_only(self):
+        truth = make_chromatic()
+        with pytest.raises(FitError, match="^channel r ramp has no interior points$"):
+            fit_chromatic(chromatic_ramp(truth, [0.0, 1.0]))
+
     def test_empty_input(self):
         with pytest.raises(FitError, match=r"^missing background measurement at "
                                            r"v = \(0, 0, 0\)$"):

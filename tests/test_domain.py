@@ -1,13 +1,14 @@
 """Every entry point that takes an input array rejects a non-finite value,
 a value below 0, a value above its upper bound and, for (..., 3) input, a
 wrong last axis, with a ValidationError that starts with the entry point's
-name.  Entry points that need a fixed number of axes reject the others.  A
+name; input numpy cannot convert to a float array counts as not finite.  Entry points that need a fixed number of axes reject the others.  A
 CubeLUT takes only a domain and a title that its writer and reader round-trip,
 and a .cube file whose domain breaks that rule names its DOMAIN line.  An
 AchromaticDisplay and a GammaCorrectionSpec's input range take only int or
 float values of finite value, numpy scalars among them; the display writer
 writes them, and the fit report's fields, as plain JSON numbers, and writes
-nothing when a field cannot be written."""
+nothing when a field cannot be written.  The other scalar inputs follow the
+same finite-number rule."""
 
 import io
 import json
@@ -25,8 +26,8 @@ from hdrpcal.cubelut import (CubeLUT, CubeTonemap, KnotGrid, default_knot_grid,
 from hdrpcal.display import (AchromaticDisplay, ChromaticDisplay, FitReport,
                              Measurement, load_display, save_display)
 from hdrpcal.errors import CubeFormatError, ValidationError
-from hdrpcal.harness import simulate_characterization
-from hdrpcal.scene import post_process
+from hdrpcal.harness import generate_samples, simulate_characterization
+from hdrpcal.scene import light_direction_from_rotation, post_process
 
 ACHROMATIC = AchromaticDisplay(l0=1.0, l1=10.0, gamma=2.2)
 CHROMATIC = ChromaticDisplay(primary_r=[41.24, 21.26, 1.93],
@@ -69,8 +70,23 @@ ENTRY_POINTS = [
 ]
 
 
+#: Entry points that copy their input with ``np.array(x, dtype=float)``
+#: before the check, so a non-numeric input raises numpy's error there.
+CONVERTED_FIRST = {"CubeLUT", "KnotGrid", "Measurement v", "Measurement luminance",
+                   "Measurement xyz"}
+
+
+def non_numeric(valid, k):
+    """The valid input made unconvertible, the ``k % 4``-th of four ways."""
+    if k % 4 == 3:
+        return [valid[:1].tolist()] + valid[1:].tolist()  # ragged
+    x = valid.astype(object)
+    x.flat[0] = ("x", 2**2000, object())[k % 4]
+    return x
+
+
 def cases():
-    for op, call, valid, triplet, hi in ENTRY_POINTS:
+    for k, (op, call, valid, triplet, hi) in enumerate(ENTRY_POINTS):
         where = "channel r" if triplet else "input {}"
         bad = [("nan", np.nan, "input must be finite"),
                ("inf", np.inf, "input must be finite"),
@@ -81,6 +97,9 @@ def cases():
             x = valid.copy()
             x.flat[0] = value
             yield pytest.param(call, x, f"{op}: {message}", id=f"{op}-{case}")
+        if op not in CONVERTED_FIRST:
+            yield pytest.param(call, non_numeric(valid, k), f"{op}: input must be finite",
+                               id=f"{op}-non-numeric")
         if triplet:
             yield pytest.param(call, valid[..., :2],
                                f"{op}: expected shape (..., 3), got (4, 2)",
@@ -123,12 +142,15 @@ LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
     ("domain_max", [1, np.inf, 1]),
     ("domain_max", [[1, 1, 1]]),
     ("title", "a\nb"),
+    ("title", 5),
 ] + [("title", f"a{c}") for c in LINE_BREAKS], ids=repr)
 def test_cube_domain_and_title_rejected(keyword, value):
     """What ``serialize_cube`` could not write back through ``parse_cube``:
     a domain bound that is not three finite numbers above the other bound,
-    and a title holding any line break ``str.splitlines`` splits on."""
-    message = "cube title must not" if keyword == "title" else "cube domain must be"
+    a title that is not a string, and one holding any line break
+    ``str.splitlines`` splits on."""
+    message = ("cube domain must be" if keyword != "title" else
+               "cube title must not" if isinstance(value, str) else "cube title must be a string")
     with pytest.raises(ValidationError, match=f"^{message}"):
         CubeLUT(np.zeros((2, 2, 2, 3)), **{keyword: value})
 
@@ -208,6 +230,27 @@ def test_achromatic_numeric_fields_written_as_json_numbers(field, value, written
 def test_input_range_not_a_finite_number_rejected(value):
     with pytest.raises(ValidationError, match="^input range must be a finite number$"):
         GammaCorrectionSpec(ACHROMATIC, input_range=value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GammaCorrectionSpec(ACHROMATIC, input_range=-1), "input range must be > 0"),
+    (lambda: light_direction_from_rotation("1", 0.0), "rotation angles must be finite"),
+    (lambda: light_direction_from_rotation(0.0, np.nan), "rotation angles must be finite"),
+    (lambda: light_direction_from_rotation(0.0, 0.0, np.inf),
+     "rotation angles must be finite"),
+    (lambda: generate_samples(4, seed=0, ambient_color_max=np.nan),
+     "ambient_color_max must be >= 0"),
+    (lambda: generate_samples(4, seed=0, ambient_color_max=np.inf),
+     "ambient_color_max must be >= 0"),
+    (lambda: generate_samples(4, seed=0, directional_intensity_range=(0.0, np.nan)),
+     "invalid directional intensity range (0.0, nan)"),
+    (lambda: generate_samples(4, seed=0, ambient_intensity_range=(0.0, np.inf)),
+     "invalid ambient intensity range (0.0, inf)"),
+], ids=["input range -1", "angle str", "angle nan", "angle inf", "ambient max nan",
+        "ambient max inf", "directional nan", "ambient range inf"])
+def test_scalar_outside_its_domain_rejected(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("field, value, written", [

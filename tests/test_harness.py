@@ -213,7 +213,8 @@ GAIN_CALLS = {
 }
 
 
-@pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf"), "2",
+                               pytest.param(2**2000, id="2**2000"), True])
 @pytest.mark.parametrize("call", GAIN_CALLS.values(), ids=list(GAIN_CALLS))
 def test_bad_scale_constant_rejected(call, c):
     batch = generate_samples(20, seed=28)

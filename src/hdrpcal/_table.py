@@ -36,9 +36,9 @@ BLOCK_ROWS = 512
 #: block of text, not the whole body.
 BLOCK_VALUES = 4096
 
-#: The relative error bound of a ``longdouble`` rounding, the tie margin of
-#: :func:`_format_g`: where ``longdouble`` is ``double``, more values fall
-#: back to Python's ``%`` and none is formatted differently.
+#: The relative error bound of a ``longdouble`` rounding, which sets the tie
+#: margin of :func:`_format_g`: where ``longdouble`` is ``double``, more
+#: values fall back to Python's ``%`` and none is formatted differently.
 _TIE_EPS = np.finfo(np.longdouble).eps
 
 #: Byte i of "0.000" leads a fixed-notation value of exponent e <= _LEAD_E[i].
@@ -112,8 +112,8 @@ def _format_g(v: np.ndarray, p: int) -> np.ndarray:
     power of ten rounds, in ``longdouble``, to the p digits of fixed notation.
     Python's ``%`` formats the rest: non-finite values, exponents e < -4 or
     e >= p, a ``log10`` exponent estimate that was off or a rounding carry
-    (the scaled value falls outside [10**(p-1), 10**p)), and values within
-    ``10**p * _TIE_EPS`` of a rounding tie."""
+    (the scaled value falls outside [10**(p-1), 10**p)), and values on a
+    rounding tie, or within ``10**p * _TIE_EPS`` of one if that exceeds 1/2."""
     pow10 = np.full(p + 4, 10, np.longdouble).cumprod() / 10
     a = np.abs(v)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -123,8 +123,10 @@ def _format_g(v: np.ndarray, p: int) -> np.ndarray:
     e = np.where(fixed, e, 0).astype(np.int64)
     s = np.where(fixed, a, 0).astype(np.longdouble) * pow10[p - 1 - e]
     n = np.rint(s)
+    # Up to 1/2 every tie is a longdouble, which the rounding of s may reach, never cross.
+    margin = pow10[p] * _TIE_EPS if pow10[p] * _TIE_EPS > 0.5 else 0
     ok = (fixed & ((s >= pow10[p - 1]) | (a == 0)) & (n < pow10[p])
-          & (np.abs((s - n).astype(float)) < 0.5 - pow10[p] * _TIE_EPS))
+          & (np.abs((s - n).astype(float)) < 0.5 - margin))
     n, q = np.where(ok, n, 0).astype(np.uint64), np.empty(len(v), np.uint64)
     del a, s
     digits = np.empty((p, len(v)), np.uint8)

@@ -33,10 +33,7 @@ def _checked(x, op: str, triplet: bool = False, hi: float = 1.0) -> np.ndarray:
     requires shape (..., 3) and names the first offending channel.  Every
     message starts with ``op``; input numpy cannot make a float array of
     counts as not finite."""
-    try:
-        arr = np.asarray(x, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{op}: input must be finite") from None
+    arr = _floats(x, op)
     if triplet and arr.shape[-1:] != (3,):
         raise ValidationError(f"{op}: expected shape (..., 3), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -50,6 +47,15 @@ def _checked(x, op: str, triplet: bool = False, hi: float = 1.0) -> np.ndarray:
             where = f"input {float(arr[bad].flat[0])}"
         raise ValidationError(f"{op}: {where} outside [0, {hi:g}]")
     return arr
+
+
+def _floats(x, op: str, copy: bool | None = None) -> np.ndarray:
+    """``x`` as a float array, a private copy if ``copy``; input numpy cannot
+    convert raises :func:`_checked`'s error for non-finite input."""
+    try:
+        return np.array(x, dtype=float, copy=copy)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{op}: input must be finite") from None
 
 
 def _finite_number(x) -> bool:

@@ -13,10 +13,11 @@ Recognized keywords:
 followed by n**3 data rows of three floats, with the red grid index varying
 fastest, then green, then blue.  ``LUT_1D_SIZE`` files are rejected as an
 unsupported variant.  Components outside [0, 1] are clamped with a warning;
-some third-party files exceed the range slightly.  The keyword lines ahead
-of the data are read one at a time and the data rows convert in one bulk
-call; any other file (lines between rows, a bad token or row count) is
-re-read line by line, so its first error in file order is reported.
+some third-party files exceed the range slightly.  Keyword lines ahead of
+the data are read one at a time, the layers of a separable cube as below,
+other data rows in one bulk call, and any other file (lines between rows, a
+bad token or row count) line by line, so its first error in file order is
+reported.
 
 Tonemapping
 -----------
@@ -36,9 +37,11 @@ cube, such as every impulse and gamma-correction cube), trilinear
 interpolation reduces exactly to one piecewise-linear curve per channel,
 which the tonemap evaluates instead of the eight cell corners, and
 :func:`serialize_cube` writes from the three curves, with the same bytes
-as writing every cell.  Separability is decided once per :class:`CubeLUT`,
-on bit patterns (``-0.0`` is not ``0.0``).  Disabled tonemapping is
-``None`` (see :func:`hdrpcal.scene.post_process`), not a tonemap object.
+as writing every cell: layer k is layer 0's "r g " prefixes, each then blue
+field k, and :func:`parse_cube` converts only layer 0 and the blue fields.
+Separability is decided once per :class:`CubeLUT`, on bit patterns
+(``-0.0`` is not ``0.0``).  Disabled tonemapping is ``None`` (see
+:func:`hdrpcal.scene.post_process`), not a tonemap object.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from ._table import read_table, reject_first
-from .colorspace import _checked, _freeze
+from .colorspace import _checked, _floats, _freeze
 from .errors import (CubeFormatError, CubeTruncationError, UnsupportedCubeError,
                      ValidationError)
 
@@ -103,7 +106,7 @@ class KnotGrid:
     active_start: int = ACTIVE_START
 
     def __post_init__(self):
-        _freeze(self, values=np.array(self.values, dtype=float))
+        _freeze(self, values=_floats(self.values, "KnotGrid", copy=True))
         if self.values.ndim != 1 or not 1 <= self.active_start < self.size <= MAX_GRID_SIZE:
             raise ValidationError(f"knot grid needs 1 <= active_start < size <= "
                                   f"{MAX_GRID_SIZE}, got active_start {self.active_start}, "
@@ -177,7 +180,7 @@ class CubeLUT:
     domain_max: np.ndarray = field(default_factory=lambda: np.ones(3))
 
     def __post_init__(self):
-        arr = np.array(self.outputs, dtype=float)
+        arr = _floats(self.outputs, "CubeLUT", copy=True)
         if arr.shape != arr.shape[:1] * 3 + (3,):
             raise ValidationError(f"cube outputs must be (n, n, n, 3), got {arr.shape}")
         if not 2 <= arr.shape[0] <= MAX_GRID_SIZE:
@@ -291,22 +294,59 @@ def _walk_rows(lines: list[str], keys: dict) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+def _layer(prefixes: list[str], blue: str) -> str:
+    """One blue layer's rows: layer 0's ``"r g "`` prefixes, each then ``blue``."""
+    return f"{blue}\n".join(prefixes) + f"{blue}\n"
+
+
+def _read_layers(text: str, keys: dict) -> np.ndarray | None:
+    """The data rows of ``text`` if they are n :func:`_layer` layers to its end,
+    every field finite, with its keyword lines read into ``keys``; else None."""
+    pos = 0
+    while True:  # the keyword block, one "\n" line at a time
+        end = text.find("\n", pos)
+        raw = text[pos:end]
+        if end < 0 or (raw + "\n").splitlines() != [raw]:  # no other line break
+            return None
+        if not _keyword(keys, raw, text.count("\n", 0, pos) + 1):
+            break
+        pos = end + 1
+    m, end = keys.get("size", 0) ** 2, pos
+    for _ in range(m):  # layer 0: n^2 rows, which the layer check below reads again
+        end = text.find("\n", end) + 1
+    fields = text[pos:end].split()
+    if not m or len(fields) != 3 * m or fields[2::3].count(fields[2]) != m:
+        return None  # (the blue-field count declines a general cube early)
+    prefixes = [f"{x} {y} " for x, y in zip(fields[0::3], fields[1::3])]
+    blues, bare = [], len(_layer(prefixes, ""))  # a layer's length less its blue fields
+    for _ in range(keys["size"]):  # each layer's blue field from its first row
+        blues.append(text[pos + len(prefixes[0]):text.find("\n", pos)])
+        pos += bare + m * len(blues[-1])
+    with contextlib.suppress(ValueError):  # float()'s rules; a bad token declines
+        values = np.array(fields + blues, dtype=float)
+        if (pos == len(text) and text.endswith("".join(_layer(prefixes, b) for b in blues))
+                and " ".join(blues).split() == blues and np.isfinite(values).all()):
+            red_green = np.tile(values[:3 * m].reshape(m, 3)[:, :2], (len(blues), 1))
+            return np.column_stack([red_green, np.repeat(values[3 * m:], m)])
+
+
 def parse_cube(source) -> CubeLUT:
     """Parse .cube text from a string or text stream."""
-    lines = (source.read() if hasattr(source, "read") else str(source)).splitlines()
+    text = source.read() if hasattr(source, "read") else str(source)
     keys: dict = {}
-    start = 0  # the keyword and comment lines ahead of the data, one at a time
-    while start < len(lines) and _keyword(keys, lines[start], start + 1):
-        start += 1
-    end = len(lines)  # and the blank and comment lines after the data
-    while end > start and lines[end - 1].strip()[:1] in ("", "#"):
-        end -= 1
-    data = None
-    if "size" in keys and start < end:  # loadtxt warns on empty input
-        with contextlib.suppress(ValueError):
-            data = np.loadtxt(lines[start:end], comments=None, ndmin=2)
-    if data is None or data.shape != (keys["size"] ** 3, 3) or not np.isfinite(data).all():
-        data = _walk_rows(lines, keys)
+    data = _read_layers(text, keys)
+    if data is None:  # any other layout: every line, in bulk or one at a time
+        lines, keys, start = text.splitlines(), {}, 0
+        while start < len(lines) and _keyword(keys, lines[start], start + 1):
+            start += 1  # the keyword and comment lines ahead of the data
+        end = len(lines)  # and the blank and comment lines after the data
+        while end > start and lines[end - 1].strip()[:1] in ("", "#"):
+            end -= 1
+        if "size" in keys and start < end:  # loadtxt warns on empty input
+            with contextlib.suppress(ValueError):
+                data = np.loadtxt(lines[start:end], comments=None, ndmin=2)
+        if data is None or data.shape != (keys["size"] ** 3, 3) or not np.isfinite(data).all():
+            data = _walk_rows(lines, keys)
     outside = (data < 0.0) | (data > 1.0)
     if np.any(outside):
         worst = float(np.max(np.abs(data - np.clip(data, 0.0, 1.0))))
@@ -341,10 +381,10 @@ def serialize_cube(lut: CubeLUT, file=None) -> str:
     if curves is None:
         cells = lut.outputs.transpose(2, 1, 0, 3).ravel().tolist()
         rows = ("%.8g %.8g %.8g\n" * lut.size ** 3) % tuple(cells)
-    else:  # the n^2 "r g " prefixes, red fastest, then one block per blue value
+    else:  # the n^2 "r g " prefixes, red fastest, then one layer per blue value
         r, g, b = (["%.8g" % v for v in c.tolist()] for c in curves)
-        prefixes = [f"{x} {y} " for y in g for x in r] + [""]
-        rows = "".join(f"{z}\n".join(prefixes) for z in b)
+        prefixes = [f"{x} {y} " for y in g for x in r]
+        rows = "".join(_layer(prefixes, z) for z in b)
     text = "\n".join(lines) + "\n" + rows
     if file is not None:
         file.write(text)

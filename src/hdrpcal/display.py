@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ._table import read_table, reject_first
-from .colorspace import _checked, _finite_number, _freeze
+from .colorspace import _checked, _finite_number, _floats, _freeze
 from .errors import FitError, ValidationError
 
 FIT_MAX_EVALS = 500
@@ -119,11 +119,11 @@ class Measurement:
     xyz: np.ndarray | None = None
 
     def __post_init__(self):
-        v = _checked(np.array(self.v, dtype=float), "Measurement v", triplet=True)
+        v = _checked(_floats(self.v, "Measurement v", copy=True), "Measurement v", triplet=True)
         if (self.luminance is None) == (self.xyz is None):
             raise ValidationError("measurement needs exactly one of luminance or xyz")
         kind, shape = ("luminance", v.shape[:-1]) if self.xyz is None else ("xyz", v.shape)
-        reading = np.array(getattr(self, kind), dtype=float)
+        reading = _floats(getattr(self, kind), f"Measurement {kind}", copy=True)
         if reading.shape != shape:
             raise ValidationError(f"{kind} readings must have shape {shape}")
         _freeze(self, v=v, **{kind: _checked(reading, f"Measurement {kind}", hi=np.inf)})

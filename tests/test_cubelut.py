@@ -1,18 +1,22 @@
+import contextlib
 import hashlib
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
+from hdrpcal import cubelut
 from hdrpcal.calibrate import GammaCorrectionSpec, build_correction_cube
+from hdrpcal.cli import main
 from hdrpcal.colorspace import srgb_encode3
 from hdrpcal.cubelut import (CubeLUT, CubeRangeWarning, CubeTonemap,
                              DELTA_KNOTS, KnotGrid, OPTIMIZED_KNOTS,
                              _interpolate, default_knot_grid,
                              make_delta_cube, parse_cube, separable_cube,
                              serialize_cube)
-from hdrpcal.display import AchromaticDisplay
+from hdrpcal.display import AchromaticDisplay, save_display
 from hdrpcal.errors import (CubeFormatError, CubeTruncationError,
                             UnsupportedCubeError, ValidationError)
 from hdrpcal.scene import post_process
@@ -168,6 +172,150 @@ class TestParse:
         with pytest.raises(CubeFormatError, match="non-numeric token 'x'") as info:
             parse_cube("\n".join(lines))
         assert (info.value.line, info.value.column) == (5, 5)
+
+
+def layered(r, g, b, head="LUT_3D_SIZE {n}\n"):
+    """.cube text of the separable cube with these red, green and blue field
+    texts, in the layout serialize_cube writes: layer k is every "r g "
+    prefix, red fastest, followed by b[k]."""
+    prefixes = [f"{x} {y} " for y in g for x in r]
+    return head.format(n=len(r)) + "".join(f"{z}\n".join(prefixes) + f"{z}\n" for z in b)
+
+
+def outcome(parse):
+    """The bits and keyword fields ``parse()`` returns, or its error and place."""
+    try:
+        lut = parse()
+    except CubeFormatError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+    return (lut.outputs.view(np.uint64).tobytes(), lut.title,
+            lut.domain_min.view(np.uint64).tobytes(), lut.domain_max.view(np.uint64).tobytes())
+
+
+def line_parse(text):
+    """parse_cube with the layered read declined: the split-lines path."""
+    with mock.patch("hdrpcal.cubelut._read_layers", return_value=None):
+        return outcome(lambda: parse_cube(text))
+
+
+@contextlib.contextmanager
+def layers_only():
+    """The split-lines path fails inside, so a parse succeeds only by the layered read."""
+    used = AssertionError("split-lines path used")
+    with mock.patch.object(np, "loadtxt", side_effect=used), \
+            mock.patch("hdrpcal.cubelut._walk_rows", side_effect=used):
+        yield
+
+
+BASE = layered(["0", "0.25", "1"], ["0.5", "-0", "0.75"], ["0.125", "1", "0"])
+BASE_ROWS = BASE.split("\n")  # LUT_3D_SIZE 3, the 27 rows, ""
+
+
+def replace_row(k, row):
+    """BASE with line ``k`` (1-based) replaced."""
+    return "\n".join(BASE_ROWS[:k - 1] + [row] + BASE_ROWS[k:])
+
+
+def break_before(k, sep):
+    """BASE with the line break before line ``k`` (1-based) replaced by ``sep``."""
+    return "\n".join(BASE_ROWS[:k - 1]) + sep + "\n".join(BASE_ROWS[k - 1:])
+
+
+BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLayeredRead:
+    def test_gen_delta_cubes_read_by_layers(self, tmp_path):
+        assert main(["--quiet", "gen-delta-cubes", "--out", str(tmp_path)]) == 0
+        texts = [(tmp_path / f"delta_{m:02d}.cube").read_text() for m in range(1, 33)]
+        with layers_only():
+            for m, text in enumerate(texts, start=1):
+                lut = parse_cube(io.StringIO(text))
+                assert np.array_equal(lut.outputs.view(np.uint64),
+                                      make_delta_cube(m).outputs.view(np.uint64))
+                assert lut.title == f"delta_{m:02d}"
+
+    def test_refined_correction_cube_read_by_layers(self, tmp_path):
+        display = tmp_path / "display.json"
+        with open(display, "w") as fh:
+            save_display(AchromaticDisplay(l0=2.0, l1=98.0, gamma=2.2), fh)
+        out = tmp_path / "corr.cube"
+        assert main(["--quiet", "make-cube", "--display", str(display), "--r", "1.111",
+                     "--refine", "--out", str(out)]) == 0
+        text = out.read_text()
+        expected = line_parse(text)
+        assert isinstance(expected[0], bytes)  # parsed, not an error
+        with layers_only():
+            assert outcome(lambda: parse_cube(text)) == expected
+
+    def test_title_and_domain_read_by_layers(self):
+        lut = CubeLUT(make_delta_cube(3, size=5).outputs * 0.5, title="a b",
+                      domain_min=[0.0, 0.25, 1e-3], domain_max=[1.0, 2.0, 0.1 + 0.2])
+        text = serialize_cube(lut)
+        assert text.count("DOMAIN_M") == 2 and text.startswith('TITLE "a b"\n')
+        with layers_only():
+            back = parse_cube(text)
+        assert np.array_equal(back.outputs.view(np.uint64), lut.outputs.view(np.uint64))
+        assert back.title == "a b"
+        assert np.array_equal(back.domain_min, lut.domain_min)
+        assert np.array_equal(back.domain_max, lut.domain_max)
+
+    def test_layers_with_signed_zero_and_clamped_values(self):
+        text = layered(["-0", "1.5"], ["0", "-0.25"], ["1", "-0"])
+        with layers_only(), pytest.warns(CubeRangeWarning, match=r"^8 cube components "
+                                         r"outside \[0, 1\] \(worst excess 0.5\); clamping$"):
+            lut = parse_cube(text)
+        assert np.signbit(lut.outputs[0, 0, 0, 0]) and np.signbit(lut.outputs[1, 1, 1, 2])
+        assert lut.outputs[1, 0, 0, 0] == 1.0 and lut.outputs[0, 1, 0, 1] == 0.0
+
+    def test_minimal_cube_is_layered(self):
+        assert cubelut._read_layers(MINIMAL_CUBE, {}) is not None
+        assert cubelut._read_layers(BASE, {}) is not None
+
+    @pytest.mark.parametrize("text", [
+        serialize_cube(random_lut(np.random.default_rng(3), 3)),
+        replace_row(3, "0.25 0.5 0"),  # one blue field in layer 0
+        replace_row(12, "0.25 0.5 0"),  # ... in layer 1
+        replace_row(2, "0.5 0.5 0.125"),  # a red field in layer 0
+        replace_row(28, "0.25 0.75 0"),  # a red field in the last layer
+        replace_row(28, "1 0.75 0.5"),  # the last blue field
+        replace_row(15, "0.25\t-0 1"),
+        replace_row(15, "0.25  -0 1"),
+        replace_row(15, "0.25 -0 1 "),
+        replace_row(15, " 0.25 -0 1"),
+        BASE.replace("\n", "\r\n"),
+        *(break_before(20, sep) for sep in BREAKS),
+        "LUT_3D_SIZE 3\x0c\n" + BASE.split("\n", 1)[1],
+        BASE + "# end\n",
+        BASE + "\n",
+        BASE + 'TITLE "late"\n',
+        BASE.replace("0 0.75 1\n", "0 0.75 1\n# c\n"),
+        layered(["0", "0.25", "1"], ["0.5", "x", "0.75"], ["0.125", "1", "0"]),
+        layered(["0", "0.25", "1"], ["0.5", "-0", "0.75"], ["0.125", "nan", "0"]),
+        layered(["0", "0.25", "1"], ["0.5", "-0", "0.75"], ["0.125", "1", "1e999"]),
+        layered(["0", "0.25", "1"], ["0.5", "-0", "0.75"], ["0.125", "0x1", "0"]),
+        layered(["0", "0.25", "1"], ["0.5", "-0", "0.75"], ["0.125", "1", "0"],
+                head="LUT_3D_SIZE 2\n"),
+        layered(["0", "0.25"], ["0.5", "-0"], ["0.125", "1", "0"], head="LUT_3D_SIZE 2\n"),
+        layered(["0", "0.25"], ["0.5", "-0"], ["1", "1", "1"], head="LUT_3D_SIZE 2\n"),
+        BASE[:-1],
+        BASE.rsplit("\n", 2)[0] + "\n",
+        BASE + BASE_ROWS[27] + "\n",
+        layered(["0", "0.25", "1"], ["0.5", "-0", "0.75"], ["0.125", "1 0", "0"]),
+        layered(["0", "0.25", "1"], ["0.5", "-0", "0.75"], ["0.125", "", "0"]),
+        layered(["0", "0.25", "1"], ["0.5", "-0", "0.75"], ["0.125", "\t1", "0"]),
+        layered(["0", "0.25", "1"], ["0.5", "-0", "0.75"], ["0.125", "\x1c1", "0"]),
+    ], ids=["non-separable", "blue in layer 0", "blue in layer 1", "red in layer 0",
+            "red in last layer", "last blue", "tab", "two spaces", "trailing space", "leading space",
+            "CRLF", *(f"break {sep!r}" for sep in BREAKS),
+            "break in header", "comment after data", "blank line after data",
+            "TITLE after data", "comment between layers", "bad token", "nan", "overflow",
+            "hex", "size below layers", "size above layers", "extra equal layer", "no final newline",
+            "row missing", "row extra", "two blue fields", "empty blue field",
+            "tab in blue field", "line break in blue field"])
+    def test_declines_and_parses_as_split_lines(self, text):
+        assert cubelut._read_layers(text, {}) is None
+        assert outcome(lambda: parse_cube(text)) == line_parse(text)
 
 
 class TestSerialize:

@@ -55,25 +55,17 @@ ENTRY_POINTS = [
     ("channel_tonemaps", SPEC.channel_tonemaps()[0], LEVELS, False, np.inf),
     ("AchromaticDisplay.luminance", ACHROMATIC.luminance, LEVELS, False, 1.0),
     ("ChromaticDisplay.xyz", CHROMATIC.xyz, TRIPLETS, True, 1.0),
-    ("Measurement v", lambda x: Measurement(v=x, luminance=np.ones(x.shape[:-1])),
+    ("Measurement v", lambda x: Measurement(v=x, luminance=np.ones(len(x))),
      TRIPLETS, True, 1.0),
     ("Measurement luminance", lambda x: Measurement(v=TRIPLETS, luminance=x),
      LEVELS, False, np.inf),
     ("Measurement xyz", lambda x: Measurement(v=TRIPLETS, xyz=x),
      TRIPLETS, False, np.inf),
-    ("CubeLUT", lambda x: CubeLUT(x.reshape(2, 2, 2, 3)), np.full(24, 0.5),
-     False, 1.0),
-    ("KnotGrid", lambda x: KnotGrid(np.concatenate([[np.nan, np.nan], x])),
-     LEVELS, False, np.inf),
+    ("CubeLUT", CubeLUT, np.full((2, 2, 2, 3), 0.5), False, 1.0),
+    ("KnotGrid", lambda x: KnotGrid([np.nan, np.nan, *x]), LEVELS, False, np.inf),
     ("simulate_characterization",
      lambda x: simulate_characterization(ACHROMATIC, x), LEVELS, False, np.inf),
 ]
-
-
-#: Entry points that copy their input with ``np.array(x, dtype=float)``
-#: before the check, so a non-numeric input raises numpy's error there.
-CONVERTED_FIRST = {"CubeLUT", "KnotGrid", "Measurement v", "Measurement luminance",
-                   "Measurement xyz"}
 
 
 def non_numeric(valid, k):
@@ -97,9 +89,8 @@ def cases():
             x = valid.copy()
             x.flat[0] = value
             yield pytest.param(call, x, f"{op}: {message}", id=f"{op}-{case}")
-        if op not in CONVERTED_FIRST:
-            yield pytest.param(call, non_numeric(valid, k), f"{op}: input must be finite",
-                               id=f"{op}-non-numeric")
+        yield pytest.param(call, non_numeric(valid, k), f"{op}: input must be finite",
+                           id=f"{op}-non-numeric")
         if triplet:
             yield pytest.param(call, valid[..., :2],
                                f"{op}: expected shape (..., 3), got (4, 2)",
@@ -110,6 +101,15 @@ def cases():
                          ids=[entry[0] for entry in ENTRY_POINTS])
 def test_valid_input_accepted(op, call, valid, triplet, hi):
     call(valid.copy())
+
+
+def test_value_types_keep_private_copies():
+    """The value types store read-only copies; the caller's arrays stay writeable."""
+    cube, knots = np.full((2, 2, 2, 3), 0.5), np.array([np.nan, np.nan, 1.0, 2.0])
+    v, luminance, xyz = TRIPLETS.copy(), np.ones(4), np.ones((4, 3))
+    CubeLUT(cube), KnotGrid(knots)
+    Measurement(v=v, luminance=luminance), Measurement(v=v, xyz=xyz)
+    assert all(a.flags.writeable for a in (cube, knots, v, luminance, xyz))
 
 
 @pytest.mark.parametrize("call, x, message", cases())

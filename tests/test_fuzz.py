@@ -5,10 +5,10 @@ with 0, 1, 2 or 64 without letting an exception escape.
 Inputs are arbitrary text, truncated valid documents, valid documents with
 arbitrary text spliced in and, for line-based formats, rows of typical and
 edge-case tokens, all capped near 2 kB.  Fast paths are checked against
-their reference paths too: the bulk .cube read against the line walk, the
-block-wise CSV read against a read one row at a time, the .cube writer
-against per-value formatting, and the sample batch against the sample CSV
-reader.
+their reference paths too: the bulk and layered .cube reads against the
+line walk, the block-wise CSV read against a read one row at a time, the
+.cube writer against per-value formatting, and the sample batch against the
+sample CSV reader.
 Each writer is checked against its reader: what a constructor accepts is
 written and read back equal.  Example generation is derandomized, so every
 run tries the same inputs.
@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from hdrpcal import _table
+from hdrpcal import _table, cubelut
 from hdrpcal._table import BLOCK_ROWS
 from hdrpcal.calibrate import load_sweeps
 from hdrpcal.cli import main
@@ -200,6 +200,74 @@ def test_cube_bulk_parse_matches_ordered_walk(text):
         return (lut.outputs.tobytes(), lut.title, lut.domain_min.tobytes(),
                 lut.domain_max.tobytes())
     assert _outcome(parsed) == _outcome(lambda: _walked_cube(text))
+
+
+def _parsed_with_warnings(text: str):
+    """parse_cube's fields as bits, or its error and place; and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            lut = parse_cube(text)
+            result = (lut.outputs.tobytes(), lut.title, lut.domain_min.tobytes(),
+                      lut.domain_max.tobytes())
+        except HdrpcalError as exc:
+            result = (type(exc), str(exc), getattr(exc, "line", None),
+                      getattr(exc, "column", None))
+    return result, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+# Values of small cubes: signed zeros, values the parse clamps, and others.
+LAYER_VALUES = (st.sampled_from([0.0, -0.0, 1.0, 0.5, -0.25, 1.5, 1e-9, 0.1 + 0.2])
+                | st.floats(-2.0, 2.0))
+LAYER_EDITS = {
+    "field": ["0", "1", "-0", "0.5", "2", "x", "nan", "1e999", "1_0", "", "0 0"],
+    "separator": ["\t", "  ", " \t", "\xa0"],
+    "line end": ["\r\n", "\r", "\x0b", "\x85", "\u2028", "\n\n", "\n# c\n", ""],
+}
+
+
+@st.composite
+def layered_cubes(draw):
+    """The text of a small separable cube as serialize_cube lays it out (one
+    value at a time, which gives the same bytes), or of the same cube with
+    one cell changed, with at most one field, separator or line end edited;
+    and whether it is left unchanged."""
+    n = draw(st.integers(2, 4))
+    outputs = _separable_outputs([np.array(draw(st.lists(LAYER_VALUES, min_size=n,
+                                                         max_size=n))) for _ in range(3)])
+    separable = draw(st.booleans())
+    if not separable:
+        outputs = outputs.copy()
+        outputs[draw(st.tuples(*[st.integers(0, n - 1)] * 3, st.integers(0, 2)))] = \
+            draw(LAYER_VALUES)
+    rows = [[format(x, ".8g") for x in row]
+            for row in outputs.transpose(2, 1, 0, 3).reshape(-1, 3).tolist()]
+    kind = draw(st.sampled_from([None, *LAYER_EDITS]))
+    replacement = draw(st.sampled_from(LAYER_EDITS.get(kind, [""])))
+    k = draw(st.integers(0, 999))
+    if kind == "field":
+        rows[k // 3 % len(rows)][k % 3] = replacement
+    text = draw(st.sampled_from(["", 'TITLE "t"\n', "# c\n"])) + f"LUT_3D_SIZE {n}\n" + \
+        "".join(" ".join(row) + "\n" for row in rows)
+    if kind in ("separator", "line end"):  # the (k % count)-th space or line break
+        sep = " " if kind == "separator" else "\n"
+        at = [i for i, c in enumerate(text) if c == sep][k % text.count(sep)]
+        text = text[:at] + replacement + text[at + 1:]
+    return text, separable and kind is None
+
+
+@fuzz
+@given(layered_cubes())
+def test_layered_cube_read_matches_line_walk(drawn):
+    """The layered read of a separable cube's text, and its decline on any
+    other text, give the line walk's bits and warnings, or its error."""
+    text, unchanged = drawn
+    if unchanged:
+        assert cubelut._read_layers(text, {}) is not None
+    with mock.patch.object(cubelut, "_read_layers", return_value=None), \
+            mock.patch.object(np, "loadtxt", side_effect=ValueError):
+        walked = _parsed_with_warnings(text)
+    assert _parsed_with_warnings(text) == walked
 
 
 def _cube_lines_per_value(lut: CubeLUT) -> list[str]:

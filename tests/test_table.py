@@ -67,6 +67,22 @@ def test_ties_and_carries(value, p):
     assert formatted(values, p) == expected(values, p)
 
 
+#: The widest precision whose rounding ties are all ``longdouble`` values
+#: (18 where ``longdouble`` is x87 extended, 15 where it is ``double``):
+#: ``_format_g`` keeps no tie margin up to it and the full margin above it.
+TIE_BOUND = max(p for p in range(1, 30) if np.longdouble(10) ** p * _table._TIE_EPS <= 0.5)
+
+
+@pytest.mark.parametrize("p", [TIE_BOUND, TIE_BOUND + 1])
+def test_both_sides_of_the_tie_margin_bound(p):
+    rng = np.random.default_rng(p)
+    values = (rng.uniform(1, 10, 3000) * 10.0 ** rng.integers(-4, p, 3000)).tolist()
+    # ties: p + 1 significant digits, the last a 5
+    ties = [k + j * 2.0 ** -p for k in (1, 7) for j in (1, 3)] + [0.5 + 2.0 ** -(p + 1)]
+    values += ties + [np.nextafter(t, s) for t in ties for s in (0, np.inf)]
+    assert formatted(values, p) == expected(values, p)
+
+
 def reference_write_rows(file, row, columns, labels=None):
     """``write_rows`` as one ``row % (label, *fields)`` per row."""
     fields = np.column_stack(columns).tolist()

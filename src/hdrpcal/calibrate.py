@@ -36,8 +36,7 @@ from .colorspace import (SRGB_LINEAR_BREAK, _checked, _finite_number, _freeze,
 # Not called here; the benchmark tracer requires this module binding.
 from .colorspace import srgb_encode3  # noqa: F401
 from .cubelut import (ACTIVE_START, DEFAULT_GRID_SIZE, CubeLUT, KnotGrid,
-                      _cell_corners, _interpolate, _separable_outputs,
-                      default_knot_grid)
+                      _cell_corners, _interpolate, default_knot_grid)
 from .display import AchromaticDisplay, ChromaticDisplay, least_squares
 from .errors import FitError, ValidationError
 from .harness import (MATERIAL_FLOOR, SampleBatch, check_seed,
@@ -173,7 +172,7 @@ def build_correction_cube(spec: GammaCorrectionSpec, knots: KnotGrid | None = No
                 curves[c] = refined
 
     full = np.pad(curves, ((0, 0), (start, 0)), mode="edge")
-    return CubeLUT(_separable_outputs(full), title="gamma correction")
+    return CubeLUT._from_curves(full, title="gamma correction")
 
 
 @dataclass(frozen=True)

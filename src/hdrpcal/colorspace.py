@@ -58,11 +58,11 @@ def _floats(x, op: str, copy: bool | None = None) -> np.ndarray:
         raise ValidationError(f"{op}: input must be finite") from None
 
 
-def _finite_number(x) -> bool:
-    """The one scalar rule: ``x`` is an int or a float of finite float value; a
-    numpy scalar counts as its Python value, a bool does not."""
+def _finite_number(x, integer: bool = False) -> bool:
+    """The one scalar rule: ``x`` is an int, or a float unless ``integer``, of
+    finite float value; a numpy scalar counts as its Python value, a bool does not."""
     x = x.item() if isinstance(x, np.generic) else x
-    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+    return type(x) in ((int,) if integer else (int, float)) and abs(x) <= sys.float_info.max
 
 
 def _freeze(obj, **arrays):

@@ -35,18 +35,20 @@ the knot fit in :mod:`hdrpcal.calibrate` differentiates the same corners.
 When each output channel depends only on its own grid index (a separable
 cube, such as every impulse and gamma-correction cube), trilinear
 interpolation reduces exactly to one piecewise-linear curve per channel,
-which the tonemap evaluates instead of the eight cell corners, and
-:func:`serialize_cube` writes from the three curves, with the same bytes
-as writing every cell: layer k is layer 0's "r g " prefixes, each then blue
-field k, and :func:`parse_cube` converts only layer 0 and the blue fields.
-Separability is decided once per :class:`CubeLUT`, on bit patterns
-(``-0.0`` is not ``0.0``).  Disabled tonemapping is ``None`` (see
+which the tonemap evaluates instead of the eight cell corners.  Such a cube
+is written from its curves, with the bytes of writing every cell: layer k is
+layer 0's "r g " prefixes, each then blue field k; :func:`parse_cube`
+converts only layer 0 and the blue fields.  A cube made from curves, or read
+from layers with a separable layer 0 in [0, 1], holds just its curves and
+builds ``outputs`` on first read; any other cube is tested once, on bit
+patterns (``-0.0`` is not ``0.0``).  Disabled tonemapping is ``None`` (see
 :func:`hdrpcal.scene.post_process`), not a tonemap object.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import math
 import re
 import warnings
@@ -55,8 +57,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._table import read_table, reject_first
-from .colorspace import _checked, _floats, _freeze
+from ._table import read_table, reject_first, write_rows
+from .colorspace import _checked, _finite_number, _floats, _freeze
 from .errors import (CubeFormatError, CubeTruncationError, UnsupportedCubeError,
                      ValidationError)
 
@@ -107,9 +109,10 @@ class KnotGrid:
 
     def __post_init__(self):
         _freeze(self, values=_floats(self.values, "KnotGrid", copy=True))
-        if self.values.ndim != 1 or not 1 <= self.active_start < self.size <= MAX_GRID_SIZE:
+        if not (_finite_number(self.active_start, integer=True) and self.values.ndim == 1
+                and 1 <= self.active_start < self.size <= MAX_GRID_SIZE):
             raise ValidationError(f"knot grid needs 1 <= active_start < size <= "
-                                  f"{MAX_GRID_SIZE}, got active_start {self.active_start}, "
+                                  f"{MAX_GRID_SIZE}, got active_start {self.active_start!r}, "
                                   f"size {self.size}")
         active = _checked(self.active_values, "KnotGrid", hi=np.inf)
         if np.any(np.diff(active) <= 0):
@@ -126,6 +129,8 @@ class KnotGrid:
     @classmethod
     def from_active(cls, active, size: int = DEFAULT_GRID_SIZE,
                     active_start: int = ACTIVE_START) -> "KnotGrid":
+        if not all(_finite_number(n, integer=True) for n in (size, active_start)):
+            raise ValidationError("knot grid size and active_start must be integers")
         active = np.asarray(active, dtype=float)
         if active.size != size - active_start + 1:
             raise ValidationError(
@@ -171,8 +176,8 @@ def default_knot_grid(source: str = "delta") -> KnotGrid:
 
 @dataclass(frozen=True, eq=False)
 class CubeLUT:
-    """Output grid of a .cube file, indexed ``outputs[i, j, k]`` with i the
-    red, j the green and k the blue grid index (0-based)."""
+    """Output grid of a .cube file, ``outputs[i, j, k]`` at red, green, blue grid
+    index i, j, k (0-based); built on first read for a cube made from curves."""
 
     outputs: np.ndarray
     title: str | None = None
@@ -181,14 +186,30 @@ class CubeLUT:
 
     def __post_init__(self):
         arr = _floats(self.outputs, "CubeLUT", copy=True)
-        if arr.shape != arr.shape[:1] * 3 + (3,):
-            raise ValidationError(f"cube outputs must be (n, n, n, 3), got {arr.shape}")
-        if not 2 <= arr.shape[0] <= MAX_GRID_SIZE:
-            raise ValidationError(f"cube size must be in 2..{MAX_GRID_SIZE}, "
-                                  f"got {arr.shape[0]}")
-        lo = np.array(self.domain_min, dtype=float)
-        hi = np.array(self.domain_max, dtype=float)
-        if not (lo.shape == hi.shape == (3,)
+        self._settle(arr.shape)
+        _freeze(self, outputs=_checked(arr, "CubeLUT"))
+
+    @classmethod
+    def _from_curves(cls, curves, title=None, domain_min=(0, 0, 0), domain_max=(1, 1, 1)):
+        """The separable cube ``outputs[i, j, k] == (r[i], g[j], b[k])``, checked as
+        the constructor checks it, on the curves alone; ``outputs`` is built on first read."""
+        lut = cls.__new__(cls)
+        lut.__dict__.update(title=title, domain_min=domain_min, domain_max=domain_max)
+        r, g, b = curves = [_floats(c, "CubeLUT").ravel() for c in curves]
+        lut._settle((r.size, g.size, b.size, 3))
+        _checked(np.concatenate([r[:1], g[:1], b, g, r]), "CubeLUT")  # in the grid's order
+        return _freeze(lut, _curves=np.array(curves))
+
+    def _settle(self, shape: tuple) -> None:
+        """Check the grid shape, title and domain; store the size and read-only domain."""
+        if shape != shape[:1] * 3 + (3,):
+            raise ValidationError(f"cube outputs must be (n, n, n, 3), got {shape}")
+        if not 2 <= shape[0] <= MAX_GRID_SIZE:
+            raise ValidationError(f"cube size must be in 2..{MAX_GRID_SIZE}, got {shape[0]}")
+        lo, hi = (np.array(b, dtype=object) for b in (self.domain_min, self.domain_max))
+        with contextlib.suppress(TypeError, ValueError, OverflowError):  # else shown as given
+            lo, hi = lo.astype(float), hi.astype(float)
+        if not (lo.dtype == hi.dtype == float and lo.shape == hi.shape == (3,)
                 and np.isfinite([lo, hi]).all() and np.all(lo < hi)):
             raise ValidationError("cube domain must be 3 finite numbers per bound, min < max "
                                   f"per channel; got {lo.tolist()} to {hi.tolist()}")
@@ -197,16 +218,18 @@ class CubeLUT:
         # parse_cube splits lines where str.splitlines does
         if self.title is not None and self.title.splitlines() not in ([], [self.title]):
             raise ValidationError(f"cube title must not hold a line break, got {self.title!r}")
-        _freeze(self, outputs=_checked(arr, "CubeLUT"), domain_min=lo, domain_max=hi)
+        _freeze(self, domain_min=lo, domain_max=hi)
+        object.__setattr__(self, "size", shape[0])
 
-    @property
-    def size(self) -> int:
-        return int(self.outputs.shape[0])
+    def __getattr__(self, name):  # a cube made from its curves builds outputs on first read
+        if name != "outputs" or "_curves" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return _freeze(self, outputs=_separable_outputs(self._curves)).outputs
 
     def separable_channels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """Per-axis output curves if each channel depends only on its own
         grid index, else None."""
-        return self._curves
+        return None if self._curves is None else tuple(self._curves)
 
     @cached_property
     def _curves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -300,8 +323,9 @@ def _layer(prefixes: list[str], blue: str) -> str:
 
 
 def _read_layers(text: str, keys: dict) -> np.ndarray | None:
-    """The data rows of ``text`` if they are n :func:`_layer` layers to its end,
-    every field finite, with its keyword lines read into ``keys``; else None."""
+    """If the data rows of ``text`` are n :func:`_layer` layers to its end, every
+    field finite, its keyword lines read into ``keys`` and its (3, n) curves if
+    separable with all in [0, 1], else its (n, n, n, 3) grid; otherwise None."""
     pos = 0
     while True:  # the keyword block, one "\n" line at a time
         end = text.find("\n", pos)
@@ -324,17 +348,22 @@ def _read_layers(text: str, keys: dict) -> np.ndarray | None:
         pos += bare + m * len(blues[-1])
     with contextlib.suppress(ValueError):  # float()'s rules; a bad token declines
         values = np.array(fields + blues, dtype=float)
-        if (pos == len(text) and text.endswith("".join(_layer(prefixes, b) for b in blues))
+        layers = {b: _layer(prefixes, b) for b in set(blues)}  # built once per blue field
+        if (pos == len(text) and text.endswith("".join(map(layers.get, blues)))
                 and " ".join(blues).split() == blues and np.isfinite(values).all()):
-            red_green = np.tile(values[:3 * m].reshape(m, 3)[:, :2], (len(blues), 1))
-            return np.column_stack([red_green, np.repeat(values[3 * m:], m)])
+            top, blue = values[:3 * m].reshape(len(blues), -1, 3).swapaxes(0, 1), values[3 * m:]
+            bits = top.view(np.uint64)  # layer 0 by [i, j]: red by i alone, green by j alone?
+            if ((bits[..., 0] == bits[:, :1, 0]).all() and (bits[..., 1] == bits[:1, :, 1]).all()
+                    and 0.0 <= values.min() and values.max() <= 1.0):
+                return np.stack([top[:, 0, 0], top[0, :, 1], blue])
+            return np.stack(np.broadcast_arrays(top[:, :, None, 0], top[:, :, None, 1], blue),
+                            axis=-1)
 
 
 def parse_cube(source) -> CubeLUT:
     """Parse .cube text from a string or text stream."""
     text = source.read() if hasattr(source, "read") else str(source)
-    keys: dict = {}
-    data = _read_layers(text, keys)
+    data = _read_layers(text, keys := {})
     if data is None:  # any other layout: every line, in bulk or one at a time
         lines, keys, start = text.splitlines(), {}, 0
         while start < len(lines) and _keyword(keys, lines[start], start + 1):
@@ -347,6 +376,8 @@ def parse_cube(source) -> CubeLUT:
                 data = np.loadtxt(lines[start:end], comments=None, ndmin=2)
         if data is None or data.shape != (keys["size"] ** 3, 3) or not np.isfinite(data).all():
             data = _walk_rows(lines, keys)
+        # Rows run red-fastest: row index = i + n*j + n^2*k.
+        data = data.reshape((keys["size"],) * 3 + (3,)).transpose(2, 1, 0, 3)
     outside = (data < 0.0) | (data > 1.0)
     if np.any(outside):
         worst = float(np.max(np.abs(data - np.clip(data, 0.0, 1.0))))
@@ -354,10 +385,9 @@ def parse_cube(source) -> CubeLUT:
             f"{int(outside.sum())} cube components outside [0, 1] "
             f"(worst excess {worst:g}); clamping", CubeRangeWarning, stacklevel=2)
         data = np.clip(data, 0.0, 1.0)
-    # Rows run red-fastest: row index = i + n*j + n^2*k.
-    size, line = keys.pop("size"), keys.pop("domain_line", None)
-    try:
-        return CubeLUT(data.reshape(size, size, size, 3).transpose(2, 1, 0, 3), **keys)
+    _, line = keys.pop("size"), keys.pop("domain_line", None)
+    try:  # the curves of a separable cube, else its grid
+        return (CubeLUT._from_curves if data.ndim == 2 else CubeLUT)(data, **keys)
     except ValidationError as exc:  # the domain rule: the rest holds by parsing
         raise CubeFormatError(str(exc), line=line) from None
 
@@ -379,12 +409,14 @@ def serialize_cube(lut: CubeLUT, file=None) -> str:
                                         for v in bound.tolist()))
     curves = lut.separable_channels()
     if curves is None:
-        cells = lut.outputs.transpose(2, 1, 0, 3).ravel().tolist()
-        rows = ("%.8g %.8g %.8g\n" * lut.size ** 3) % tuple(cells)
+        buf = io.StringIO()
+        write_rows(buf, "%.8g %.8g %.8g\n", [lut.outputs.transpose(2, 1, 0, 3).reshape(-1, 3)])
+        rows = buf.getvalue()
     else:  # the n^2 "r g " prefixes, red fastest, then one layer per blue value
         r, g, b = (["%.8g" % v for v in c.tolist()] for c in curves)
         prefixes = [f"{x} {y} " for y in g for x in r]
-        rows = "".join(_layer(prefixes, z) for z in b)
+        layers = {z: _layer(prefixes, z) for z in set(b)}  # built once per blue field
+        rows = "".join(map(layers.get, b))
     text = "\n".join(lines) + "\n" + rows
     if file is not None:
         file.write(text)
@@ -394,11 +426,10 @@ def serialize_cube(lut: CubeLUT, file=None) -> str:
 def make_delta_cube(m: int, size: int = DEFAULT_GRID_SIZE) -> CubeLUT:
     """Impulse cube: t_ijk = (1 if i == m else 0, ..., 1 if k == m else 0)
     with 1-based knot index ``m``."""
-    if not 1 <= m <= size:
-        raise ValidationError(f"delta index must be in 1..{size}, got {m}")
-    hit = np.zeros(size)
-    hit[m - 1] = 1.0
-    return CubeLUT(_separable_outputs((hit, hit, hit)), title=f"delta_{m:02d}")
+    if not (all(_finite_number(n, integer=True) for n in (m, size)) and 1 <= m <= size):
+        raise ValidationError(f"delta index must be an integer in 1..{size!r}, got {m!r}")
+    hit = np.arange(size) == m - 1  # 1.0 at m, else 0.0
+    return CubeLUT._from_curves((hit, hit, hit), title=f"delta_{m:02d}")
 
 
 def separable_cube(grid: KnotGrid, fn, title: str | None = None) -> CubeLUT:
@@ -414,7 +445,7 @@ def separable_cube(grid: KnotGrid, fn, title: str | None = None) -> CubeLUT:
     coords = np.asarray(grid.values, dtype=float).copy()
     coords[:grid.active_start - 1] = grid.active_values[0]
     curves = [np.clip(np.asarray(f(coords), dtype=float), 0.0, 1.0) for f in fns]
-    return CubeLUT(_separable_outputs(curves), title=title)
+    return CubeLUT._from_curves(curves, title=title)
 
 
 def _separable_outputs(curves) -> np.ndarray:

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -644,3 +645,127 @@ class TestSeparable:
         # the same cells through the general path: the 8 corners summed
         monkeypatch.setattr(CubeLUT, "separable_channels", lambda self: None)
         assert np.max(np.abs(separable - _interpolate(knots, lut, u))) <= 1e-15
+
+
+def bits(arrays) -> list[bytes]:
+    """The bit patterns of each array of ``arrays``."""
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+CURVES = [
+    (np.array([0.0, -0.0, 0.25, 1.0, 0.5]), np.array([1.0, 0.125, -0.0, 0.0, 0.75]),
+     np.array([0.1 + 0.2, 0.0, 1.0, 1e-9, -0.0])),
+    (np.eye(4)[2],) * 3,  # an impulse cube
+    build_correction_cube(GammaCorrectionSpec(make_chromatic_display(), input_range=1.111),
+                          default_knot_grid(), refine=True).separable_channels(),
+    ([-0.0, 1.0], [0.5, 0.0], [1.0, 0.75]),
+]
+
+
+class TestCurveCubes:
+    """A cube made from its curves is the cube made from their grid."""
+
+    @pytest.mark.parametrize("curves", CURVES, ids=["signed zeros", "impulse",
+                                                    "chromatic correction", "size 2"])
+    def test_curve_cube_matches_its_grid_cube(self, curves):
+        keys = {"title": "t", "domain_min": [0.0, 0.5, 0.0], "domain_max": [1.0, 2.0, 1e-3]}
+        made = CubeLUT._from_curves(curves, **keys)
+        dense = CubeLUT(cubelut._separable_outputs(curves), **keys)
+        assert made.size == dense.size and made.title == dense.title
+        assert bits([made.domain_min, made.domain_max]) == bits([dense.domain_min,
+                                                                 dense.domain_max])
+        assert bits(made.separable_channels()) == bits(dense.separable_channels())
+        text = serialize_cube(made)
+        assert text == serialize_cube(dense)
+        grid = KnotGrid(np.geomspace(0.01, 10.0, made.size), active_start=1)
+        u = np.random.default_rng(8).uniform(0.0, 12.0, (500, 3))
+        assert bits([CubeTonemap(grid, made).apply(u)]) == bits([CubeTonemap(grid, dense)
+                                                                 .apply(u)])
+        assert "outputs" not in vars(made)  # none of the above built the grid
+        back = parse_cube(text)
+        assert "outputs" not in vars(back)  # read as its curves
+        assert outcome(lambda: back) == line_parse(text)  # either's text, one parse
+        assert bits([made.outputs]) == bits([dense.outputs])
+        assert made.outputs is made.outputs and not made.outputs.flags.writeable
+
+    @pytest.mark.parametrize("curves", [
+        ([0.0, 1.5], [0.0, 0.0], [0.0, -0.25]),  # the grid holds b[1] before r[1]
+        ([0.0, 1.5], [0.0, 2.0], [0.0, 0.5]),  # g[1] before r[1]
+        ([0.0, 0.5], [-1.0, 0.0], [3.0, 0.5]),  # g[0] before b[0]
+        ([0.0, 0.5], [0.0, np.nan], [0.0, 7.0]),
+    ], ids=["b before r", "g before r", "g before b", "nan"])
+    def test_bad_curve_value_named_as_the_grid_check_names_it(self, curves):
+        with pytest.raises(ValidationError) as made:
+            CubeLUT._from_curves(curves)
+        with pytest.raises(ValidationError) as dense:
+            CubeLUT(cubelut._separable_outputs(curves))
+        assert str(made.value) == str(dense.value)
+
+    def test_signed_zero_in_a_curve_stays(self):
+        made = CubeLUT._from_curves(([-0.0, 1.0], [0.0, 0.5], [1.0, -0.0]))
+        text = serialize_cube(made)
+        assert text.splitlines()[1:3] == ["-0 0 1", "1 0 1"]
+        r, g, b = parse_cube(text).separable_channels()
+        assert np.signbit(r[0]) and not np.signbit(g[0]) and np.signbit(b[1])
+        assert np.signbit(made.outputs[0, 1, 0, 0]) and np.signbit(made.outputs[1, 1, 1, 2])
+
+    def test_curves_are_private_and_read_only(self):
+        r = np.array([0.0, 0.5, 1.0])
+        made = CubeLUT._from_curves((r, r, r))
+        r[0] = 1.0
+        assert made.separable_channels()[0][0] == 0.0 and r.flags.writeable
+        with pytest.raises(ValueError):
+            made.separable_channels()[0][0] = 0.5
+
+    @pytest.mark.parametrize("prefixes", [
+        ["0 0 ", "0.5 0 ", "0.25 1 ", "1 1 "],  # red varies with j
+        ["0 0 ", "1 0.25 ", "0 1 ", "1 1 "],  # green varies with i
+        ["0 0 ", "1 -0 ", "0 1 ", "1 1 "],  # ... by the sign of a zero
+    ], ids=["red", "green", "signed zero"])
+    def test_layered_file_with_joint_red_green_reads_as_dense_bits(self, prefixes):
+        text = "LUT_3D_SIZE 2\n" + "".join(f"{z}\n".join(prefixes) + f"{z}\n"
+                                           for z in ["0.125", "1"])
+        assert cubelut._read_layers(text, {}).shape == (2, 2, 2, 3)
+        with layers_only():
+            got = outcome(lambda: parse_cube(text))
+        assert got == line_parse(text)
+        assert parse_cube(text).separable_channels() is None
+
+    @pytest.mark.parametrize("text", [
+        layered(["0", "1.5"], ["0.5", "0.25"], ["1", "0"]),
+        layered(["-0", "1.5"], ["0", "-0.25"], ["1", "-0"]),
+        layered(["0", "1", "0.5"], ["0.5", "0.25", "1"], ["1", "-1e-3", "0"]),
+    ], ids=["red", "red, green and signed zeros", "blue"])
+    def test_out_of_range_layers_warn_as_the_line_walk(self, text):
+        def parse():
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                got = outcome(lambda: parse_cube(text))
+            return got, [(w.category, str(w.message), w.filename, w.lineno) for w in seen]
+        assert cubelut._read_layers(text, {}).ndim == 4  # the grid, not curves
+        with mock.patch("hdrpcal.cubelut._read_layers", return_value=None):
+            walked = parse()
+        with layers_only():
+            got = parse()
+        assert got == walked
+        [(category, _, filename, _)] = got[1]
+        assert category is CubeRangeWarning and filename == __file__
+
+    def test_separable_round_trips_build_no_grid(self):
+        """make, serialize, parse and apply an impulse or a gamma cube on its
+        3n curve values alone: the grid builder and the dense constructor fail."""
+        built = AssertionError("an n^3 grid was built")
+        spec = GammaCorrectionSpec(make_chromatic_display(), input_range=1.111)
+        u = np.random.default_rng(9).uniform(0.0, 70.0, (300, 3))
+        with mock.patch("hdrpcal.cubelut._separable_outputs", side_effect=built), \
+                mock.patch.object(CubeLUT, "__post_init__", side_effect=built):
+            cubes = [make_delta_cube(m) for m in (1, 16, 32)] + [
+                build_correction_cube(spec, default_knot_grid(), refine=True),
+                separable_cube(default_knot_grid(), lambda x: np.clip(x / 60.0, 0, 1))]
+            backs = [parse_cube(io.StringIO(serialize_cube(lut))) for lut in cubes]
+            applied = [CubeTonemap(default_knot_grid(), lut).apply(u) for lut in backs]
+        assert not any("outputs" in vars(lut) for lut in cubes + backs)
+        for lut, back, out in zip(cubes, backs, applied):
+            assert outcome(lambda: back) == line_parse(serialize_cube(lut))
+            assert bits([out]) == bits([CubeTonemap(default_knot_grid(),
+                                                    CubeLUT(back.outputs)).apply(u)])

@@ -8,7 +8,8 @@ AchromaticDisplay and a GammaCorrectionSpec's input range take only int or
 float values of finite value, numpy scalars among them; the display writer
 writes them, and the fit report's fields, as plain JSON numbers, and writes
 nothing when a field cannot be written.  The other scalar inputs follow the
-same finite-number rule."""
+same finite-number rule, and a grid size or knot index must also be an
+int."""
 
 import io
 import json
@@ -193,6 +194,43 @@ def test_grid_size_outside_the_cube_format_rejected(make, message):
     """The knot CSV and .cube readers take sizes 2..256 only."""
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         make()
+
+
+KNOTS = [np.nan, np.nan, 1.0, 2.0]
+KNOT_RANGE = "knot grid needs 1 <= active_start < size <= 256, got active_start "
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: CubeLUT(np.zeros((2, 2, 2, 3)), domain_min=["x", 0, 0]),
+     "cube domain must be 3 finite numbers per bound, min < max per channel; "
+     "got ['x', 0, 0] to [1.0, 1.0, 1.0]"),
+    (lambda: CubeLUT(np.zeros((2, 2, 2, 3)), domain_max=[2**2000, 1, 1]),
+     "cube domain must be 3 finite numbers per bound, min < max per channel; "
+     f"got [0.0, 0.0, 0.0] to [{2**2000}, 1, 1]"),
+    (lambda: KnotGrid(KNOTS, active_start="3"), KNOT_RANGE + "'3', size 4"),
+    (lambda: KnotGrid(KNOTS, active_start=2.5), KNOT_RANGE + "2.5, size 4"),
+    (lambda: KnotGrid(KNOTS, active_start=True), KNOT_RANGE + "True, size 4"),
+    (lambda: KnotGrid.from_active([1.0, 2.0], size="4"),
+     "knot grid size and active_start must be integers"),
+    (lambda: KnotGrid.from_active([1.0, 2.0], size=4, active_start=3.0),
+     "knot grid size and active_start must be integers"),
+    (lambda: make_delta_cube(2.5), "delta index must be an integer in 1..32, got 2.5"),
+    (lambda: make_delta_cube("3"), "delta index must be an integer in 1..32, got '3'"),
+    (lambda: make_delta_cube(3, size=4.0), "delta index must be an integer in 1..4.0, got 3"),
+    (lambda: make_delta_cube(True), "delta index must be an integer in 1..32, got True"),
+], ids=["domain str", "domain 2**2000", "active_start str", "active_start 2.5",
+        "active_start bool", "from_active size str", "from_active active_start float",
+        "delta 2.5", "delta str", "delta size float", "delta bool"])
+def test_argument_of_the_wrong_type_rejected(make, message):
+    """A bool is not a number, and a count or index must be an int."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_numpy_integers_are_integers():
+    assert make_delta_cube(np.int64(3), size=np.int32(4)).size == 4
+    assert KnotGrid(KNOTS, active_start=np.int64(3)).active_values.tolist() == [1.0, 2.0]
+    assert KnotGrid.from_active([1.0, 2.0], size=np.int64(4), active_start=np.int8(3)).size == 4
 
 
 ACHROMATIC_FIELDS = {"l0": 1.0, "l1": 10.0, "gamma": 2.2}

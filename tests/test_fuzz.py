@@ -7,7 +7,8 @@ arbitrary text spliced in and, for line-based formats, rows of typical and
 edge-case tokens, all capped near 2 kB.  Fast paths are checked against
 their reference paths too: the bulk and layered .cube reads against the
 line walk, the block-wise CSV read against a read one row at a time, the
-.cube writer against per-value formatting, and the sample batch against the
+.cube writer against per-value formatting, a cube made from its curves
+against the cube made from their grid, and the sample batch against the
 sample CSV reader.
 Each writer is checked against its reader: what a constructor accepts is
 written and read back equal.  Example generation is derandomized, so every
@@ -268,6 +269,48 @@ def test_layered_cube_read_matches_line_walk(drawn):
             mock.patch.object(np, "loadtxt", side_effect=ValueError):
         walked = _parsed_with_warnings(text)
     assert _parsed_with_warnings(text) == walked
+
+
+IN_RANGE = st.sampled_from([0.0, -0.0, 1.0, 0.5, 1e-9, 0.1 + 0.2]) | st.floats(0.0, 1.0)
+
+
+@fuzz
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(IN_RANGE, min_size=n, max_size=n),
+                                                    min_size=3, max_size=3)),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 99),
+                          st.sampled_from([-0.25, 1.5, -0.0, np.nan, -np.inf, "long"])),
+                max_size=2))
+@example([[0.5, 1.0]] * 3, [(2, 1, np.nan)])
+@example([[0.5, 1.0]] * 3, [(0, 1, 1.5), (2, 1, -0.25)])
+def test_cube_from_curves_matches_cube_from_grid(curves, edits):
+    """A cube made from its curves and one made from their grid raise the same
+    error, or give the same curves, text, tonemap, parse and outputs, as bits;
+    the curves may hold values outside [0, 1] or an extra value."""
+    curves = [list(c) for c in curves]
+    for channel, k, value in edits:
+        if value == "long":
+            curves[channel].append(0.25)
+        else:
+            curves[channel][k % len(curves[channel])] = value
+    arrays = [np.array(c) for c in curves]
+
+    def made(make):
+        try:
+            lut = make()
+        except ValidationError as exc:
+            return str(exc)
+        grid = KnotGrid(np.cumsum(np.full(lut.size, 0.5)), active_start=1)
+        u = np.linspace(0.0, lut.size / 2 + 1, 21).reshape(7, 3)
+        text = serialize_cube(lut)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = parse_cube(text)
+        return (np.array(lut.separable_channels()).tobytes(), text,
+                cubelut.CubeTonemap(grid, lut).apply(u).tobytes(),
+                np.array(back.separable_channels()).tobytes(), back.outputs.tobytes(),
+                lut.outputs.tobytes())
+    from_curves = made(lambda: CubeLUT._from_curves(arrays))
+    assert from_curves == made(lambda: CubeLUT(_separable_outputs(arrays)))
 
 
 def _cube_lines_per_value(lut: CubeLUT) -> list[str]:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._table import read_table, reject_first
-from .colorspace import (SRGB_LINEAR_BREAK, _checked, _finite_number, _freeze,
+from .colorspace import (SRGB_LINEAR_BREAK, _Frozen, _checked, _finite_number, _freeze,
                          srgb_decode, srgb_decode3)
 # Not called here; the benchmark tracer requires this module binding.
 from .colorspace import srgb_encode3  # noqa: F401
@@ -151,16 +151,14 @@ def build_correction_cube(spec: GammaCorrectionSpec, knots: KnotGrid | None = No
             [0.0, r], np.geomspace(active[0], r, REFINE_POINTS)]))
         # Column j: the separable tonemap's interpolation of knot j's unit impulse.
         mat = np.stack([np.interp(xs, active, e) for e in np.eye(active.size)], axis=1)
-        supported = np.flatnonzero(mat.sum(axis=0) > 0)
-        frozen = np.setdiff1d(np.arange(active.size), supported)
+        supported = np.flatnonzero(mat.sum(axis=0) > 0)  # the others' columns are all zero
         targets = _gamma_tonemap(xs, w, gamma, r)
         for c in range(3):
             y = targets[c]
             sse_point = float(np.sum((mat @ curves[c] - y) ** 2))
-            y_adj = y - mat[:, frozen] @ curves[c][frozen]
             # bvls is an active-set method: knots pinned at a bound come out
             # exactly 0 or 1, keeping emitted cubes clean.
-            res = lsq_linear(mat[:, supported], y_adj, bounds=(0.0, 1.0),
+            res = lsq_linear(mat[:, supported], y, bounds=(0.0, 1.0),
                              method="bvls", tol=1e-14)
             refined = curves[c].copy()
             refined[supported] = res.x
@@ -218,7 +216,7 @@ def estimate_scale_constant(samples: SampleBatch) -> ScaleEstimate:
 
 
 @dataclass(frozen=True, eq=False)
-class DeltaSweep:
+class DeltaSweep(_Frozen):
     """Scalar tonemap response to one impulse cube: (input, output) pairs,
     stored as read-only copies with the outputs clipped to [0, 1]."""
 

@@ -73,6 +73,14 @@ def _freeze(obj, **arrays):
     return obj
 
 
+class _Frozen:
+    """Base of the :func:`_freeze` classes: a copied or unpickled object stays read-only."""
+
+    def __setstate__(self, state: dict) -> None:  # where pickle and copy restore an object
+        self.__dict__.update(state)
+        _freeze(self, **{name: v for name, v in state.items() if isinstance(v, np.ndarray)})
+
+
 def _decode(arr: np.ndarray) -> np.ndarray:
     """The sRGB decoding formula, without the domain check."""
     return np.where(arr <= SRGB_ENCODED_BREAK,

@@ -14,10 +14,10 @@ followed by n**3 data rows of three floats, with the red grid index varying
 fastest, then green, then blue.  ``LUT_1D_SIZE`` files are rejected as an
 unsupported variant.  Components outside [0, 1] are clamped with a warning;
 some third-party files exceed the range slightly.  Keyword lines ahead of
-the data are read one at a time, the layers of a separable cube as below,
-other data rows in one bulk call, and any other file (lines between rows, a
-bad token or row count) line by line, so its first error in file order is
-reported.
+the data are read one at a time, the rows of a separable cube from its
+curves as below, other data rows in one bulk call, and any other file (lines
+between rows, a bad token or row count) line by line, so its first error in
+file order is reported.
 
 Tonemapping
 -----------
@@ -37,12 +37,12 @@ cube, such as every impulse and gamma-correction cube), trilinear
 interpolation reduces exactly to one piecewise-linear curve per channel,
 which the tonemap evaluates instead of the eight cell corners.  Such a cube
 is written from its curves, with the bytes of writing every cell: layer k is
-layer 0's "r g " prefixes, each then blue field k; :func:`parse_cube`
-converts only layer 0 and the blue fields.  A cube made from curves, or read
-from layers with a separable layer 0 in [0, 1], holds just its curves and
-builds ``outputs`` on first read; any other cube is tested once, on bit
-patterns (``-0.0`` is not ``0.0``).  Disabled tonemapping is ``None`` (see
-:func:`hdrpcal.scene.post_process`), not a tonemap object.
+layer 0's "r g " prefixes, each then blue field k.  :func:`parse_cube` takes
+red from layer 0's first n rows, green from its every n-th row and blue from
+each layer's first row, and keeps their cube if its rows are the file's.  A
+cube made or read from curves builds ``outputs`` on first read; any other
+cube is tested once, on bit patterns (``-0.0`` is not ``0.0``).  Disabled
+tonemapping is ``None`` (see :func:`hdrpcal.scene.post_process`).
 """
 
 from __future__ import annotations
@@ -53,12 +53,11 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from ._table import read_table, reject_first, write_rows
-from .colorspace import _checked, _finite_number, _floats, _freeze
+from .colorspace import _Frozen, _checked, _finite_number, _floats, _freeze
 from .errors import (CubeFormatError, CubeTruncationError, UnsupportedCubeError,
                      ValidationError)
 
@@ -91,12 +90,19 @@ OPTIMIZED_KNOTS = np.array([
 ])
 
 
+def _grid_size(n: int) -> int:
+    """``n``, checked as a cube's grid size per axis."""
+    if not 2 <= n <= MAX_GRID_SIZE:
+        raise ValidationError(f"cube size must be in 2..{MAX_GRID_SIZE}, got {n}")
+    return n
+
+
 class CubeRangeWarning(UserWarning):
     """Parsed cube data contained components outside [0, 1]."""
 
 
 @dataclass(frozen=True, eq=False)
-class KnotGrid:
+class KnotGrid(_Frozen):
     """Shared per-axis knot coordinates of the tonemapping grid.
 
     ``values`` has one entry per 1-based knot index 1..size; entries before
@@ -175,7 +181,7 @@ def default_knot_grid(source: str = "delta") -> KnotGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class CubeLUT:
+class CubeLUT(_Frozen):
     """Output grid of a .cube file, ``outputs[i, j, k]`` at red, green, blue grid
     index i, j, k (0-based); built on first read for a cube made from curves."""
 
@@ -188,6 +194,13 @@ class CubeLUT:
         arr = _floats(self.outputs, "CubeLUT", copy=True)
         self._settle(arr.shape)
         _freeze(self, outputs=_checked(arr, "CubeLUT"))
+        # Separable or not, decided once on bit patterns: serialize_cube keeps a stray -0.0.
+        curves = np.array([arr[:, 0, 0, 0], arr[0, :, 0, 1], arr[0, 0, :, 2]])
+        bits = arr.view(np.uint64)
+        grid = np.meshgrid(*curves.view(np.uint64), indexing="ij", copy=False)
+        object.__setattr__(self, "_curves", None)
+        if all(np.array_equal(bits[..., k], grid[k]) for k in range(3)):
+            _freeze(self, _curves=curves)
 
     @classmethod
     def _from_curves(cls, curves, title=None, domain_min=(0, 0, 0), domain_max=(1, 1, 1)):
@@ -204,8 +217,7 @@ class CubeLUT:
         """Check the grid shape, title and domain; store the size and read-only domain."""
         if shape != shape[:1] * 3 + (3,):
             raise ValidationError(f"cube outputs must be (n, n, n, 3), got {shape}")
-        if not 2 <= shape[0] <= MAX_GRID_SIZE:
-            raise ValidationError(f"cube size must be in 2..{MAX_GRID_SIZE}, got {shape[0]}")
+        _grid_size(shape[0])
         lo, hi = (np.array(b, dtype=object) for b in (self.domain_min, self.domain_max))
         with contextlib.suppress(TypeError, ValueError, OverflowError):  # else shown as given
             lo, hi = lo.astype(float), hi.astype(float)
@@ -230,15 +242,6 @@ class CubeLUT:
         """Per-axis output curves if each channel depends only on its own
         grid index, else None."""
         return None if self._curves is None else tuple(self._curves)
-
-    @cached_property
-    def _curves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        # Decided once: the test costs more than one separable interpolation.
-        out = self.outputs
-        curves = (out[:, 0, 0, 0], out[0, :, 0, 1], out[0, 0, :, 2])
-        # Compared as bits, so serialize_cube's curve path never drops a stray -0.0.
-        bits = _separable_outputs(curves).view(np.uint64)
-        return curves if np.array_equal(out.view(np.uint64), bits) else None
 
 
 def _parse_floats(tokens: list[str], raw: str, lineno: int, count: int,
@@ -317,15 +320,9 @@ def _walk_rows(lines: list[str], keys: dict) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _layer(prefixes: list[str], blue: str) -> str:
-    """One blue layer's rows: layer 0's ``"r g "`` prefixes, each then ``blue``."""
-    return f"{blue}\n".join(prefixes) + f"{blue}\n"
-
-
-def _read_layers(text: str, keys: dict) -> np.ndarray | None:
-    """If the data rows of ``text`` are n :func:`_layer` layers to its end, every
-    field finite, its keyword lines read into ``keys`` and its (3, n) curves if
-    separable with all in [0, 1], else its (n, n, n, 3) grid; otherwise None."""
+def _read_layers(text: str, keys: dict) -> CubeLUT | None:
+    """The separable cube of ``text``, its keyword lines read into ``keys``, if its
+    data rows are exactly the :func:`_rows` of the curves they name; otherwise None."""
     pos = 0
     while True:  # the keyword block, one "\n" line at a time
         end = text.find("\n", pos)
@@ -335,49 +332,40 @@ def _read_layers(text: str, keys: dict) -> np.ndarray | None:
         if not _keyword(keys, raw, text.count("\n", 0, pos) + 1):
             break
         pos = end + 1
-    m, end = keys.get("size", 0) ** 2, pos
-    for _ in range(m):  # layer 0: n^2 rows, which the layer check below reads again
-        end = text.find("\n", end) + 1
-    fields = text[pos:end].split()
+    n, _ = keys.pop("size", 0), keys.pop("domain_line", None)
+    m, k = n * n, text.count("\n", 0, pos)  # k keyword lines ahead of the data
+    fields = " ".join(top := text.split("\n", k + m)[k:k + m]).split(" ")  # layer 0, if layered
     if not m or len(fields) != 3 * m or fields[2::3].count(fields[2]) != m:
         return None  # (the blue-field count declines a general cube early)
-    prefixes = [f"{x} {y} " for x, y in zip(fields[0::3], fields[1::3])]
-    blues, bare = [], len(_layer(prefixes, ""))  # a layer's length less its blue fields
-    for _ in range(keys["size"]):  # each layer's blue field from its first row
-        blues.append(text[pos + len(prefixes[0]):text.find("\n", pos)])
-        pos += bare + m * len(blues[-1])
-    with contextlib.suppress(ValueError):  # float()'s rules; a bad token declines
-        values = np.array(fields + blues, dtype=float)
-        layers = {b: _layer(prefixes, b) for b in set(blues)}  # built once per blue field
-        if (pos == len(text) and text.endswith("".join(map(layers.get, blues)))
-                and " ".join(blues).split() == blues and np.isfinite(values).all()):
-            top, blue = values[:3 * m].reshape(len(blues), -1, 3).swapaxes(0, 1), values[3 * m:]
-            bits = top.view(np.uint64)  # layer 0 by [i, j]: red by i alone, green by j alone?
-            if ((bits[..., 0] == bits[:, :1, 0]).all() and (bits[..., 1] == bits[:1, :, 1]).all()
-                    and 0.0 <= values.min() and values.max() <= 1.0):
-                return np.stack([top[:, 0, 0], top[0, :, 1], blue])
-            return np.stack(np.broadcast_arrays(top[:, :, None, 0], top[:, :, None, 1], blue),
-                            axis=-1)
+    blues, at = [], pos + len(top[0]) - len(fields[2])  # at: a layer's first blue field
+    bare = len("\n".join(top)) + 1 - m * len(fields[2])  # a layer's length less its blue fields
+    for _ in range(n):  # each layer's blue field from its first row
+        blues.append(text[at:text.find("\n", at)])
+        at += bare + m * len(blues[-1])
+    with contextlib.suppress(ValueError):  # a bad token or the cube's checks decline
+        lut = CubeLUT._from_curves([fields[0:3 * n:3], fields[1::3 * n], blues], **keys)
+        return lut if text[pos:] == _rows(lut) else None
 
 
 def parse_cube(source) -> CubeLUT:
     """Parse .cube text from a string or text stream."""
     text = source.read() if hasattr(source, "read") else str(source)
-    data = _read_layers(text, keys := {})
-    if data is None:  # any other layout: every line, in bulk or one at a time
-        lines, keys, start = text.splitlines(), {}, 0
-        while start < len(lines) and _keyword(keys, lines[start], start + 1):
-            start += 1  # the keyword and comment lines ahead of the data
-        end = len(lines)  # and the blank and comment lines after the data
-        while end > start and lines[end - 1].strip()[:1] in ("", "#"):
-            end -= 1
-        if "size" in keys and start < end:  # loadtxt warns on empty input
-            with contextlib.suppress(ValueError):
-                data = np.loadtxt(lines[start:end], comments=None, ndmin=2)
-        if data is None or data.shape != (keys["size"] ** 3, 3) or not np.isfinite(data).all():
-            data = _walk_rows(lines, keys)
-        # Rows run red-fastest: row index = i + n*j + n^2*k.
-        data = data.reshape((keys["size"],) * 3 + (3,)).transpose(2, 1, 0, 3)
+    if (lut := _read_layers(text, {})) is not None:
+        return lut
+    lines, keys, start = text.splitlines(), {}, 0  # every line, in bulk or one at a time
+    while start < len(lines) and _keyword(keys, lines[start], start + 1):
+        start += 1  # the keyword and comment lines ahead of the data
+    end = len(lines)  # and the blank and comment lines after the data
+    while end > start and lines[end - 1].strip()[:1] in ("", "#"):
+        end -= 1
+    data = None
+    if "size" in keys and start < end:  # loadtxt warns on empty input
+        with contextlib.suppress(ValueError):
+            data = np.loadtxt(lines[start:end], comments=None, ndmin=2)
+    if data is None or data.shape != (keys["size"] ** 3, 3) or not np.isfinite(data).all():
+        data = _walk_rows(lines, keys)
+    # Rows run red-fastest: row index = i + n*j + n^2*k.
+    data = data.reshape((keys["size"],) * 3 + (3,)).transpose(2, 1, 0, 3)
     outside = (data < 0.0) | (data > 1.0)
     if np.any(outside):
         worst = float(np.max(np.abs(data - np.clip(data, 0.0, 1.0))))
@@ -386,10 +374,24 @@ def parse_cube(source) -> CubeLUT:
             f"(worst excess {worst:g}); clamping", CubeRangeWarning, stacklevel=2)
         data = np.clip(data, 0.0, 1.0)
     _, line = keys.pop("size"), keys.pop("domain_line", None)
-    try:  # the curves of a separable cube, else its grid
-        return (CubeLUT._from_curves if data.ndim == 2 else CubeLUT)(data, **keys)
+    try:
+        return CubeLUT(data, **keys)
     except ValidationError as exc:  # the domain rule: the rest holds by parsing
         raise CubeFormatError(str(exc), line=line) from None
+
+
+def _rows(lut: CubeLUT) -> str:
+    """``lut``'s data rows, red fastest, each value ``"%.8g" % v``; a separable cube's
+    from its curves: per blue field, a layer of the n^2 "r g " prefixes, each then it."""
+    curves = lut.separable_channels()
+    if curves is None:
+        buf = io.StringIO()
+        write_rows(buf, "%.8g %.8g %.8g\n", [lut.outputs.transpose(2, 1, 0, 3).reshape(-1, 3)])
+        return buf.getvalue()
+    r, g, b = (["%.8g" % v for v in c.tolist()] for c in curves)
+    prefixes = [f"{x} {y} " for y in g for x in r]
+    layers = {z: f"{z}\n".join(prefixes) + f"{z}\n" for z in set(b)}  # once per blue field
+    return "".join(map(layers.get, b))
 
 
 def serialize_cube(lut: CubeLUT, file=None) -> str:
@@ -407,17 +409,7 @@ def serialize_cube(lut: CubeLUT, file=None) -> str:
         if np.any(bound != default):  # 8 digits where they read back exactly
             lines.append(head + "".join(f" {v:.8g}" if float(f"{v:.8g}") == v else f" {v:.17g}"
                                         for v in bound.tolist()))
-    curves = lut.separable_channels()
-    if curves is None:
-        buf = io.StringIO()
-        write_rows(buf, "%.8g %.8g %.8g\n", [lut.outputs.transpose(2, 1, 0, 3).reshape(-1, 3)])
-        rows = buf.getvalue()
-    else:  # the n^2 "r g " prefixes, red fastest, then one layer per blue value
-        r, g, b = (["%.8g" % v for v in c.tolist()] for c in curves)
-        prefixes = [f"{x} {y} " for y in g for x in r]
-        layers = {z: _layer(prefixes, z) for z in set(b)}  # built once per blue field
-        rows = "".join(map(layers.get, b))
-    text = "\n".join(lines) + "\n" + rows
+    text = "\n".join(lines) + "\n" + _rows(lut)
     if file is not None:
         file.write(text)
     return text
@@ -428,7 +420,7 @@ def make_delta_cube(m: int, size: int = DEFAULT_GRID_SIZE) -> CubeLUT:
     with 1-based knot index ``m``."""
     if not (all(_finite_number(n, integer=True) for n in (m, size)) and 1 <= m <= size):
         raise ValidationError(f"delta index must be an integer in 1..{size!r}, got {m!r}")
-    hit = np.arange(size) == m - 1  # 1.0 at m, else 0.0
+    hit = np.arange(_grid_size(size)) == m - 1  # 1.0 at m, else 0.0; no array of a bad size
     return CubeLUT._from_curves((hit, hit, hit), title=f"delta_{m:02d}")
 
 
@@ -491,24 +483,24 @@ def _interpolate(knots: np.ndarray, lut: CubeLUT, x: np.ndarray) -> np.ndarray:
     active knot coordinates ``knots``, which index the last ``knots.size``
     grid entries of each axis.  A separable cube is evaluated exactly as
     three clamped piecewise-linear curves, any other cube trilinearly."""
-    start = lut.size - knots.size
     curves = lut.separable_channels()
-    if curves is not None:
-        return np.column_stack([np.interp(x[:, k], knots, curves[k][start:])
-                                for k in range(3)])
-    return _cell_corners(knots, lut, x)[3]
+    if curves is None:
+        return _cell_corners(knots, lut, x)[3]
+    return np.column_stack([np.interp(x[:, k], knots, c[lut.size - knots.size:])
+                            for k, c in enumerate(curves)])
 
 
 def _cell_corners(knots: np.ndarray, lut: CubeLUT, x: np.ndarray) -> tuple:
     """Cell ``idx`` and weights ``w`` of points ``x`` ((N, 3)) on each axis
-    (see :func:`_locate`), the outputs of ``lut`` at the cell corners,
-    ``corners[i, j, k]`` at red, green, blue offsets i, j, k: (2, 2, 2, N, 3),
-    and their trilinear blend, the tonemap at ``x``: (N, 3)."""
+    (see :func:`_locate`), ``lut``'s outputs at the cell corners (a separable
+    cube's from its curves), ``corners[i, j, k]`` at red, green, blue offsets
+    i, j, k: (2, 2, 2, N, 3), and their trilinear blend, the tonemap at ``x``: (N, 3)."""
     idx, w = _locate(knots, x)
-    shape = (lut.size,) * 3
-    cell = np.ravel_multi_index((idx + lut.size - knots.size).T, shape)
-    offsets = np.ravel_multi_index(np.indices((2, 2, 2)), shape)
-    corners = lut.outputs.reshape(-1, 3).take(cell + offsets[..., None], axis=0)
+    lo, shape = idx + lut.size - knots.size, (lut.size,) * 3  # the cells' lower grid indices
+    offsets, curves = np.indices((2, 2, 2))[..., None], lut.separable_channels()
+    corners = (np.stack([c[lo[:, a] + offsets[a]] for a, c in enumerate(curves)], axis=-1)
+               if curves is not None else lut.outputs.reshape(-1, 3).take(np.ravel_multi_index(
+                   lo.T, shape) + np.ravel_multi_index(offsets, shape), axis=0))
     wr, wg, wb = np.stack([1.0 - w.T, w.T], axis=1)  # (2, N) each: lower, upper
     out = np.zeros(x.shape)
     for i, j, k in np.ndindex(2, 2, 2):  # one corner at a time, in a fixed order

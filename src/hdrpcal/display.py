@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ._table import read_table, reject_first
-from .colorspace import _checked, _finite_number, _floats, _freeze
+from .colorspace import _Frozen, _checked, _finite_number, _floats, _freeze
 from .errors import FitError, ValidationError
 
 FIT_MAX_EVALS = 500
@@ -76,7 +76,7 @@ class AchromaticDisplay:
 
 
 @dataclass(frozen=True, eq=False)
-class ChromaticDisplay:
+class ChromaticDisplay(_Frozen):
     """Additive three-primary display model in CIE XYZ."""
 
     primary_r: np.ndarray
@@ -109,7 +109,7 @@ class ChromaticDisplay:
 
 
 @dataclass(frozen=True, eq=False)
-class Measurement:
+class Measurement(_Frozen):
     """Characterization readings: framebuffer triplets ``v`` of shape ``(..., 3)``
     and either luminances (cd/m^2) of shape ``v.shape[:-1]`` or XYZ readings of
     shape ``v.shape``, stored read-only as given.  One reading has ``v`` (3,)."""

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import svgplot
 from ._table import PROBLEMS, read_table, write_rows
-from .colorspace import _checked, _finite_number, _freeze, quantize_8bit
+from .colorspace import _Frozen, _checked, _finite_number, _freeze, quantize_8bit
 # Not called here; the benchmark tracer requires this module binding.
 from .colorspace import srgb_encode3  # noqa: F401
 from .errors import SampleFormatError, ValidationError
@@ -76,7 +76,7 @@ _REPORT_ROW = "%s," + ",".join(["%.10g"] * 9) + "\n"
 
 
 @dataclass(frozen=True, eq=False)
-class SampleBatch:
+class SampleBatch(_Frozen):
     """Recorded observations as columns; row i of every column is sample i.
 
     ``lambertian`` is the kind mask (False marks an unlit sample).  ``m``,

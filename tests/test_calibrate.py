@@ -1,6 +1,8 @@
 import io
 import re
 from dataclasses import replace
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -204,6 +206,21 @@ class TestBuildCorrectionCube:
         with pytest.raises(ValidationError):
             build_correction_cube(spec, refine=True)
 
+    def test_solver_failure_keeps_point_construction(self):
+        spec = GammaCorrectionSpec(make_chromatic_display(), input_range=1.111)
+        def failed(mat, y, **options):
+            return SimpleNamespace(success=False, x=np.full(mat.shape[1], 0.5))
+        with mock.patch("hdrpcal.calibrate.lsq_linear", side_effect=failed), \
+                pytest.warns(UserWarning) as seen:
+            lut = build_correction_cube(spec, refine=True)
+        assert [str(w.message) for w in seen] == [
+            f"refinement did not improve channel {c}; keeping point construction"
+            for c in range(3)]
+        assert {w.filename for w in seen} == {__file__}
+        point = build_correction_cube(spec)
+        assert np.array(lut.separable_channels()).tobytes() == \
+            np.array(point.separable_channels()).tobytes()
+
 
 class TestEstimateScaleConstant:
     def test_noiseless_recovery(self):
@@ -248,6 +265,18 @@ class TestEstimateScaleConstant:
         samples = generate_samples(200, seed=10, kind="unlit")
         with pytest.raises(FitError):
             estimate_scale_constant(samples)
+
+    def test_zero_slope_rejected(self):
+        # Half the rows observe light the model predicts none of, the other
+        # half predict light that was observed as black: no product survives.
+        samples = generate_samples(200, seed=12, kind="lambertian")
+        cols = {name: getattr(samples, name).copy() for name in (
+            "lambertian", "m", "n", "d", "i_d", "l", "a", "i_a", "e", "v")}
+        cols["i_d"][:100] = cols["i_a"][:100] = 0.0
+        cols["v"][:100] = 0.5
+        cols["v"][100:] = 0.0
+        with pytest.raises(FitError, match=r"^non-positive regression slope 0\.0$"):
+            estimate_scale_constant(type(samples)(**cols))
 
     def test_all_zero_degenerate(self):
         samples = generate_samples(200, seed=11, kind="lambertian",
@@ -355,6 +384,14 @@ class TestEstimateKnotsDelta:
         sweeps[10] = DeltaSweep(m=11, inputs=sweeps[9].inputs, outputs=sweeps[9].outputs)
         with pytest.raises(FitError, match="^knot estimates are not strictly increasing: "):
             estimate_knots_delta(sweeps)
+
+    def test_response_at_an_inactive_knot_flagged(self):
+        sweeps = synthetic_sweeps(default_knot_grid(), points=400)
+        xs = sweeps[0].inputs
+        sweeps[0] = DeltaSweep(m=1, inputs=xs, outputs=np.where(xs > 1.0, 0.5, 0.0))
+        _, report = estimate_knots_delta(sweeps)
+        assert report.anomalies[1] == "unexpected response at inactive knot"
+        assert report.no_response == (2,)
 
     def test_sparse_sweeps_still_recover(self):
         grid = default_knot_grid()
@@ -472,6 +509,25 @@ class TestEstimateKnotsOptimize:
         grid, datasets = study_datasets(quantize=False, seeds=(51, 52), count=8)
         with pytest.raises(FitError, match="fewer residuals than the 30 knots"):
             estimate_knots_optimize(datasets, grid, seed=0)
+
+    def test_non_standard_active_range_rejected(self):
+        grid, datasets = study_datasets(quantize=False, seeds=(51, 52), count=20)
+        init = KnotGrid(grid.values[1:], active_start=2)
+        with pytest.raises(FitError, match="^optimization expects the standard active range$"):
+            estimate_knots_optimize(datasets, init)
+
+    def test_cube_of_another_size_rejected(self):
+        grid, datasets = study_datasets(quantize=False, seeds=(51, 52), count=20)
+        datasets[1] = (datasets[1][0], make_delta_cube(3, size=31))
+        with pytest.raises(ValidationError, match="^cube size 31 != knot grid size 32$"):
+            estimate_knots_optimize(datasets, grid)
+
+    def test_no_sample_above_the_material_floor_rejected(self):
+        grid, datasets = study_datasets(quantize=False, seeds=(51, 52), count=20)
+        dark = [(samples[np.any(samples.m < 0.2, axis=1)], lut) for samples, lut in datasets]
+        assert all(len(samples) for samples, _ in dark)
+        with pytest.raises(FitError, match="^no training samples survive the material filter$"):
+            estimate_knots_optimize(dark, grid)
 
     def test_material_filter_counted(self):
         grid, datasets = study_datasets(quantize=False, seeds=(61, 62, 63))

@@ -81,6 +81,12 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "--seed" in err and "Traceback" not in err
 
+    def test_non_integer_seed_exit_64(self, capsys):
+        assert run("simulate", "--samples", "2", "--seed", "x") == 64
+        err = capsys.readouterr().err
+        assert "argument --seed: expected a non-negative integer, got 'x'" in err
+        assert "Traceback" not in err
+
 
 class TestFitC:
     def test_closed_loop(self, tmp_path, capsys):
@@ -185,6 +191,12 @@ class TestEstimateKnots:
         assert run("estimate-knots", "--mode", "delta", "--in", str(sweep_csv)) == 2
         err = capsys.readouterr().err
         assert f"line 4: {problem}" in err and "Traceback" not in err
+
+    def test_delta_mode_takes_one_sweep_file_exit_64(self, tmp_path, capsys):
+        sweeps = str(tmp_path / "sweeps.csv")
+        assert run("estimate-knots", "--mode", "delta", "--in", sweeps, "--in", sweeps) == 64
+        err = capsys.readouterr().err
+        assert "delta mode takes exactly one --in sweep CSV" in err and "Traceback" not in err
 
     def test_optimize_mode_requires_cubes(self, tmp_path):
         csv = tmp_path / "s.csv"

@@ -9,7 +9,8 @@ import pytest
 from scipy.interpolate import RegularGridInterpolator
 
 from hdrpcal import cubelut
-from hdrpcal.calibrate import GammaCorrectionSpec, build_correction_cube
+from hdrpcal.calibrate import (GammaCorrectionSpec, build_correction_cube,
+                               estimate_knots_optimize)
 from hdrpcal.cli import main
 from hdrpcal.colorspace import srgb_encode3
 from hdrpcal.cubelut import (CubeLUT, CubeRangeWarning, CubeTonemap,
@@ -20,6 +21,7 @@ from hdrpcal.cubelut import (CubeLUT, CubeRangeWarning, CubeTonemap,
 from hdrpcal.display import AchromaticDisplay, save_display
 from hdrpcal.errors import (CubeFormatError, CubeTruncationError,
                             UnsupportedCubeError, ValidationError)
+from hdrpcal.harness import generate_samples
 from hdrpcal.scene import post_process
 from test_calibrate import make_chromatic_display
 
@@ -193,6 +195,14 @@ def outcome(parse):
             lut.domain_min.view(np.uint64).tobytes(), lut.domain_max.view(np.uint64).tobytes())
 
 
+def warned_parse(text):
+    """``outcome`` of parse_cube and the class, text, file and line of each warning."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        got = outcome(lambda: parse_cube(text))
+    return got, [(w.category, str(w.message), w.filename, w.lineno) for w in seen]
+
+
 def line_parse(text):
     """parse_cube with the layered read declined: the split-lines path."""
     with mock.patch("hdrpcal.cubelut._read_layers", return_value=None):
@@ -263,11 +273,15 @@ class TestLayeredRead:
 
     def test_layers_with_signed_zero_and_clamped_values(self):
         text = layered(["-0", "1.5"], ["0", "-0.25"], ["1", "-0"])
-        with layers_only(), pytest.warns(CubeRangeWarning, match=r"^8 cube components "
-                                         r"outside \[0, 1\] \(worst excess 0.5\); clamping$"):
+        assert cubelut._read_layers(text, {}) is None  # outside [0, 1]: the line path clamps
+        with pytest.warns(CubeRangeWarning, match=r"^8 cube components "
+                          r"outside \[0, 1\] \(worst excess 0.5\); clamping$"):
             lut = parse_cube(text)
         assert np.signbit(lut.outputs[0, 0, 0, 0]) and np.signbit(lut.outputs[1, 1, 1, 2])
         assert lut.outputs[1, 0, 0, 0] == 1.0 and lut.outputs[0, 1, 0, 1] == 0.0
+        got = warned_parse(text)
+        with mock.patch("hdrpcal.cubelut._read_layers", return_value=None):
+            assert warned_parse(text) == got
 
     def test_minimal_cube_is_layered(self):
         assert cubelut._read_layers(MINIMAL_CUBE, {}) is not None
@@ -725,10 +739,8 @@ class TestCurveCubes:
     def test_layered_file_with_joint_red_green_reads_as_dense_bits(self, prefixes):
         text = "LUT_3D_SIZE 2\n" + "".join(f"{z}\n".join(prefixes) + f"{z}\n"
                                            for z in ["0.125", "1"])
-        assert cubelut._read_layers(text, {}).shape == (2, 2, 2, 3)
-        with layers_only():
-            got = outcome(lambda: parse_cube(text))
-        assert got == line_parse(text)
+        assert cubelut._read_layers(text, {}) is None  # not the rows of any three curves
+        assert outcome(lambda: parse_cube(text)) == line_parse(text)
         assert parse_cube(text).separable_channels() is None
 
     @pytest.mark.parametrize("text", [
@@ -737,16 +749,10 @@ class TestCurveCubes:
         layered(["0", "1", "0.5"], ["0.5", "0.25", "1"], ["1", "-1e-3", "0"]),
     ], ids=["red", "red, green and signed zeros", "blue"])
     def test_out_of_range_layers_warn_as_the_line_walk(self, text):
-        def parse():
-            with warnings.catch_warnings(record=True) as seen:
-                warnings.simplefilter("always")
-                got = outcome(lambda: parse_cube(text))
-            return got, [(w.category, str(w.message), w.filename, w.lineno) for w in seen]
-        assert cubelut._read_layers(text, {}).ndim == 4  # the grid, not curves
+        assert cubelut._read_layers(text, {}) is None  # declined: the line path clamps
         with mock.patch("hdrpcal.cubelut._read_layers", return_value=None):
-            walked = parse()
-        with layers_only():
-            got = parse()
+            walked = warned_parse(text)
+        got = warned_parse(text)
         assert got == walked
         [(category, _, filename, _)] = got[1]
         assert category is CubeRangeWarning and filename == __file__
@@ -764,6 +770,11 @@ class TestCurveCubes:
                 separable_cube(default_knot_grid(), lambda x: np.clip(x / 60.0, 0, 1))]
             backs = [parse_cube(io.StringIO(serialize_cube(lut))) for lut in cubes]
             applied = [CubeTonemap(default_knot_grid(), lut).apply(u) for lut in backs]
+            # the knot fit's Jacobian takes the training cubes' corners from their curves
+            estimate_knots_optimize([(generate_samples(
+                200, seed=seed, tonemap=CubeTonemap(default_knot_grid(), lut), quantize=True,
+                exposure_choices=(-4.0, 0.0, 4.0)), lut) for seed, lut in enumerate(backs[3:])],
+                default_knot_grid())
         assert not any("outputs" in vars(lut) for lut in cubes + backs)
         for lut, back, out in zip(cubes, backs, applied):
             assert outcome(lambda: back) == line_parse(serialize_cube(lut))

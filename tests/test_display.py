@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
 import io
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from hdrpcal.display import (AchromaticDisplay, ChromaticDisplay, FitReport,
+from hdrpcal.display import (FIT_MAX_EVALS, AchromaticDisplay, ChromaticDisplay, FitReport,
                              Measurement, fit_achromatic, fit_chromatic,
                              load_achromatic_csv, load_chromatic_csv,
                              load_display, save_display,
@@ -187,6 +189,14 @@ class TestFitAchromatic:
         with pytest.raises(FitError, match=r"achromatic stimuli \(v_r=v_g=v_b\)$"):
             fit_achromatic(meas)
 
+    def test_solver_stopped_at_its_evaluation_cap_is_error(self):
+        truth = AchromaticDisplay(l0=2.0, l1=98.0, gamma=2.2)
+        stopped = SimpleNamespace(status=0, x=np.array([2.0, 98.0, 2.2]), fun=np.zeros(11))
+        with mock.patch("hdrpcal.display.least_squares", return_value=stopped), \
+                pytest.raises(FitError, match=rf"^achromatic fit did not converge within "
+                                              rf"{FIT_MAX_EVALS} evaluations$"):
+            fit_achromatic(achromatic_ramp(truth, np.linspace(0, 1, 11)))
+
     def test_repeats_averaged(self):
         truth = AchromaticDisplay(l0=2.0, l1=98.0, gamma=2.2)
         vs = np.linspace(0, 1, 11)
@@ -316,6 +326,13 @@ class TestFitChromatic:
         meas.append(Measurement(v=np.array([0.5, 0.5, 0.0]),
                                 xyz=truth.xyz(np.array([0.5, 0.5, 0.0]))))
         with pytest.raises(FitError, match="one channel"):
+            fit_chromatic(meas)
+
+    def test_gamma_solver_stopped_at_its_evaluation_cap_is_error(self):
+        stopped = SimpleNamespace(status=0, x=np.array([2.2]))
+        meas = chromatic_ramp(make_chromatic(), np.linspace(0, 1, 11))
+        with mock.patch("hdrpcal.display.least_squares", return_value=stopped), \
+                pytest.raises(FitError, match="^gamma fit for channel r did not converge$"):
             fit_chromatic(meas)
 
     def test_degenerate_primaries(self):

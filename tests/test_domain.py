@@ -11,23 +11,27 @@ nothing when a field cannot be written.  The other scalar inputs follow the
 same finite-number rule, and a grid size or knot index must also be an
 int."""
 
+import copy
 import io
 import json
+import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hdrpcal.calibrate import GammaCorrectionSpec, gamma_tonemap
+from hdrpcal.calibrate import DeltaSweep, GammaCorrectionSpec, gamma_tonemap
 from hdrpcal.cli import main
 from hdrpcal.colorspace import (quantize_8bit, srgb_decode, srgb_decode3,
                                 srgb_encode, srgb_encode3)
 from hdrpcal.cubelut import (CubeLUT, CubeTonemap, KnotGrid, default_knot_grid,
-                             make_delta_cube, parse_cube, serialize_cube)
+                             make_delta_cube, parse_cube, separable_cube, serialize_cube)
 from hdrpcal.display import (AchromaticDisplay, ChromaticDisplay, FitReport,
-                             Measurement, load_display, save_display)
+                             Measurement, load_display, save_display,
+                             solve_background_weights)
 from hdrpcal.errors import CubeFormatError, ValidationError
-from hdrpcal.harness import generate_samples, simulate_characterization
+from hdrpcal.harness import SampleBatch, generate_samples, simulate_characterization
 from hdrpcal.scene import light_direction_from_rotation, post_process
 
 ACHROMATIC = AchromaticDisplay(l0=1.0, l1=10.0, gamma=2.2)
@@ -113,6 +117,38 @@ def test_value_types_keep_private_copies():
     assert all(a.flags.writeable for a in (cube, knots, v, luminance, xyz))
 
 
+VALUE_TYPES = {
+    "curve cube": lambda: make_delta_cube(3),
+    "separable cube": lambda: CubeLUT(make_delta_cube(3, size=4).outputs),
+    "general cube": lambda: CubeLUT(np.random.default_rng(0).uniform(0, 1, (2, 2, 2, 3))),
+    "knot grid": default_knot_grid,
+    "sweep": lambda: DeltaSweep(m=3, inputs=LEVELS, outputs=LEVELS),
+    "measurement": lambda: Measurement(v=[0.5, 0.5, 0.5], luminance=2.0),
+    "chromatic display": lambda: CHROMATIC,
+    "samples": lambda: generate_samples(4, seed=0),
+}
+
+
+@pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy,
+                                     lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("make", VALUE_TYPES.values(), ids=VALUE_TYPES.keys())
+def test_copies_keep_arrays_read_only(make, copy_of):
+    """A copied or unpickled value type holds the same arrays, read-only; a
+    cube made from curves still holds just its curves."""
+    original = make()
+    copied = copy_of(original)
+    assert sorted(vars(copied)) == sorted(vars(original))
+    arrays = {name: a for name, a in vars(copied).items() if isinstance(a, np.ndarray)}
+    assert arrays and not any(a.flags.writeable for a in arrays.values())
+    assert all(np.array_equal(a, vars(original)[name], equal_nan=True)
+               for name, a in arrays.items())
+    if isinstance(copied, CubeLUT) and copied.separable_channels() is not None:
+        assert not any(c.flags.writeable for c in copied.separable_channels())
+        serialize_cube(copied)
+        assert ("outputs" in vars(copied)) == ("outputs" in vars(original))
+
+
 @pytest.mark.parametrize("call, x, message", cases())
 def test_out_of_domain_rejected(call, x, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -126,7 +162,15 @@ def test_out_of_domain_rejected(call, x, message):
      "simulate_characterization: expected 1-D levels, got shape ()"),
     (lambda x: simulate_characterization(ACHROMATIC, x), np.full((2, 2), 0.5),
      "simulate_characterization: expected 1-D levels, got shape (2, 2)"),
-], ids=["CubeLUT scalar", "CubeLUT 3-D", "levels scalar", "levels 2-D"])
+    (lambda x: ChromaticDisplay(x, *[[1.0, 1.0, 1.0]] * 5), [1.0, 2.0],
+     "primary_r must be a finite 3-vector"),
+    (lambda x: solve_background_weights(x, x, x, [1.0, 1.0, 1.0]), [1.0, 2.0],
+     "primaries must be 3-vectors"),
+    (lambda x: SampleBatch(x, *[None] * 9), np.ones((2, 2), bool),
+     "sample kind mask must be one-dimensional"),
+    (lambda x: KnotGrid.from_active(x, size=5), [1.0, 2.0], "expected 3 active knots, got 2"),
+], ids=["CubeLUT scalar", "CubeLUT 3-D", "levels scalar", "levels 2-D", "primary 2-vector",
+        "background weights 2-vectors", "kind mask 2-D", "active knots 2 of 3"])
 def test_wrong_axes_rejected(call, x, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call(x)
@@ -189,11 +233,25 @@ def test_cube_domain_error_names_its_line(tmp_path, capsys, keywords, line):
      "knot grid needs 1 <= active_start < size <= 256, got active_start 3, size 257"),
     (lambda: CubeLUT(np.zeros((1, 1, 1, 3))), "cube size must be in 2..256, got 1"),
     (lambda: CubeLUT(np.zeros((0, 0, 0, 3))), "cube size must be in 2..256, got 0"),
-], ids=["knots 257", "cube 1", "cube 0"])
+    (lambda: make_delta_cube(1, size=1), "cube size must be in 2..256, got 1"),
+    (lambda: make_delta_cube(1, size=10**6), "cube size must be in 2..256, got 1000000"),
+], ids=["knots 257", "cube 1", "cube 0", "delta 1", "delta 10**6"])
 def test_grid_size_outside_the_cube_format_rejected(make, message):
     """The knot CSV and .cube readers take sizes 2..256 only."""
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         make()
+
+
+def test_delta_cube_size_rejected_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"^cube size must be in 2\.\.256, "
+                                                  r"got 1000000$"):
+            make_delta_cube(1, size=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 KNOTS = [np.nan, np.nan, 1.0, 2.0]
@@ -218,9 +276,15 @@ KNOT_RANGE = "knot grid needs 1 <= active_start < size <= 256, got active_start 
     (lambda: make_delta_cube("3"), "delta index must be an integer in 1..32, got '3'"),
     (lambda: make_delta_cube(3, size=4.0), "delta index must be an integer in 1..4.0, got 3"),
     (lambda: make_delta_cube(True), "delta index must be an integer in 1..32, got True"),
+    (lambda: GammaCorrectionSpec("x"), "not a display model: 'x'"),
+    (lambda: save_display("x", io.StringIO()), "not a display model: 'x'"),
+    (lambda: load_display(io.StringIO("[1]")), "display JSON must be an object"),
+    (lambda: separable_cube(default_knot_grid(), (np.sqrt, np.sqrt)),
+     "fn must be one callable or a triple"),
 ], ids=["domain str", "domain 2**2000", "active_start str", "active_start 2.5",
         "active_start bool", "from_active size str", "from_active active_start float",
-        "delta 2.5", "delta str", "delta size float", "delta bool"])
+        "delta 2.5", "delta str", "delta size float", "delta bool", "spec display str",
+        "saved display str", "display JSON list", "fn pair"])
 def test_argument_of_the_wrong_type_rejected(make, message):
     """A bool is not a number, and a count or index must be an int."""
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -284,8 +348,12 @@ def test_input_range_not_a_finite_number_rejected(value):
      "invalid directional intensity range (0.0, nan)"),
     (lambda: generate_samples(4, seed=0, ambient_intensity_range=(0.0, np.inf)),
      "invalid ambient intensity range (0.0, inf)"),
+    (lambda: generate_samples(4, seed=0, kind="metal"), "unknown material kind 'metal'"),
+    (lambda: generate_samples(4, seed=0, exposure_choices=()),
+     "exposure_choices must be nonempty"),
 ], ids=["input range -1", "angle str", "angle nan", "angle inf", "ambient max nan",
-        "ambient max inf", "directional nan", "ambient range inf"])
+        "ambient max inf", "directional nan", "ambient range inf", "kind metal",
+        "no exposures"])
 def test_scalar_outside_its_domain_rejected(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()

@@ -260,10 +260,12 @@ def layered_cubes(draw):
 @fuzz
 @given(layered_cubes())
 def test_layered_cube_read_matches_line_walk(drawn):
-    """The layered read of a separable cube's text, and its decline on any
-    other text, give the line walk's bits and warnings, or its error."""
+    """The layered read of a separable cube's text with every value in [0, 1],
+    and its decline on any other text, give the line walk's bits and warnings,
+    or its error."""
     text, unchanged = drawn
-    if unchanged:
+    values = text.split("LUT_3D_SIZE")[1].split()[1:]
+    if unchanged and all(0.0 <= float(x) <= 1.0 for x in values):
         assert cubelut._read_layers(text, {}) is not None
     with mock.patch.object(cubelut, "_read_layers", return_value=None), \
             mock.patch.object(np, "loadtxt", side_effect=ValueError):

@@ -16,10 +16,10 @@ The estimators recover the pipeline's hidden constants from rendered
 samples: the global gain from a regression through the origin, and the
 tonemapping knot coordinates either from impulse-cube sweeps or by direct
 optimization of model predictions.  The latter is a nonlinear least-squares
-problem, solved by one Levenberg-Marquardt call with the exact Jacobian
-over the log of the first knot and of the gaps between knots.  The Jacobian
-takes each point's cell corners from the tonemap's own kernel in
-:mod:`hdrpcal.cubelut` and adds only the chain rule.
+problem over the log of the first knot and of the gaps between knots, solved
+by Levenberg-Marquardt steps in the normal equations of the exact Jacobian.
+The Jacobian takes each point's cell corners from the tonemap's own kernel
+in :mod:`hdrpcal.cubelut` and adds only the chain rule.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .colorspace import (SRGB_LINEAR_BREAK, _Frozen, _checked, _finite_number, _
 from .colorspace import srgb_encode3  # noqa: F401
 from .cubelut import (ACTIVE_START, DEFAULT_GRID_SIZE, CubeLUT, KnotGrid,
                       _cell_corners, _interpolate, default_knot_grid)
-from .display import AchromaticDisplay, ChromaticDisplay, least_squares
+from .display import AchromaticDisplay, ChromaticDisplay
 from .errors import FitError, ValidationError
 from .harness import (MATERIAL_FLOOR, SampleBatch, check_seed,
                       predict_unprocessed)
@@ -54,6 +54,8 @@ APEX_BAND = (0.2, 0.8)
 NO_RESPONSE_LEVEL = 1e-6
 #: Share of the knot-fit samples held out for scoring.
 HOLDOUT_FRACTION = 0.2
+KNOT_FIT_MAX_EVALS = 3100  # points the knot fit scores, its start too: MINPACK's 100·(n + 1)
+KNOT_FIT_TOL = 1e-8  # relative, on its reduction in sum of squares, step and gradient
 
 
 @dataclass(frozen=True)
@@ -105,11 +107,12 @@ class GammaCorrectionSpec:
 
 def _gamma_tonemap(u, w, gamma, r: float):
     """f(u) = s(h^-1(clip((1 + w)*u/r - w, 0, 1))) with h(v) = v**gamma;
-    ``w`` and ``gamma`` broadcast against ``u``, and a scalar u gives a float."""
+    ``w`` and ``gamma`` broadcast against ``u``.  A scalar u gives a float with
+    an array element's bits: it goes as one, since numpy's scalar power is libm's."""
     arr = _checked(u, "channel_tonemaps", hi=np.inf)
-    arg = np.clip((1.0 + w) * arr / r - w, 0.0, 1.0)
+    arg = np.clip((1.0 + w) * np.atleast_1d(arr) / r - w, 0.0, 1.0)
     out = srgb_decode(arg ** (1.0 / gamma))
-    return float(out) if np.ndim(u) == 0 else out
+    return float(out[0]) if np.ndim(u) == 0 else out
 
 
 def gamma_tonemap(spec: GammaCorrectionSpec, u):
@@ -389,8 +392,7 @@ def _knot_jacobian(knots: np.ndarray, u: np.ndarray, lut: CubeLUT) -> np.ndarray
 
 
 def _knots_from_log_gaps(a: np.ndarray) -> np.ndarray:
-    """Knots k_1 = exp(a_0), k_{i+1} = k_i + exp(a_i): increasing by
-    construction."""
+    """Knots k_1 = exp(a_0), k_{i+1} = k_i + exp(a_i): increasing by construction."""
     return np.exp(a[0]) + np.concatenate([[0.0], np.cumsum(np.exp(a[1:]))])
 
 
@@ -405,17 +407,17 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
     :data:`~hdrpcal.harness.MATERIAL_FLOOR` are excluded (the rendering
     model is biased there), and a :data:`HOLDOUT_FRACTION` drawn from
     ``seed`` (a non-negative integer) is scored but never optimized on.
-    The fit is one nonlinear least-squares solve of the training prediction
-    residuals (``scipy.optimize.least_squares``, Levenberg-Marquardt with
-    the exact Jacobian) over the log of the first knot and the log gaps
-    between neighbours, so the knots stay strictly increasing without a
-    penalty; a step whose knots overflow or stop increasing in floating
-    point scores infinite residuals, which the solver rejects.
-    ``n_evaluations`` counts residual and Jacobian evaluations alike, one
-    pass over the training data each.  ``unsupported_knots``
-    (1-based grid indices, as in the knot CSV) and ``notes`` name the knots
-    no training residual depends on at the solution; ``notes`` also holds
-    the solver's message when it stops without converging.
+    The fit runs Levenberg-Marquardt steps (Marquardt's scaling, Nielsen's
+    damping) over the log of the first knot and the log gaps between
+    neighbours, so the knots stay strictly increasing; each solves JᵀJ and
+    Jᵀr of the exact Jacobian, summed set by set, and one whose solve fails
+    or whose knots overflow or tie is rejected.  As MINPACK's, it converges
+    once the step, the relative reduction in sum of squares or the gradient
+    falls to :data:`KNOT_FIT_TOL`, and stops after :data:`KNOT_FIT_MAX_EVALS`
+    points.  ``n_evaluations`` counts a training pass per trial and per
+    accepted point.  ``unsupported_knots`` (1-based grid indices, as in the
+    knot CSV) and ``notes`` name the knots no training residual depends on
+    at the solution; ``notes`` also says when the fit stops unconverged.
     """
     if len(datasets) < 2:
         raise FitError("need samples under at least 2 distinct cubes")
@@ -449,61 +451,69 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
                        f"than the {init.active_values.size} knots to fit")
 
     evaluations = 0
-    rows = np.cumsum([0] + [3 * len(u) for u, _, _ in train_sets])
 
-    def residuals(a: np.ndarray) -> np.ndarray:
+    def residuals(a: np.ndarray) -> tuple[list[np.ndarray] | None, float]:
+        # One training pass and its SSE, or (None, inf) for knots that overflow or tie.
         nonlocal evaluations
         evaluations += 1
-        with np.errstate(over="ignore"):
-            knots = _knots_from_log_gaps(a)
+        knots = _knots_from_log_gaps(a)
         if not (np.isfinite(knots[-1]) and np.all(np.diff(knots) > 0)):
-            return np.full(rows[-1], np.inf)
-        return np.concatenate([(_predict(knots, u, lut) - v).ravel()
-                               for u, v, lut in train_sets])
+            return None, np.inf
+        fun = [(_predict(knots, u, lut) - v).ravel() for u, v, lut in train_sets]
+        return fun, float(sum(r @ r for r in fun))
 
-    def knot_jacobian(knots: np.ndarray) -> np.ndarray:
+    def normal_equations(a: np.ndarray, fun: list[np.ndarray]):
+        # One Jacobian pass, reduced set by set to JᵀJ and Jᵀr over the knots.
         nonlocal evaluations
         evaluations += 1
-        jac = np.empty((rows[-1], knots.size))
-        for (u, _, lut), lo, hi in zip(train_sets, rows, rows[1:]):
-            jac[lo:hi] = _knot_jacobian(knots, u, lut)
-        return jac
+        knots, hess, grad = _knots_from_log_gaps(a), 0.0, 0.0
+        for (u, _, lut), r in zip(train_sets, fun):
+            jac = _knot_jacobian(knots, u, lut)
+            hess, grad = hess + jac.T @ jac, grad + r @ jac
+        t = np.tril(np.ones_like(hess)) * np.exp(a)  # dk_i/da_j = exp(a_j) for j <= i
+        return t.T @ hess @ t, grad @ t, np.flatnonzero(np.diag(hess) == 0)
 
-    def jacobian(a: np.ndarray) -> np.ndarray:
-        # k_i = exp(a_0) + ... + exp(a_i), so dk_i/da_j = exp(a_j) for j <= i
-        jac = knot_jacobian(_knots_from_log_gaps(a))
-        np.cumsum(jac[:, ::-1], axis=1, out=jac[:, ::-1])
-        return np.multiply(jac, np.exp(a), out=jac)
+    a = np.log(np.concatenate([init.active_values[:1], np.diff(init.active_values)]))
+    fun, sse_init = residuals(a)
+    if fun is None:
+        raise FitError("initial knots are not strictly increasing from their log gaps")
+    hess, grad, no_support = normal_equations(a, fun)
+    sse, mu, nu, converged = sse_init, 1e-6, 2.0, False  # near Gauss-Newton: a good init
+    for _ in range(KNOT_FIT_MAX_EVALS - 1):
+        scale = np.where(np.diag(hess) > 0, np.diag(hess), 1.0)  # Marquardt's D²
+        if converged or np.all(np.abs(grad) <= KNOT_FIT_TOL * np.sqrt(scale * sse)):
+            converged = True
+            break
+        with np.errstate(all="ignore"):
+            try:
+                step = np.linalg.solve(hess + mu * np.diag(scale), -grad)
+            except np.linalg.LinAlgError:
+                step = np.full_like(a, np.nan)
+            trial, sse_trial = residuals(a + step)
+            predicted = step @ (hess + 2 * mu * np.diag(scale)) @ step  # >= 0, as MINPACK's
+            ratio = float((sse - sse_trial) / predicted)
+        converged = (np.linalg.norm(step) <= KNOT_FIT_TOL * (np.linalg.norm(a) + KNOT_FIT_TOL)
+                     or (abs(sse - sse_trial) <= KNOT_FIT_TOL * sse
+                         and predicted <= KNOT_FIT_TOL * sse and ratio <= 2.0))
+        if ratio > 0:
+            a, fun, sse = a + step, trial, sse_trial
+            hess, grad, no_support = normal_equations(a, fun)
+        mu, nu = ((mu * max(1 / 3, 1 - (2 * min(ratio, 1.0) - 1) ** 3), 2.0) if ratio > 0
+                  else (mu * nu, 2 * nu))  # Nielsen's rule
+    notes = [] if converged else [f"no tolerance met in {KNOT_FIT_MAX_EVALS} points"]
 
-    a0 = np.log(np.concatenate([init.active_values[:1],
-                                np.diff(init.active_values)]))
-    sse_init = float(np.sum(residuals(a0) ** 2))
-    notes: list[str] = []
-
-    res = least_squares(residuals, a0, jac=jacobian, method="lm")
-    sse_final = float(np.sum(res.fun ** 2))
-    converged = bool(res.success)
-    if not converged:
-        notes.append(res.message)
-
-    knots = _knots_from_log_gaps(res.x)
-    if np.any(np.diff(knots) <= 0):
-        raise FitError("optimized knots are not strictly increasing")
-    unsupported = tuple((np.flatnonzero(~knot_jacobian(knots).any(axis=0))
-                         + init.active_start).tolist())
+    knots = _knots_from_log_gaps(a)
+    unsupported = tuple((no_support + init.active_start).tolist())
     if unsupported:
         notes.append("unsupported knots: " + ", ".join(map(str, unsupported)))
-    grid = KnotGrid.from_active(knots, size=init.size,
-                                active_start=init.active_start)
+    grid = KnotGrid.from_active(knots, size=init.size, active_start=init.active_start)
 
     holdout = [np.abs(_predict(knots, u, lut) - v).ravel() for u, v, lut in holdout_sets]
-    report = KnotOptimizeReport(
-        objective_init=sse_init, objective_final=sse_final,
+    return grid, KnotOptimizeReport(
+        objective_init=sse_init, objective_final=sse,
         n_train=n_train, n_holdout=n_holdout, n_excluded=n_excluded,
-        # MINPACK returns the training residuals at res.x.
-        train_median_255=float(np.median(np.abs(res.fun)) * 255.0),
+        train_median_255=float(np.median(np.abs(np.concatenate(fun))) * 255.0),
         holdout_median_255=(float(np.median(np.concatenate(holdout)) * 255.0)
                             if holdout else float("nan")),
-        n_evaluations=evaluations, converged=converged,
+        n_evaluations=evaluations, converged=bool(converged),
         unsupported_knots=unsupported, notes=tuple(notes))
-    return grid, report

@@ -137,6 +137,8 @@ class KnotGrid(_Frozen):
                     active_start: int = ACTIVE_START) -> "KnotGrid":
         if not all(_finite_number(n, integer=True) for n in (size, active_start)):
             raise ValidationError("knot grid size and active_start must be integers")
+        if not 1 <= active_start <= size:
+            raise ValidationError(f"active_start must be in 1..{size}, got {active_start}")
         active = np.asarray(active, dtype=float)
         if active.size != size - active_start + 1:
             raise ValidationError(

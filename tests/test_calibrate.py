@@ -7,8 +7,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hdrpcal.calibrate import (DeltaSweep, GammaCorrectionSpec, _knot_jacobian,
-                               _predict, build_correction_cube, estimate_knots_delta,
+from hdrpcal import calibrate
+from hdrpcal.calibrate import (HOLDOUT_FRACTION, DeltaSweep, GammaCorrectionSpec,
+                               _knot_jacobian, _knots_from_log_gaps, _predict,
+                               build_correction_cube, estimate_knots_delta,
                                estimate_knots_optimize, estimate_scale_constant,
                                gamma_tonemap, load_sweeps)
 from hdrpcal.colorspace import srgb_decode, srgb_encode, srgb_encode3
@@ -17,7 +19,7 @@ from hdrpcal.cubelut import (CubeLUT, CubeTonemap, DELTA_KNOTS, KnotGrid,
                              separable_cube, serialize_cube)
 from hdrpcal.display import AchromaticDisplay, ChromaticDisplay
 from hdrpcal.errors import FitError, ValidationError
-from hdrpcal.harness import generate_samples, predict_unprocessed
+from hdrpcal.harness import MATERIAL_FLOOR, generate_samples, predict_unprocessed
 
 DISPLAY = AchromaticDisplay(l0=2.0, l1=98.0, gamma=2.2)
 
@@ -131,6 +133,16 @@ class TestGammaTonemapChromatic:
                                weights=np.array([-0.01, 0.02, 0.03]))
         with pytest.raises(ValidationError):
             GammaCorrectionSpec(bad)
+
+
+@pytest.mark.parametrize("chromatic", [False, True])
+def test_channel_tonemap_scalar_matches_its_array_element_bitwise(chromatic):
+    spec = GammaCorrectionSpec(make_chromatic_display() if chromatic else DISPLAY)
+    u = np.random.default_rng(4).uniform(0.0, 1.0, 2000)
+    for f in spec.channel_tonemaps():
+        scalars = [f(float(x)) for x in u]
+        assert all(type(y) is float for y in scalars)
+        assert np.array_equal(np.array(scalars).view(np.uint64), f(u).view(np.uint64))
 
 
 class TestBuildCorrectionCube:
@@ -418,6 +430,41 @@ def study_datasets(quantize, seeds, count=500,
     return grid, datasets
 
 
+def training_sets(datasets, seed=0):
+    """The (u, v, cube) training part of each dataset, split as
+    ``estimate_knots_optimize`` splits it."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for samples, lut in datasets:
+        kept = samples[np.all(samples.m >= MATERIAL_FLOOR, axis=1)]
+        train = rng.random(len(kept)) >= HOLDOUT_FRACTION
+        sets.append((predict_unprocessed(kept)[train], kept.v[train], lut))
+    return sets
+
+
+def minpack_fit(datasets, init, seed=0):
+    """Knots and sum of squares from scipy's MINPACK Levenberg-Marquardt on the
+    same training residuals, log-gap parameters and Jacobian."""
+    from scipy.optimize import least_squares
+    sets = training_sets(datasets, seed)
+
+    def residuals(a):
+        with np.errstate(over="ignore"):
+            knots = _knots_from_log_gaps(a)
+        if not (np.isfinite(knots[-1]) and np.all(np.diff(knots) > 0)):
+            return np.full(sum(v.size for _, v, _ in sets), np.inf)
+        return np.concatenate([(_predict(knots, u, lut) - v).ravel() for u, v, lut in sets])
+
+    def jacobian(a):
+        knots = _knots_from_log_gaps(a)
+        jac = np.vstack([_knot_jacobian(knots, u, lut) for u, _, lut in sets])
+        return np.cumsum(jac[:, ::-1], axis=1)[:, ::-1] * np.exp(a)
+
+    a0 = np.log(np.concatenate([init.active_values[:1], np.diff(init.active_values)]))
+    res = least_squares(residuals, a0, jac=jacobian, method="lm")
+    return _knots_from_log_gaps(res.x), float(res.fun @ res.fun)
+
+
 class TestEstimateKnotsOptimize:
     def test_fixed_point_noiseless(self):
         # unquantized samples rendered under the init grid: the solver starts
@@ -456,7 +503,8 @@ class TestEstimateKnotsOptimize:
         assert report.n_evaluations < 100
         assert report.unsupported_knots == ()
 
-    def test_unsupported_knots_listed(self):
+    @staticmethod
+    def unsupported_study():
         # At exposure 0 every unprocessed value stays below about 1.5, so
         # the top knots have no training sample in either adjacent cell.
         grid = default_knot_grid()
@@ -468,6 +516,21 @@ class TestEstimateKnotsOptimize:
                 quantize=True, exposure_choices=(0.0,)), lut))
         rng = np.random.default_rng(0)
         init = KnotGrid.from_active(np.sort(grid.active_values * rng.uniform(0.9, 1.1, 30)))
+        return grid, datasets, init
+
+    @staticmethod
+    def criterion_05_quantized_study():
+        # tests/test_acceptance.py criterion 05's quantized data and init
+        exposures = (-6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
+        grid, datasets = study_datasets(quantize=True, seeds=(56, 57, 58), count=1667,
+                                        exposures=exposures)
+        rng = np.random.default_rng(55)
+        rng.uniform(-0.1, 0.1, 30)  # the clean study's init
+        init = KnotGrid.from_active(grid.active_values * (1.0 + rng.uniform(-0.1, 0.1, 30)))
+        return grid, datasets, init
+
+    def test_unsupported_knots_listed(self):
+        _, datasets, init = self.unsupported_study()
         est, report = estimate_knots_optimize(datasets, init, seed=0)
         top = max(float(predict_unprocessed(s).max()) for s, _ in datasets)
         expected = tuple(m for m in range(4, 33) if est.values[m - 2] > top)
@@ -475,8 +538,46 @@ class TestEstimateKnotsOptimize:
         assert report.converged
         assert report.unsupported_knots == expected
         assert report.notes == ("unsupported knots: " + ", ".join(map(str, expected)),)
-        # Taken from the solver's residuals, bit for bit a fresh training pass.
-        assert report.train_median_255 == 0.25140305745207026
+        # Taken from the last accepted point's residuals, bit for bit a fresh
+        # training pass.
+        fresh = np.concatenate([(_predict(est.active_values, u, lut) - v).ravel()
+                                for u, v, lut in training_sets(datasets)])
+        assert report.train_median_255 == float(np.median(np.abs(fresh)) * 255.0)
+
+    @pytest.mark.parametrize("study", ["perturbed_study", "unsupported_study",
+                                       "criterion_05_quantized_study"])
+    def test_matches_minpack(self, study):
+        _, datasets, init = getattr(self, study)()
+        est, report = estimate_knots_optimize(datasets, init, seed=0)
+        knots, sse = minpack_fit(datasets, init)
+        # On noiseless data both solvers end at the rounding floor, about an
+        # ulp of 1 per residual, where which one lands lower is chance.
+        floor = sum(v.size for _, v, _ in training_sets(datasets)) * np.finfo(float).eps ** 2
+        assert report.objective_final <= sse * (1 + 1e-6) + floor
+        supported = np.ones(30, bool)
+        supported[np.array(report.unsupported_knots, dtype=int) - 3] = False
+        assert np.all(np.abs(np.log(est.active_values / knots))[supported] <= 1e-6)
+
+    def test_each_training_pass_runs_once(self, monkeypatch):
+        # The start's residuals are the solver's first point, and the support
+        # check reads the last accepted point's JᵀJ: no pass is repeated.
+        _, datasets, init = self.perturbed_study()
+        calls = []
+        for name in ("_predict", "_knot_jacobian"):
+            def counted(knots, u, lut, name=name, original=getattr(calibrate, name)):
+                calls.append((name, knots.tobytes(), id(u)))
+                return original(knots, u, lut)
+            monkeypatch.setattr(calibrate, name, counted)
+        est, report = estimate_knots_optimize(datasets, init, seed=0)
+        train = {u for name, _, u in calls if name == "_knot_jacobian"}
+        training = [call for call in calls if call[2] in train]
+        passes = {call[:2] for call in training}
+        assert len(train) == 3 and len(calls) == len(training) + 3  # + the holdout scoring
+        assert len(training) == len(set(training)) == 3 * len(passes)
+        assert report.n_evaluations == len(passes)
+        jacobian_points = [knots for name, knots in passes if name == "_knot_jacobian"]
+        assert est.active_values.tobytes() in jacobian_points
+        assert set(jacobian_points) <= {knots for name, knots in passes if name == "_predict"}
 
     def test_step_past_float_range_is_rejected(self):
         # On these two correction cubes the solver tries log gaps beyond the
@@ -493,6 +594,27 @@ class TestEstimateKnotsOptimize:
         est, report = estimate_knots_optimize(datasets, grid)
         assert report.converged, report.notes
         assert np.all(np.diff(est.active_values) > 0)
+
+    def test_failed_steps_are_rejected(self, monkeypatch):
+        # A step whose knots overflow, one whose knots tie, a singular solve
+        # and a non-finite one: each is rejected without a warning (warnings
+        # are errors here), and the fit still reaches the same knots.
+        _, datasets, init = self.perturbed_study()
+        reference, _ = estimate_knots_optimize(datasets, init, seed=0)
+        solve, faults = np.linalg.solve, [800.0, -800.0, None, np.nan]
+
+        def failing(matrix, rhs):
+            if not faults:
+                return solve(matrix, rhs)
+            step, fault = np.zeros(rhs.size), faults.pop(0)
+            if fault is None:
+                raise np.linalg.LinAlgError("Singular matrix")
+            step[5] = fault  # a log gap past exp's range, or to a zero gap
+            return step
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        est, report = estimate_knots_optimize(datasets, init, seed=0)
+        assert not faults and report.converged
+        assert np.max(np.abs(np.log(est.active_values / reference.active_values))) <= 1e-9
 
     @pytest.mark.parametrize("seed", [-1, 0.5])
     def test_invalid_seed(self, seed):

@@ -169,8 +169,11 @@ def test_out_of_domain_rejected(call, x, message):
     (lambda x: SampleBatch(x, *[None] * 9), np.ones((2, 2), bool),
      "sample kind mask must be one-dimensional"),
     (lambda x: KnotGrid.from_active(x, size=5), [1.0, 2.0], "expected 3 active knots, got 2"),
+    (lambda x: KnotGrid.from_active(x, size=4, active_start=0), np.arange(1.0, 6.0),
+     "active_start must be in 1..4, got 0"),
 ], ids=["CubeLUT scalar", "CubeLUT 3-D", "levels scalar", "levels 2-D", "primary 2-vector",
-        "background weights 2-vectors", "kind mask 2-D", "active knots 2 of 3"])
+        "background weights 2-vectors", "kind mask 2-D", "active knots 2 of 3",
+        "active_start 0 of size 4"])
 def test_wrong_axes_rejected(call, x, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call(x)

@@ -16,7 +16,8 @@ def test_public_names_resolve_once():
 
 def test_scipy_loads_only_for_a_fit(tmp_path):
     """Importing the package and its CLI, ``simulate`` and ``validate`` fit
-    nothing, so no scipy module is loaded after any of them."""
+    nothing, and ``estimate-knots`` in either mode fits in numpy, so no scipy
+    module is loaded after any of them."""
     samples = str(tmp_path / "samples.csv")
     script = f"""
 import sys
@@ -32,9 +33,37 @@ assert hdrpcal.cli.main(["--quiet", "validate", "--in", {samples!r}, "--out",
                          {str(tmp_path / "report.csv")!r}, "--plot",
                          {str(tmp_path / "report.svg")!r}]) == 0
 print(scipy_modules())
+
+import numpy as np
+from hdrpcal.cubelut import (CubeTonemap, default_knot_grid, make_delta_cube,
+                             separable_cube, serialize_cube)
+from hdrpcal.harness import generate_samples, save_samples
+grid = default_knot_grid()
+xs = np.geomspace(1e-5, 100, 300)
+with open({str(tmp_path / "sweeps.csv")!r}, "w") as fh:
+    fh.write("m,u,t\\n")
+    for m in range(1, 33):
+        t = CubeTonemap(grid, make_delta_cube(m)).apply(np.column_stack([xs] * 3))[:, 0]
+        fh.writelines(f"{{m}},{{x!r}},{{y!r}}\\n" for x, y in zip(xs.tolist(), t.tolist()))
+assert hdrpcal.cli.main(["--quiet", "estimate-knots", "--mode", "delta", "--in",
+                         {str(tmp_path / "sweeps.csv")!r}, "--out",
+                         {str(tmp_path / "delta.csv")!r}]) == 0
+print(scipy_modules())
+args = ["--quiet", "estimate-knots", "--mode", "optimize", "--out", {str(tmp_path / "opt.csv")!r}]
+for i, power in enumerate((1.0, 0.5)):
+    lut = separable_cube(grid, lambda x: np.clip(x / 58.9, 0, 1) ** power)
+    cube, csv = f"{tmp_path}/shape{{i}}.cube", f"{tmp_path}/shape{{i}}.csv"
+    with open(cube, "w") as fh:
+        serialize_cube(lut, fh)
+    with open(csv, "w") as fh:
+        save_samples(generate_samples(400, seed=70 + i, kind="lambertian",
+                                      tonemap=CubeTonemap(grid, lut)), fh)
+    args += ["--in", csv, "--cube", cube]
+assert hdrpcal.cli.main(args) == 0
+print(scipy_modules())
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.splitlines() == ["[]"] * 4
+    assert out.splitlines() == ["[]"] * 6

@@ -11,6 +11,8 @@ which pins luminance to L = (l0 + l1) * u / r for u >= u0 = r*w/(1+w) and
 to L = l0 below the cutoff.  The chromatic version applies the same form
 per channel with w_k and the channel activation h_k, over the same range;
 an achromatic display is the case of three channels sharing one (w, gamma).
+A refined cube re-fits its knot outputs to the tonemap by least squares with
+outputs in [0, 1], solved by an active-set method in numpy.
 
 The estimators recover the pipeline's hidden constants from rendered
 samples: the global gain from a regression through the origin, and the
@@ -45,6 +47,7 @@ from .scene import DEFAULT_SCALE_CONSTANT, _post_process
 
 #: Points of the log-spaced grid a refined correction cube is fit on.
 REFINE_POINTS = 2048
+REFINE_MAX_SOLVES = 100  # linear solves of the refinement, per channel
 #: Fewest Lambertian samples the gain regression accepts.
 MIN_SCALE_SAMPLES = 100
 #: Band of the peak, as fractions, whose points fit an impulse response's
@@ -121,11 +124,29 @@ def gamma_tonemap(spec: GammaCorrectionSpec, u):
     return _gamma_tonemap(arr, *spec._channels, spec.input_range)
 
 
-def lsq_linear(*args, **kwargs):
-    """``scipy.optimize.lsq_linear``, imported on first use, as
-    :func:`hdrpcal.display.least_squares` is."""
-    from scipy.optimize import lsq_linear
-    return lsq_linear(*args, **kwargs)
+def _bvls(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x in [0, 1]^n minimizing x.hess.x / 2 - rhs.x, for hess = AᵀA and rhs = Aᵀy:
+    Lawson-Hanson's active-set NNLS with an upper bound too (Stark & Parker 1995).
+    A variable at a bound is exactly 0 or 1; NaN after REFINE_MAX_SOLVES solves."""
+    x, free, grow = np.zeros(rhs.size), np.zeros(rhs.size, bool), True
+    for _ in range(REFINE_MAX_SOLVES):
+        if grow:  # free the bound variable the gradient pulls inward most
+            pull = np.where(free, 0.0, np.where(x == 1, -1.0, 1.0) * (rhs - hess @ x))
+            if pull.max() <= 0:
+                return x
+            free[np.argmax(pull)] = True
+        z = x.copy()
+        z[free] = np.linalg.solve(hess[np.ix_(free, free)], (rhs - hess @ (x * ~free))[free])
+        out = free & ((z < 0) | (z > 1))
+        if not out.any():
+            x, grow = z, True
+            continue
+        bound, grow = (z > 1).astype(float), False
+        ratio = np.where(out, (bound - x) / np.where(out, z - x, 1.0), np.inf)
+        x = x + ratio.min() * (z - x)
+        hit = ratio == ratio.min()
+        x[hit], free[hit] = bound[hit], False
+    return np.full(rhs.size, np.nan)
 
 
 def build_correction_cube(spec: GammaCorrectionSpec, knots: KnotGrid | None = None,
@@ -134,11 +155,11 @@ def build_correction_cube(spec: GammaCorrectionSpec, knots: KnotGrid | None = No
     active knot coordinates (inactive knots copy the first active value).
 
     With ``refine``, the per-channel knot outputs are re-fit by bounded
-    linear least squares so that the interpolated tonemap tracks the exact
-    one over a dense log-spaced grid on [u*_first, r] plus the endpoints
-    {0, r}.  Refinement never increases that grid's sum-of-squares error;
-    if the solver fails to converge the point-construction cube is returned
-    with a warning.
+    linear least squares (:func:`_bvls`, outputs in [0, 1]) so that the
+    interpolated tonemap tracks the exact one over a dense log-spaced grid on
+    [u*_first, r] plus the endpoints {0, r}.  Refinement never increases that
+    grid's sum-of-squares error; if the solver stops at its cap the
+    point-construction cube is returned with a warning.
     """
     grid = knots if knots is not None else default_knot_grid()
     active = grid.active_values
@@ -155,18 +176,14 @@ def build_correction_cube(spec: GammaCorrectionSpec, knots: KnotGrid | None = No
         # Column j: the separable tonemap's interpolation of knot j's unit impulse.
         mat = np.stack([np.interp(xs, active, e) for e in np.eye(active.size)], axis=1)
         supported = np.flatnonzero(mat.sum(axis=0) > 0)  # the others' columns are all zero
-        targets = _gamma_tonemap(xs, w, gamma, r)
+        sub = mat[:, supported]
+        hess, targets = sub.T @ sub, _gamma_tonemap(xs, w, gamma, r)
         for c in range(3):
             y = targets[c]
             sse_point = float(np.sum((mat @ curves[c] - y) ** 2))
-            # bvls is an active-set method: knots pinned at a bound come out
-            # exactly 0 or 1, keeping emitted cubes clean.
-            res = lsq_linear(mat[:, supported], y, bounds=(0.0, 1.0),
-                             method="bvls", tol=1e-14)
             refined = curves[c].copy()
-            refined[supported] = res.x
-            sse_refined = float(np.sum((mat @ refined - y) ** 2))
-            if not res.success or sse_refined > sse_point:
+            refined[supported] = _bvls(hess, sub.T @ y)
+            if not np.sum((mat @ refined - y) ** 2) <= sse_point:  # or NaN: at the cap
                 warnings.warn(f"refinement did not improve channel {c}; "
                               "keeping point construction", stacklevel=2)
             else:

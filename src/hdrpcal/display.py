@@ -11,9 +11,9 @@ CIE XYZ coordinates
     x = h_r(v_r)*r + h_g(v_g)*g + h_b(v_b)*b + z
 
 with per-channel activations, primaries r/g/b and a fixed background term z.
-Activations are modeled as single-parameter gamma curves; the fitting
-interface only assumes a monotone invertible curve, so a more flexible
-family could replace the power law later.
+Activations are single-parameter gamma curves, fit by one numpy solver: for
+each gamma a linear fit gives (l0, l1) (variable projection), and gamma is
+the root of the reduced derivative, bracketed on a log grid and narrowed.
 
 Readings travel as columns: each CSV reader returns one :class:`Measurement`
 batch, and each fit takes one batch or a sequence of them.  Fits are
@@ -33,15 +33,7 @@ from ._table import read_table, reject_first
 from .colorspace import _Frozen, _checked, _finite_number, _floats, _freeze
 from .errors import FitError, ValidationError
 
-FIT_MAX_EVALS = 500
-FIT_STEP_TOL = 1e-10
-
-
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported on first use: a run that
-    fits nothing never loads scipy."""
-    from scipy.optimize import least_squares
-    return least_squares(*args, **kwargs)
+FIT_MAX_EVALS = 500  # bracket-narrowing steps of the gamma solver
 
 
 @dataclass(frozen=True)
@@ -183,21 +175,11 @@ def fit_achromatic(measurements) -> tuple[AchromaticDisplay, FitReport]:
     if np.ptp(lum) == 0:
         raise FitError("constant luminance readings carry no information")
 
-    def resid(theta):
-        l0, l1, gamma = theta
-        return l1 * v ** gamma + l0 - lum
-
-    x0 = np.array([lum.min(), np.ptp(lum), 2.2])
-    res = least_squares(resid, x0, bounds=([0.0, 1e-12, 1e-6], [np.inf] * 3),
-                        xtol=FIT_STEP_TOL, ftol=None, gtol=None,
-                        max_nfev=FIT_MAX_EVALS)
-    if res.status == 0:
-        raise FitError(
-            f"achromatic fit did not converge within {FIT_MAX_EVALS} evaluations")
-    display = AchromaticDisplay(l0=float(res.x[0]), l1=float(res.x[1]),
-                                gamma=float(res.x[2]))
-    report = FitReport(residual_rms=float(np.sqrt(np.mean(res.fun ** 2))),
-                       n_points=int(v.size), residuals=res.fun,
+    l0, l1, gamma, res = _fit_gamma(v, lum, "achromatic fit did not converge within "
+                                    f"{FIT_MAX_EVALS} evaluations", linear=True)
+    display = AchromaticDisplay(l0=l0, l1=l1, gamma=gamma)
+    report = FitReport(residual_rms=float(np.sqrt(np.mean(res ** 2))),
+                       n_points=int(v.size), residuals=res,
                        details={"v": v, "luminance": lum})
     return display, report
 
@@ -211,9 +193,7 @@ def solve_background_weights(primary_r, primary_g, primary_b, background
     reports the residual norm (nonzero when the background has a component
     outside the primaries' span).
     """
-    m = np.column_stack([np.asarray(primary_r, float),
-                         np.asarray(primary_g, float),
-                         np.asarray(primary_b, float)])
+    m = np.column_stack([np.asarray(p, float) for p in (primary_r, primary_g, primary_b)])
     z = np.asarray(background, dtype=float)
     if m.shape != (3, 3) or z.shape != (3,):
         raise ValidationError("primaries must be 3-vectors")
@@ -226,15 +206,38 @@ def solve_background_weights(primary_r, primary_g, primary_b, background
     return WeightSolution(weights=w, residual=residual, cond=cond, rank=rank)
 
 
-def _fit_gamma(v: np.ndarray, p: np.ndarray, channel: str) -> float:
-    def resid(theta):
-        return v ** theta[0] - p
+def _fit_gamma(v: np.ndarray, y: np.ndarray, failure: str, linear: bool = False):
+    """(l0, l1, gamma, residuals) of the least-squares fit y ~ l1 * v**gamma + l0,
+    each gamma's (l0 >= 0, l1) from a linear fit if ``linear`` (variable projection),
+    else (0, 1).  The minimum, bracketed on a log grid of gamma in [2**-7, 2**7] with
+    l1 > 0, is the root of the reduced derivative 2 * l1 * sum(r * v**gamma * ln v),
+    found to float precision by steps that each cut its bracket in 64; no interior
+    grid minimum, or more than :data:`FIT_MAX_EVALS` steps, raise ``failure``."""
+    def project(gamma):  # l0, l1, residuals and half the derivative, per gamma
+        b = v ** gamma[..., None]
+        l0, l1 = np.zeros_like(gamma), np.ones_like(gamma)
+        if linear:
+            centred = b - b.mean(axis=-1, keepdims=True)
+            l1 = centred @ (y - y.mean()) / np.sum(centred ** 2, axis=-1)
+            l0 = y.mean() - l1 * b.mean(axis=-1)
+            l0, l1 = np.maximum(l0, 0.0), np.where(l0 < 0, b @ y / np.sum(b ** 2, axis=-1), l1)
+        res = l1[..., None] * b + l0[..., None] - y
+        return l0, l1, res, l1 * np.sum(res * b * np.log(np.where(v > 0, v, 1.0)), axis=-1)
 
-    res = least_squares(resid, np.array([2.2]), bounds=([1e-6], [np.inf]),
-                        xtol=1e-14, ftol=None, gtol=None, max_nfev=FIT_MAX_EVALS)
-    if res.status == 0:
-        raise FitError(f"gamma fit for channel {channel} did not converge")
-    return float(res.x[0])
+    grid = 2.0 ** np.linspace(-7, 7, 113)
+    _, l1, res, slope = project(grid)
+    k = int(np.argmin(np.sum(res ** 2, axis=-1)))
+    if not (0 < k < grid.size - 1 and slope[k - 1] < 0 < slope[k + 1] and l1[k] > 0):
+        raise FitError(failure)
+    lo, hi = grid[k - 1], grid[k + 1]
+    for _ in range(FIT_MAX_EVALS):
+        if np.nextafter(lo, hi) == hi:  # adjacent floats, or equal
+            l0, l1, res, _ = project(np.array(hi))
+            return float(l0), float(l1), float(hi), res
+        edges = np.linspace(lo, hi, 65)
+        j = np.count_nonzero(project(edges[1:-1])[3] < 0)
+        lo, hi = edges[j], edges[j + 1]
+    raise FitError(failure)
 
 
 def fit_chromatic(measurements) -> tuple[ChromaticDisplay, FitReport]:
@@ -276,11 +279,11 @@ def fit_chromatic(measurements) -> tuple[ChromaticDisplay, FitReport]:
     residuals = []
     for k, name in enumerate("rgb"):
         v_k, acts_k = _average_repeats(v[on[:, k], k], acts[on[:, k], k])
-        interior = (v_k > 0) & (v_k < 1)
-        if interior.sum() < 1:
+        if not np.any(v_k < 1):  # v_k > 0 already: no interior point
             raise FitError(f"channel {name} ramp has no interior points")
-        gammas[k] = _fit_gamma(v_k, acts_k, name)
-        residuals.append(v_k ** gammas[k] - acts_k)
+        *_, gammas[k], res = _fit_gamma(v_k, acts_k,
+                                        f"gamma fit for channel {name} did not converge")
+        residuals.append(res)
 
     weights = solve_background_weights(*primaries, z)
     display = ChromaticDisplay(primary_r=primaries[0], primary_g=primaries[1],

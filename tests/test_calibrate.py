@@ -1,8 +1,6 @@
 import io
 import re
 from dataclasses import replace
-from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -218,12 +216,11 @@ class TestBuildCorrectionCube:
         with pytest.raises(ValidationError):
             build_correction_cube(spec, refine=True)
 
-    def test_solver_failure_keeps_point_construction(self):
+    def test_solver_failure_keeps_point_construction(self, monkeypatch):
+        # one solve frees one knot: each channel stops at the cap unsolved
         spec = GammaCorrectionSpec(make_chromatic_display(), input_range=1.111)
-        def failed(mat, y, **options):
-            return SimpleNamespace(success=False, x=np.full(mat.shape[1], 0.5))
-        with mock.patch("hdrpcal.calibrate.lsq_linear", side_effect=failed), \
-                pytest.warns(UserWarning) as seen:
+        monkeypatch.setattr(calibrate, "REFINE_MAX_SOLVES", 1)
+        with pytest.warns(UserWarning) as seen:
             lut = build_correction_cube(spec, refine=True)
         assert [str(w.message) for w in seen] == [
             f"refinement did not improve channel {c}; keeping point construction"
@@ -232,6 +229,55 @@ class TestBuildCorrectionCube:
         point = build_correction_cube(spec)
         assert np.array(lut.separable_channels()).tobytes() == \
             np.array(point.separable_channels()).tobytes()
+
+
+def refine_displays():
+    """Eight achromatic and seven chromatic displays, some with zero
+    background and gamma 1."""
+    displays = [AchromaticDisplay(l0=l0, l1=l1, gamma=g) for l0, l1, g in (
+        (2.0, 98.0, 2.2), (0.0, 100.0, 1.0), (0.5, 200.0, 2.4), (5.0, 50.0, 1.8),
+        (0.1, 300.0, 2.6), (1.0, 99.0, 3.0), (0.0, 80.0, 2.2), (10.0, 90.0, 2.0))]
+    chrom = make_chromatic_display()
+    for w, gammas in (([0.01, 0.02, 0.03], [1.8, 2.2, 2.6]), ([0, 0, 0], [2.2] * 3),
+                      ([0.05, 0.01, 0.0], [2.0, 2.4, 1.6]), ([0.002, 0.003, 0.001], [2.2, 2.3, 2.1]),
+                      ([0.1, 0.1, 0.1], [1.0, 1.5, 3.0]), ([0.02, 0.0, 0.04], [2.6, 2.2, 1.9]),
+                      ([0.0, 0.03, 0.0], [1.2, 2.8, 2.2])):
+        displays.append(replace(chrom, background=chrom.primaries @ w,
+                                gammas=np.array(gammas), weights=np.array(w, float)))
+    return displays
+
+
+def lsq_linear_refinement(spec, grid):
+    """The supported knots and, per channel, their refined outputs from scipy's
+    ``lsq_linear(method="bvls")``, run from the test only, on the problem
+    ``build_correction_cube(refine=True)`` solves."""
+    from scipy.optimize import lsq_linear
+    active, r = grid.active_values, spec.input_range
+    xs = np.unique(np.concatenate([[0.0, r],
+                                   np.geomspace(active[0], r, calibrate.REFINE_POINTS)]))
+    mat = np.stack([np.interp(xs, active, e) for e in np.eye(active.size)], axis=1)
+    supported = np.flatnonzero(mat.sum(axis=0) > 0)
+    targets = gamma_tonemap(spec, np.column_stack([xs] * 3)).T
+    return supported, [lsq_linear(mat[:, supported], y, bounds=(0.0, 1.0), method="bvls",
+                                  tol=1e-14).x for y in targets]
+
+
+def test_refinement_matches_scipy_bvls():
+    # 2 knot grids x 15 displays x 6 input ranges: 180 refined cubes
+    worst, at_bounds = 0.0, set()
+    for grid in (default_knot_grid("delta"), default_knot_grid("optimized")):
+        for display in refine_displays():
+            for r in (0.5, 1.0, 1.111, 3.78, 20.0, 58.9):
+                spec = GammaCorrectionSpec(display, input_range=r)
+                curves = build_correction_cube(spec, grid, refine=True).separable_channels()
+                supported, reference = lsq_linear_refinement(spec, grid)
+                for curve, ref in zip(curves, reference):
+                    x = curve[grid.active_start - 1:][supported]
+                    worst = max(worst, float(np.max(np.abs(x - ref))))
+                    assert np.array_equal((x == 0) | (x == 1), (ref == 0) | (ref == 1))
+                    at_bounds.update(x[(x == 0) | (x == 1)].tolist())
+    assert worst <= 1e-12
+    assert at_bounds == {0.0, 1.0}
 
 
 class TestEstimateScaleConstant:
@@ -579,19 +625,27 @@ class TestEstimateKnotsOptimize:
         assert est.active_values.tobytes() in jacobian_points
         assert set(jacobian_points) <= {knots for name, knots in passes if name == "_predict"}
 
-    def test_step_past_float_range_is_rejected(self):
-        # On these two correction cubes the solver tries log gaps beyond the
-        # range of exp, and later gaps too small to keep the knots apart.
-        # Each such step scores as no fit, without an overflow warning
-        # (warnings are errors here).
+    def test_step_past_float_range_is_rejected(self, monkeypatch):
+        # On these two correction cubes the solver tries log gaps too small
+        # for float resolution: a knot plus its gap rounds to the knot, so the
+        # knots tie.  Each such step scores as no fit, without a warning
+        # (warnings are errors here), and the fit still converges.
         grid = default_knot_grid()
         datasets = []
-        for seed, r, refine in ((32, 1.111, True), (33, 1.0, False)):
+        for seed, r, refine in ((1, 1.111, True), (2, 1.0, False)):
             lut = parse_cube(serialize_cube(build_correction_cube(
                 GammaCorrectionSpec(DISPLAY, input_range=r), grid, refine=refine)))
-            datasets.append((generate_samples(150, seed=seed, quantize=True,
+            datasets.append((generate_samples(60, seed=seed, quantize=True,
                                               tonemap=CubeTonemap(grid, lut)), lut))
+        tied = []
+
+        def counted(a):
+            knots = _knots_from_log_gaps(a)
+            tied.append(not np.all(np.diff(knots) > 0))
+            return knots
+        monkeypatch.setattr(calibrate, "_knots_from_log_gaps", counted)
         est, report = estimate_knots_optimize(datasets, grid)
+        assert any(tied), "no step tied the knots"
         assert report.converged, report.notes
         assert np.all(np.diff(est.active_values) > 0)
 
@@ -631,6 +685,22 @@ class TestEstimateKnotsOptimize:
         grid, datasets = study_datasets(quantize=False, seeds=(51, 52), count=8)
         with pytest.raises(FitError, match="fewer residuals than the 30 knots"):
             estimate_knots_optimize(datasets, grid, seed=0)
+
+    @pytest.mark.parametrize("n_train", [9, 10])
+    def test_residual_bound_at_its_edge(self, monkeypatch, n_train):
+        # With nothing held out, n_train samples give 3 * n_train residuals:
+        # 30 residuals fit the 30 knots, 27 do not.
+        monkeypatch.setattr(calibrate, "HOLDOUT_FRACTION", 0.0)
+        grid, datasets = study_datasets(quantize=False, seeds=(51, 52), count=40)
+        kept = [samples[np.all(samples.m >= MATERIAL_FLOOR, axis=1)] for samples, _ in datasets]
+        datasets = [(kept[0][:5], datasets[0][1]), (kept[1][:n_train - 5], datasets[1][1])]
+        if n_train < 10:
+            with pytest.raises(FitError, match="^9 training samples give fewer residuals "
+                                               "than the 30 knots to fit$"):
+                estimate_knots_optimize(datasets, grid, seed=0)
+        else:
+            _, report = estimate_knots_optimize(datasets, grid, seed=0)
+            assert (report.n_train, report.n_holdout) == (10, 0)
 
     def test_non_standard_active_range_rejected(self):
         grid, datasets = study_datasets(quantize=False, seeds=(51, 52), count=20)

@@ -476,7 +476,7 @@ GOLDEN = {
     "estimate-knots":
         "ee7fc197745096cb3409f08e2a02cb8737033221115dcfeab15d6b0227ec8202",
     "fit-display achromatic":
-        "21a80c932819de32c308fce342376a250ec59b93af7551d86ad760d84662008a",
+        "4641674645ac42bf8c7a26d482a188636cfaaeca45638e83fcd3380486ca392a",
     "fit-display chromatic":
         "f561c6ccc1951d0cde9b6fb71cc18cbfce93566a7f6457dddb5da6362ddfed1e",
     "make-cube":

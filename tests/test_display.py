@@ -1,8 +1,6 @@
 import dataclasses
 import hashlib
 import io
-from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -189,13 +187,24 @@ class TestFitAchromatic:
         with pytest.raises(FitError, match=r"achromatic stimuli \(v_r=v_g=v_b\)$"):
             fit_achromatic(meas)
 
-    def test_solver_stopped_at_its_evaluation_cap_is_error(self):
+    def test_solver_stopped_at_its_evaluation_cap_is_error(self, monkeypatch):
+        # three steps cut the bracket 64**3-fold, short of float precision
         truth = AchromaticDisplay(l0=2.0, l1=98.0, gamma=2.2)
-        stopped = SimpleNamespace(status=0, x=np.array([2.0, 98.0, 2.2]), fun=np.zeros(11))
-        with mock.patch("hdrpcal.display.least_squares", return_value=stopped), \
-                pytest.raises(FitError, match=rf"^achromatic fit did not converge within "
-                                              rf"{FIT_MAX_EVALS} evaluations$"):
+        monkeypatch.setattr("hdrpcal.display.FIT_MAX_EVALS", 3)
+        with pytest.raises(FitError, match="^achromatic fit did not converge within "
+                                           "3 evaluations$"):
             fit_achromatic(achromatic_ramp(truth, np.linspace(0, 1, 11)))
+
+    @pytest.mark.parametrize("luminance", [lambda v: 100 - 98 * v ** 2.2,
+                                           lambda v: 2 + 98 * v ** 300])
+    def test_no_interior_minimum_is_error(self, luminance):
+        # falling luminance has its best fit at l1 <= 0; gamma 300 lies past
+        # the bracket grid's end
+        v = np.linspace(0, 1, 11)
+        meas = Measurement(v=np.repeat(v[:, None], 3, axis=1), luminance=luminance(v))
+        with pytest.raises(FitError, match=rf"^achromatic fit did not converge within "
+                                           rf"{FIT_MAX_EVALS} evaluations$"):
+            fit_achromatic(meas)
 
     def test_repeats_averaged(self):
         truth = AchromaticDisplay(l0=2.0, l1=98.0, gamma=2.2)
@@ -328,11 +337,19 @@ class TestFitChromatic:
         with pytest.raises(FitError, match="one channel"):
             fit_chromatic(meas)
 
-    def test_gamma_solver_stopped_at_its_evaluation_cap_is_error(self):
-        stopped = SimpleNamespace(status=0, x=np.array([2.2]))
+    def test_gamma_solver_stopped_at_its_evaluation_cap_is_error(self, monkeypatch):
         meas = chromatic_ramp(make_chromatic(), np.linspace(0, 1, 11))
-        with mock.patch("hdrpcal.display.least_squares", return_value=stopped), \
-                pytest.raises(FitError, match="^gamma fit for channel r did not converge$"):
+        monkeypatch.setattr("hdrpcal.display.FIT_MAX_EVALS", 3)
+        with pytest.raises(FitError, match="^gamma fit for channel r did not converge$"):
+            fit_chromatic(meas)
+
+    def test_activation_above_full_on_is_error(self):
+        # v_g = 0.5 reads brighter than full green: the sum of squares falls
+        # toward gamma = 0, so the bracket grid has no interior minimum
+        truth = make_chromatic()
+        meas = chromatic_ramp(truth, [0.0, 0.5, 1.0])
+        meas[3] = Measurement(v=meas[3].v, xyz=truth.xyz(np.array([0.0, 1.0, 0.0])) + 1.0)
+        with pytest.raises(FitError, match="^gamma fit for channel g did not converge$"):
             fit_chromatic(meas)
 
     def test_degenerate_primaries(self):
@@ -345,6 +362,94 @@ class TestFitChromatic:
                 meas.append(Measurement(v=stim, xyz=pr * v ** 2.2))
         with pytest.raises(FitError, match="invertible"):
             fit_chromatic(meas)
+
+
+def scipy_fit(v, y, linear):
+    """Parameters and sum of squares of y ~ l1 * v**gamma + l0 (``linear``) or
+    y ~ v**gamma from scipy's bounded ``least_squares``, run from the test only,
+    with the start, bounds and step tolerance the fits used before they ran in
+    numpy."""
+    from scipy.optimize import least_squares
+    if linear:
+        res = least_squares(lambda t: t[1] * v ** t[2] + t[0] - y,
+                            np.array([y.min(), np.ptp(y), 2.2]),
+                            bounds=([0.0, 1e-12, 1e-6], [np.inf] * 3),
+                            xtol=1e-10, ftol=None, gtol=None)
+    else:
+        res = least_squares(lambda t: v ** t[0] - y, np.array([2.2]),
+                            bounds=([1e-6], [np.inf]), xtol=1e-14, ftol=None, gtol=None)
+    assert res.status > 0
+    return res.x, float(res.fun @ res.fun)
+
+
+def golden_measurements():
+    """The achromatic and chromatic readings of the CLI's golden session."""
+    levels = np.linspace(0, 1, 11)
+    achromatic = "v,L\n" + "".join(f"{v:.4f},{2 + 98 * v ** 2.2:.10g}\n" for v in levels)
+    stims = np.vstack([np.zeros(3)] + [np.outer(levels[1:], np.eye(3)[k]) for k in range(3)])
+    xyz = (stims ** np.array([1.8, 2.2, 2.6])) @ np.stack(SRGB_PRIMARIES) + [0.9, 1.0, 1.1]
+    chromatic = "v_r,v_g,v_b,X,Y,Z\n" + "".join(
+        ",".join(f"{x:.12g}" for x in row) + "\n" for row in np.hstack([stims, xyz]))
+    return (load_achromatic_csv(io.StringIO(achromatic)),
+            load_chromatic_csv(io.StringIO(chromatic)))
+
+
+def noisy_ramps(seeds=range(24)):
+    """Seeded 33-level ramps with additive noise: an achromatic batch and a
+    chromatic reading list per seed; about a third of the achromatic fits end
+    at l0 = 0."""
+    v = np.linspace(0, 1, 33)
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        lum = rng.uniform(50, 300) * v ** rng.uniform(1.6, 2.8) + rng.uniform(-1, 2)
+        lum = np.maximum(lum + rng.normal(0, 0.5, v.size), 0.0)
+        truth = make_chromatic(gammas=rng.uniform(1.6, 2.8, 3))
+        chromatic = [Measurement(v=m.v, xyz=np.maximum(m.xyz + rng.normal(0, 0.05, 3), 0))
+                     for m in chromatic_ramp(truth, v)]
+        yield Measurement(v=np.repeat(v[:, None], 3, axis=1), luminance=lum), chromatic
+
+
+class TestMatchesScipy:
+    """The gamma solver against scipy's ``least_squares``: a sum of squares no
+    more than 1e-9 above scipy's and parameters within 1e-6 relative (l0
+    within 1e-6 absolute when below 1)."""
+
+    @staticmethod
+    def check_achromatic(meas):
+        fitted, report = fit_achromatic(meas)
+        v, lum = report.details["v"], report.details["luminance"]
+        (l0, l1, gamma), sse = scipy_fit(v, lum, linear=True)
+        assert report.residuals @ report.residuals <= sse * (1 + 1e-9)
+        assert abs(fitted.l0 - l0) <= 1e-6 * max(l0, 1.0)
+        assert fitted.l1 == pytest.approx(l1, rel=1e-6)
+        assert fitted.gamma == pytest.approx(gamma, rel=1e-6)
+        return fitted
+
+    @staticmethod
+    def check_chromatic(meas):
+        # activations inverted as fit_chromatic inverts them, one reading per level
+        fitted, _ = fit_chromatic(meas)
+        batch = [meas] if isinstance(meas, Measurement) else meas
+        v = np.concatenate([m.v.reshape(-1, 3) for m in batch])
+        xyz = np.concatenate([m.xyz.reshape(-1, 3) for m in batch])
+        acts = np.linalg.solve(fitted.primaries, (xyz - fitted.background).T).T
+        for k in range(3):
+            on = v[:, k] > 0
+            (gamma,), sse = scipy_fit(v[on, k], acts[on, k], linear=False)
+            assert np.sum((v[on, k] ** fitted.gammas[k] - acts[on, k]) ** 2) <= sse * (1 + 1e-9)
+            assert fitted.gammas[k] == pytest.approx(gamma, rel=1e-6)
+
+    def test_golden_session(self):
+        achromatic, chromatic = golden_measurements()
+        self.check_achromatic(achromatic)
+        self.check_chromatic(chromatic)
+
+    def test_noisy_ramps(self):
+        at_zero = 0
+        for achromatic, chromatic in noisy_ramps():
+            at_zero += self.check_achromatic(achromatic).l0 == 0.0
+            self.check_chromatic(chromatic)
+        assert at_zero >= 3  # the l0 = 0 projection is compared too
 
 
 def fitted_fields(fit):

@@ -16,8 +16,9 @@ def test_public_names_resolve_once():
 
 def test_scipy_loads_only_for_a_fit(tmp_path):
     """Importing the package and its CLI, ``simulate`` and ``validate`` fit
-    nothing, and ``estimate-knots`` in either mode fits in numpy, so no scipy
-    module is loaded after any of them."""
+    nothing, and ``estimate-knots`` in either mode, ``fit-display`` in either
+    mode and ``make-cube --refine`` fit in numpy, so no scipy module is loaded
+    after any of them."""
     samples = str(tmp_path / "samples.csv")
     script = f"""
 import sys
@@ -61,9 +62,26 @@ for i, power in enumerate((1.0, 0.5)):
     args += ["--in", csv, "--cube", cube]
 assert hdrpcal.cli.main(args) == 0
 print(scipy_modules())
+
+levels = np.linspace(0, 1, 11)
+with open({str(tmp_path / "achromatic.csv")!r}, "w") as fh:
+    fh.write("v,L\\n" + "".join(f"{{v!r}},{{2 + 98 * v ** 2.2!r}}\\n" for v in levels.tolist()))
+stims = np.vstack([np.zeros(3)] + [np.outer(levels[1:], np.eye(3)[k]) for k in range(3)])
+xyz = stims ** np.array([1.8, 2.2, 2.6]) @ (np.eye(3) * 50 + 10) + 1.0
+with open({str(tmp_path / "chromatic.csv")!r}, "w") as fh:
+    fh.write("v_r,v_g,v_b,X,Y,Z\\n")
+    fh.writelines(",".join(map(repr, row)) + "\\n" for row in np.hstack([stims, xyz]).tolist())
+for mode in ("achromatic", "chromatic"):
+    assert hdrpcal.cli.main(["--quiet", "fit-display", "--mode", mode, "--in",
+                             f"{tmp_path}/{{mode}}.csv", "--out",
+                             f"{tmp_path}/{{mode}}.json"]) == 0
+    print(scipy_modules())
+assert hdrpcal.cli.main(["--quiet", "make-cube", "--display", {str(tmp_path / "achromatic.json")!r},
+                         "--r", "1.111", "--refine", "--out", {str(tmp_path / "fix.cube")!r}]) == 0
+print(scipy_modules())
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.splitlines() == ["[]"] * 6
+    assert out.splitlines() == ["[]"] * 9

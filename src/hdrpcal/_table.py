@@ -5,9 +5,11 @@ A table is one header line, compared with spaces removed, then one data
 row per line; blank lines and lines starting with ``#`` are skipped.  Each
 field converts by its column's type letter, under the rules of ``float()``
 and ``int()``: ``s`` text, ``i`` integer, ``f`` float.  Float fields must be
-finite.  Rows convert :data:`BLOCK_ROWS` at a time, and only a block that
-fails is converted again row by row, to find and word its bad rows; so a
-table with bad rows is read in the memory of a clean one.
+finite.  The reader takes :data:`BLOCK_ROWS` lines at a time from its
+stream and converts their rows together; only a block that fails is
+converted again row by row, to find and word its bad rows.  So it holds one
+block of lines and one array per column, never the whole text, and a table
+with bad rows is read in the memory of a clean one.
 
 The writer emits exactly the bytes of ``row % (label, *fields)``, with the
 fields formatted as arrays, :data:`BLOCK_VALUES` at a time; Python's ``%``
@@ -17,7 +19,7 @@ formats only the values :func:`_format_g` cannot prove.
 from __future__ import annotations
 
 import re
-from itertools import compress, cycle
+from itertools import compress, cycle, islice
 
 import numpy as np
 
@@ -28,8 +30,8 @@ from .errors import ValidationError
 PROBLEMS = ("", "expected {} columns, got {}", "non-numeric field",
             "non-finite field")
 
-#: Rows the reader converts at a time, so it holds one block of fields, not
-#: the whole table.
+#: Lines the reader takes from its stream at a time, so it holds one block
+#: of lines and fields, not the whole text.
 BLOCK_ROWS = 512
 
 #: Values a writer formats at a time (at least one row), so it holds one
@@ -52,7 +54,7 @@ def _convert(lines: list[str], types: str) -> list[np.ndarray]:
     """The (rows, floats) block of the float fields of ``lines``, one row
     each, then every other column; raises ``ValueError`` or
     ``OverflowError`` if a field does not convert."""
-    fields = ",".join(lines).split(",")
+    fields = ",".join(lines).split(",") if lines else []
     floats = list(compress(fields, cycle([t == "f" for t in types])))
     return [np.array(floats, dtype=float).reshape(-1, types.count("f")),
             *(np.array(fields[j::len(types)], dtype=_DTYPES[t])
@@ -66,22 +68,26 @@ def read_table(file, header: str, types: str, what: str, error=ValidationError):
     else raises.  Returns ``(columns, problem, explain)``: one array per
     column (a bad row holds placeholder fields), each row's problem code
     (see :data:`PROBLEMS`), and a function mapping row indices to ``(file
-    line, problem text)`` pairs, with empty text for a good row.
+    line, problem text)`` pairs, with empty text for a good row.  The file
+    is read :data:`BLOCK_ROWS` lines at a time and no line is kept:
+    ``explain`` reads the rows' line numbers from an array.
     """
     got = file.readline().strip().replace(" ", "")
     if got != header:
         raise error(f"{what}: expected header {header!r}, got {got!r}")
-    raw = list(map(str.strip, file.read().split("\n")))
-    lines = [s for s in raw if s and s[0] != "#"]
     width, filler = len(types), ",".join("0" * len(types))
-    count = np.array([s.count(",") for s in lines], dtype=np.int64) + 1
-    problem = (count != width).astype(np.int8)
-    if problem.any():
-        lines = [filler if p else s for s, p in zip(lines, problem.tolist())]
-    out = [np.empty((len(lines), types.count("f"))),
-           *(np.empty(len(lines), _DTYPES[t]) for t in types if t != "f")]
-    for lo in range(0, len(lines), BLOCK_ROWS):
-        rows = lines[lo:lo + BLOCK_ROWS]
+    blocks, start = [], 2  # per block: its columns, comma counts, problems, lines
+    while True:
+        rows = list(map(str.strip, islice(file, BLOCK_ROWS)))
+        numbers, start = np.arange(start, start + len(rows)), start + len(rows)
+        last = len(rows) < BLOCK_ROWS
+        if min(rows, default="$") < "$":  # blank and "#" lines sort below "$"
+            keep = [s != "" and s[0] != "#" for s in rows]
+            rows, numbers = list(compress(rows, keep)), numbers[keep]
+        count = np.array([s.count(",") for s in rows], dtype=np.int64) + 1
+        problem = (count != width).astype(np.int8)
+        if problem.any():
+            rows = [filler if p else s for s, p in zip(rows, problem.tolist())]
         try:
             parts = _convert(rows, types)
         except (ValueError, OverflowError):  # again row by row: a row that
@@ -89,19 +95,22 @@ def read_table(file, header: str, types: str, what: str, error=ValidationError):
                 try:
                     _convert([s], types)
                 except (ValueError, OverflowError):
-                    problem[lo + r], rows[r] = 2, filler
+                    problem[r], rows[r] = 2, filler
             parts = _convert(rows, types)
-        for whole, part in zip(out, parts):
-            whole[lo:lo + len(rows)] = part
-    block, *other = out
+        blocks.append((*parts, count, problem, numbers))
+        if last:
+            break
+    # Joined column by column, each column's blocks freed once it is joined.
+    blocks = list(zip(*blocks))
+    block, *other, count, problem, numbers = (
+        np.concatenate(blocks.pop(0)) for _ in range(len(blocks)))
     problem[(problem == 0) & ~np.all(np.isfinite(block), axis=1)] = 3
     floats, other = iter(block.T), iter(other)
     columns = [next(floats) if t == "f" else next(other) for t in types]
 
     def explain(rows):
-        numbers = [n for n, s in enumerate(raw, start=2) if s and s[0] != "#"]
-        return [(numbers[r], PROBLEMS[problem[r]].format(width, count[r]))
-                for r in rows]
+        return [(n, PROBLEMS[problem[r]].format(width, count[r]))
+                for n, r in zip(numbers[rows].tolist(), rows)]
 
     return columns, problem, explain
 

@@ -423,6 +423,25 @@ class TestKnotGrid:
         grid = default_knot_grid("optimized")
         assert grid.values[31] == pytest.approx(57.66)
 
+    @pytest.mark.parametrize("kind,table", [
+        ("delta", [0.0002606, 0.003104, 0.007305, 0.01288, 0.02056,
+                   0.03061, 0.04468, 0.06393, 0.09056, 0.1245,
+                   0.1711, 0.2354, 0.3236, 0.4406, 0.5938,
+                   0.8165, 1.111, 1.498, 2.039, 2.776,
+                   3.780, 5.094, 6.935, 9.441, 12.72,
+                   17.32, 23.35, 31.78, 43.27, 58.90]),
+        ("optimized", [1.657e-9, 0.002830, 0.007137, 0.01269, 0.02051,
+                       0.03086, 0.04479, 0.06444, 0.08989, 0.1252,
+                       0.1726, 0.2370, 0.3253, 0.4422, 0.6039,
+                       0.8207, 1.104, 1.495, 2.032, 2.756,
+                       3.738, 5.083, 6.864, 9.347, 12.62,
+                       17.18, 23.24, 31.48, 42.75, 57.66])])
+    def test_table_pinned_in_full(self, kind, table):
+        # Every entry of both built-in tables, exactly, so that an edit to
+        # any one knot fails.
+        assert {"delta": DELTA_KNOTS, "optimized": OPTIMIZED_KNOTS}[kind].tolist() == table
+        assert default_knot_grid(kind).active_values.tolist() == table
+
     def test_both_tables_strictly_increasing(self):
         assert np.all(np.diff(DELTA_KNOTS) > 0)
         assert np.all(np.diff(OPTIMIZED_KNOTS) > 0)

@@ -80,11 +80,12 @@ def damaged(valid: str):
 def tabular(valid: str, sep: str = ","):
     """:func:`damaged` text, or the first line of ``valid`` followed by rows
     of about as many fields as its last line, drawn from typical and
-    edge-case tokens."""
+    edge-case tokens, with blank and comment lines among them."""
     head, width = valid.split("\n")[0], valid.strip().split("\n")[-1].count(sep) + 1
     row = st.integers(width - 1, width + 1).flatmap(
         lambda n: st.lists(TOKENS, min_size=n, max_size=n)).map(sep.join)
-    rows = st.lists(row, max_size=8).map(lambda r: "\n".join([head, *r]) + "\n")
+    rows = st.lists(row | st.sampled_from(["", "# c"]), max_size=8).map(
+        lambda r: "\n".join([head, *r]) + "\n")
     return damaged(valid) | rows
 
 
@@ -138,8 +139,9 @@ def _state(value):
     return value
 
 
-# The readers that share the CSV table reader, which converts a block of rows
-# at a time and a failing block again row by row.
+# The readers that share the CSV table reader, which takes a block of lines at
+# a time, skips its blank and comment lines, converts its rows together and
+# a failing block again row by row.
 TABLES = [r for r in READERS if r[0] in ("samples", "knots", "sweeps", "achromatic",
                                          "chromatic")]
 

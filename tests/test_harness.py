@@ -11,7 +11,8 @@ import pytest
 from hdrpcal import _table, harness
 from hdrpcal._table import BLOCK_ROWS, read_table
 from hdrpcal.calibrate import (GammaCorrectionSpec, build_correction_cube,
-                               estimate_knots_optimize, estimate_scale_constant)
+                               estimate_knots_optimize, estimate_scale_constant,
+                               load_sweeps)
 from hdrpcal.cubelut import (CubeTonemap, DELTA_KNOTS, default_knot_grid,
                              make_delta_cube, separable_cube)
 from hdrpcal.display import AchromaticDisplay, ChromaticDisplay
@@ -443,6 +444,71 @@ class TestSampleCsv:
         parts[4:7] = [f"{x:.17g}" for x in n]
         back = load_samples(io.StringIO("\n".join([lines[0], ",".join(parts)]) + "\n"))
         assert abs(np.linalg.norm(back.n[0]) - 1.0) < 1e-12
+
+
+def test_reader_holds_one_block_of_lines(tmp_path):
+    # The CSV reader streams its file a block of lines at a time, so what it
+    # holds is set by the arrays it returns, not by the text.  Peaks measured
+    # against the file's size: 1.26x the sample file and 2.82x the sweep
+    # file, where a reader that held the text whole, one string per line,
+    # took 2.39x and 5.65x.  A 100-character comment line after every row
+    # then leaves the peak where it was; the whole-text reader's grew by
+    # 1.6 and 2.2 bytes per byte of comment.
+    samples, sweeps = tmp_path / "samples.csv", tmp_path / "sweeps.csv"
+    with open(samples, "w") as fh:
+        save_samples(generate_samples(4000, seed=37), fh)
+    u = np.geomspace(1e-5, 100, 1000)
+    sweeps.write_text("m,u,t\n" + "".join(
+        f"{m},{x:.17g},{y:.17g}\n" for m in range(1, 33)
+        for x, y in zip(u, np.clip(1 - np.abs(np.log2(u) + 16 - m), 0, 1))))
+    # Sweep rows hold 24 bytes of values in about 27 bytes of text, and
+    # load_sweeps sorts a copy of them.
+    for path, load, bound in ((samples, load_samples, 1.5), (sweeps, load_sweeps, 3.5)):
+        size, peak = path.stat().st_size, traced_peak(path, "r", load)
+        assert peak < bound * size, peak / size
+        head, *rows = path.read_text().splitlines()
+        padded = tmp_path / "padded.csv"
+        padded.write_text("\n".join([head, *(f"{r}\n#{'.' * 99}" for r in rows)]) + "\n")
+        added = padded.stat().st_size - size
+        grown = traced_peak(padded, "r", load) - peak
+        assert grown < 0.05 * added, grown / added
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, BLOCK_ROWS])
+def test_line_numbers_across_block_edges(monkeypatch, block):
+    # Each line with the problem its row reports: None for a line the reader
+    # skips, "" for a good row.  In blocks of three lines, blocks start with
+    # a blank, a bad row and a comment, one block holds no row, and bad rows
+    # sit on both sides of a block edge.
+    body = [("", None), ("# lead", None), ("1,0.5,0.25", ""),
+            ("2,x,0.1", "non-numeric field"), ("   ", None),
+            ("3,0.5", "expected 3 columns, got 2"),
+            ("4,0.1,inf", "non-finite field"), ("# mid", None), ("5,0.2,0.3", ""),
+            ("#", None), ("\t", None), ("  # indented", None),
+            ("6,0.3,0.4,5", "expected 3 columns, got 4"), ("7,0.1,0.2", ""),
+            ("8,1e999,0", "non-finite field"),
+            ("9.5,0,0", "non-numeric field"), ("", None), ("# tail", None)]
+    text = "m,u,t\n" + "".join(f"{line}\n" for line, _ in body)
+    rows = [(n, why) for n, (_, why) in enumerate(body, start=2) if why is not None]
+    monkeypatch.setattr(_table, "BLOCK_ROWS", block)
+    (m, u, t), problem, explain = read_table(io.StringIO(text), "m,u,t", "iff",
+                                             "sweep CSV")
+    assert explain(np.arange(len(problem))) == rows
+    assert explain(np.flatnonzero(problem)) == [r for r in rows if r[1]]
+    assert m.tolist() == [1, 0, 0, 4, 5, 0, 7, 8, 0]
+
+
+@pytest.mark.parametrize("text", ["m,u,t", "m,u,t\n", "m,u,t\n# only\n\n  \n#\n"])
+def test_table_without_rows_is_empty(monkeypatch, text):
+    monkeypatch.setattr(_table, "BLOCK_ROWS", 2)
+    (m, u, t), problem, explain = read_table(io.StringIO(text), "m,u,t", "iff",
+                                             "sweep CSV")
+    assert [(c.dtype, c.shape) for c in (m, u, t, problem)] == [
+        (np.int64, (0,)), (float, (0,)), (float, (0,)), (np.int8, (0,))]
+    assert explain(np.flatnonzero(problem)) == []
+    assert load_sweeps(io.StringIO(text)) == []
+    samples = load_samples(io.StringIO(SAMPLE_CSV_HEADER + text[5:]))
+    assert (len(samples), samples.kinds.shape, samples.m.shape) == (0, (0,), (0, 3))
 
 
 class TestValidateModel:

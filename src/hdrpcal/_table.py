@@ -8,8 +8,10 @@ and ``int()``: ``s`` text, ``i`` integer, ``f`` float.  Float fields must be
 finite.  The reader takes :data:`BLOCK_ROWS` lines at a time from its
 stream and converts their rows together; only a block that fails is
 converted again row by row, to find and word its bad rows.  So it holds one
-block of lines and one array per column, never the whole text, and a table
-with bad rows is read in the memory of a clean one.
+block of lines, one (rows, floats) array of the float columns and one array
+per other column, never the whole text, and a table with bad rows is read in
+the memory of a clean one.  Callers take their float columns as views of
+that one array.
 
 The writer emits exactly the bytes of ``row % (label, *fields)``, with the
 fields formatted as arrays, :data:`BLOCK_VALUES` at a time; Python's ``%``
@@ -65,9 +67,10 @@ def read_table(file, header: str, types: str, what: str, error=ValidationError):
     """Read the table of ``file`` whose header must be ``header``.
 
     A wrong header raises ``error``, naming the file kind ``what``; nothing
-    else raises.  Returns ``(columns, problem, explain)``: one array per
-    column (a bad row holds placeholder fields), each row's problem code
-    (see :data:`PROBLEMS`), and a function mapping row indices to ``(file
+    else raises.  Returns ``(columns, problem, explain)``: the (rows, floats)
+    block of the ``f`` columns in their order, then one array per other
+    column (a bad row holds placeholder fields); each row's problem code
+    (see :data:`PROBLEMS`); and a function mapping row indices to ``(file
     line, problem text)`` pairs, with empty text for a good row.  The file
     is read :data:`BLOCK_ROWS` lines at a time and no line is kept:
     ``explain`` reads the rows' line numbers from an array.
@@ -102,11 +105,9 @@ def read_table(file, header: str, types: str, what: str, error=ValidationError):
             break
     # Joined column by column, each column's blocks freed once it is joined.
     blocks = list(zip(*blocks))
-    block, *other, count, problem, numbers = (
+    *columns, count, problem, numbers = (
         np.concatenate(blocks.pop(0)) for _ in range(len(blocks)))
-    problem[(problem == 0) & ~np.all(np.isfinite(block), axis=1)] = 3
-    floats, other = iter(block.T), iter(other)
-    columns = [next(floats) if t == "f" else next(other) for t in types]
+    problem[(problem == 0) & ~np.all(np.isfinite(columns[0]), axis=1)] = 3
 
     def explain(rows):
         return [(n, PROBLEMS[problem[r]].format(width, count[r]))

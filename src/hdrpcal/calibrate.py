@@ -20,8 +20,10 @@ tonemapping knot coordinates either from impulse-cube sweeps or by direct
 optimization of model predictions.  The latter is a nonlinear least-squares
 problem over the log of the first knot and of the gaps between knots, solved
 by Levenberg-Marquardt steps in the normal equations of the exact Jacobian.
-The Jacobian takes each point's cell corners from the tonemap's own kernel
-in :mod:`hdrpcal.cubelut` and adds only the chain rule.
+Under a separable cube a residual depends on the two knots of its own
+channel's cell, so JᵀJ is tridiagonal and is summed without the Jacobian.
+Any other cube's Jacobian takes each point's cell corners from the
+tonemap's own kernel in :mod:`hdrpcal.cubelut` and adds only the chain rule.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .colorspace import (SRGB_LINEAR_BREAK, _Frozen, _checked, _finite_number, _
 # Not called here; the benchmark tracer requires this module binding.
 from .colorspace import srgb_encode3  # noqa: F401
 from .cubelut import (ACTIVE_START, DEFAULT_GRID_SIZE, CubeLUT, KnotGrid,
-                      _cell_corners, _interpolate, default_knot_grid)
+                      _cell_corners, _interpolate, _locate, default_knot_grid)
 from .display import AchromaticDisplay, ChromaticDisplay
 from .errors import FitError, ValidationError
 from .harness import (MATERIAL_FLOOR, SampleBatch, check_seed,
@@ -261,14 +263,14 @@ def load_sweeps(file) -> list[DeltaSweep]:
     """Read a sweep CSV (header ``m,u,t``) from a text stream: one
     :class:`DeltaSweep` per impulse index ``m``, in ascending ``m``, each
     with its rows in ascending ``u``."""
-    (m, u, t), problem, explain = read_table(file, "m,u,t", "iff", "sweep CSV")
+    (ut, m), problem, explain = read_table(file, "m,u,t", "iff", "sweep CSV")
     reject_first(problem, explain, "sweep CSV")
-    order = np.lexsort((u, m))  # stable: by m, then u
-    m, u, t = m[order], u[order], t[order]
-    indices, starts = np.unique(m, return_index=True)
-    return [DeltaSweep(m=int(k), inputs=u_k, outputs=t_k)
-            for k, u_k, t_k in zip(indices, np.split(u, starts[1:]),
-                                   np.split(t, starts[1:]))]
+    del problem, explain  # and the line numbers: only the sweeps' copies of their rows grow
+    order = np.lexsort((ut[:, 0], m))  # stable: by m, then u
+    indices, counts = np.unique(m, return_counts=True)
+    del m
+    return [DeltaSweep(m=int(k), inputs=ut[rows, 0], outputs=ut[rows, 1])
+            for k, rows in zip(indices, np.split(order, np.cumsum(counts)[:-1]))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,27 +387,59 @@ def _predict(knots: np.ndarray, u: np.ndarray, lut: CubeLUT) -> np.ndarray:
     return _post_process(u, lambda x: _interpolate(knots, lut, x))
 
 
+def _encode_slope(t: np.ndarray) -> np.ndarray:
+    """dv/dt, the sRGB encode slope at the tonemapped value t clipped to [0, 1]."""
+    t = np.clip(t, 0.0, 1.0)
+    return np.where(t <= SRGB_LINEAR_BREAK, 12.92, (1.055 / 2.4) * np.maximum(
+        t, SRGB_LINEAR_BREAK) ** (1.0 / 2.4 - 1.0))
+
+
+def _weight_slopes(knots: np.ndarray, u: np.ndarray, idx: np.ndarray) -> tuple:
+    """dw/dk_lo = (u - k_hi)/d^2 and dw/dk_hi = (k_lo - u)/d^2 of the in-cell
+    weights w of ``u`` in the knot cells ``idx`` of width d, or 0 where u is clamped."""
+    lo, hi = knots[idx], knots[idx + 1]
+    dw = np.where((u > knots[0]) & (u < knots[-1]), 1.0 / (hi - lo) ** 2, 0.0)
+    return (u - hi) * dw, (lo - u) * dw
+
+
 def _knot_jacobian(knots: np.ndarray, u: np.ndarray, lut: CubeLUT) -> np.ndarray:
-    """d/dknots of ``_predict(knots, u, lut).ravel()``, (3N, K).  In a cell of
-    width d an axis weight w has dw/dk_lo = (x - k_hi)/d^2 and dw/dk_hi =
-    -(x - k_lo)/d^2, or 0 where x is clamped; dt/dw comes from the 8 cell
-    corners (a separable cube has only the own-axis term), dv/dt is the
-    sRGB encode slope at the trilinear blend t of the same corners."""
+    """d/dknots of ``_predict(knots, u, lut).ravel()``, (3N, K): an axis
+    weight w moves with the knots by :func:`_weight_slopes`, dt/dw comes from
+    the 8 cell corners (a separable cube has only the own-axis term), dv/dt is
+    the sRGB encode slope at the trilinear blend t of the same corners."""
     idx, w, corners, t = _cell_corners(knots, lut, u)
     weights = np.stack([1.0 - w, w])  # (2, N, 3)
     dt_dw = np.stack([np.einsum("pqnc,pn,qn->nc", np.diff(corners, axis=a).squeeze(a),
                                 *(weights[..., b] for b in range(3) if b != a))
                       for a in range(3)], axis=-1)  # (N, channel, axis)
-    t = np.clip(t, 0.0, 1.0)
-    dt_dw *= np.where(t <= SRGB_LINEAR_BREAK, 12.92, (1.055 / 2.4) * np.maximum(
-        t, SRGB_LINEAR_BREAK) ** (1.0 / 2.4 - 1.0))[..., None]
-    lo, hi = knots[idx], knots[idx + 1]
-    dw = np.where((u > knots[0]) & (u < knots[-1]), 1.0 / (hi - lo) ** 2, 0.0)
-    values = np.tile(dt_dw, 2) * np.hstack([(u - hi) * dw, (lo - u) * dw])[:, None]
+    dt_dw *= _encode_slope(t)[..., None]
+    values = np.tile(dt_dw, 2) * np.hstack(_weight_slopes(knots, u, idx))[:, None]
     flat = (np.arange(3 * len(u)).reshape(-1, 3, 1) * knots.size
             + np.hstack([idx, idx + 1])[:, None])  # (N, channel, axis and knot)
     return np.bincount(flat.ravel(), values.ravel(),
                        minlength=3 * len(u) * knots.size).reshape(-1, knots.size)
+
+
+def _knot_normal_equations(knots: np.ndarray, u: np.ndarray, lut: CubeLUT,
+                           r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """JᵀJ and Jᵀr of J = ``_knot_jacobian(knots, u, lut)`` and residuals ``r``.
+    Under a separable cube row (n, c) of J is g times u[n, c]'s two :func:`_weight_slopes`
+    at its cell's knots, g the encode slope times the curve's slope in the cell:
+    JᵀJ is tridiagonal, and is summed without J."""
+    curves = lut.separable_channels()
+    if curves is None:
+        jac = _knot_jacobian(knots, u, lut)
+        return jac.T @ jac, r @ jac
+    idx, w = _locate(knots, u)
+    active = np.array(curves)[:, lut.size - knots.size:]  # (channel, knot)
+    flat = idx + np.arange(0, active.size, knots.size)  # in channel c's row
+    c_lo, c_hi = active.take(flat), active.take(flat + 1)
+    g = _encode_slope(c_lo + w * (c_hi - c_lo)) * (c_hi - c_lo)
+    i, (a, b) = idx.ravel(), (np.ravel(g * s) for s in _weight_slopes(knots, u, idx))
+    at = functools.partial(np.bincount, minlength=knots.size)  # sums per knot
+    off = at(i, a * b)[:-1]
+    hess = np.diag(at(i, a * a) + at(i + 1, b * b)) + np.diag(off, 1) + np.diag(off, -1)
+    return hess, at(i, a * r) + at(i + 1, b * r)
 
 
 def _knots_from_log_gaps(a: np.ndarray) -> np.ndarray:
@@ -427,7 +461,8 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
     The fit runs Levenberg-Marquardt steps (Marquardt's scaling, Nielsen's
     damping) over the log of the first knot and the log gaps between
     neighbours, so the knots stay strictly increasing; each solves JᵀJ and
-    Jᵀr of the exact Jacobian, summed set by set, and one whose solve fails
+    Jᵀr of the exact Jacobian, summed set by set (under a separable cube JᵀJ
+    is tridiagonal and is built without the Jacobian), and one whose solve fails
     or whose knots overflow or tie is rejected.  As MINPACK's, it converges
     once the step, the relative reduction in sum of squares or the gradient
     falls to :data:`KNOT_FIT_TOL`, and stops after :data:`KNOT_FIT_MAX_EVALS`
@@ -483,10 +518,9 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
         # One Jacobian pass, reduced set by set to JᵀJ and Jᵀr over the knots.
         nonlocal evaluations
         evaluations += 1
-        knots, hess, grad = _knots_from_log_gaps(a), 0.0, 0.0
-        for (u, _, lut), r in zip(train_sets, fun):
-            jac = _knot_jacobian(knots, u, lut)
-            hess, grad = hess + jac.T @ jac, grad + r @ jac
+        knots = _knots_from_log_gaps(a)
+        hess, grad = map(sum, zip(*(_knot_normal_equations(knots, u, lut, r)
+                                    for (u, _, lut), r in zip(train_sets, fun))))
         t = np.tril(np.ones_like(hess)) * np.exp(a)  # dk_i/da_j = exp(a_j) for j <= i
         return t.T @ hess @ t, grad @ t, np.flatnonzero(np.diag(hess) == 0)
 

@@ -160,13 +160,13 @@ class KnotGrid(_Frozen):
 
     @classmethod
     def from_csv(cls, file) -> "KnotGrid":
-        (index, u), problem, explain = read_table(file, "index,u", "if", "knot CSV")
+        (u, index), problem, explain = read_table(file, "index,u", "if", "knot CSV")
         reject_first(problem | (index < 1) | (index > MAX_GRID_SIZE), explain,
                      "knot CSV", f"index outside 1..{MAX_GRID_SIZE}")
         if not index.size:
             raise ValidationError("knot CSV: no rows")
         order = np.argsort(index, kind="stable")
-        index, u = index[order], u[order]
+        index, u = index[order], u[order, 0]
         start, size = int(index[0]), int(index[-1])
         if not np.array_equal(index, np.arange(start, size + 1)):
             raise ValidationError("knot CSV: indices must be contiguous")
@@ -494,15 +494,13 @@ def _interpolate(knots: np.ndarray, lut: CubeLUT, x: np.ndarray) -> np.ndarray:
 
 def _cell_corners(knots: np.ndarray, lut: CubeLUT, x: np.ndarray) -> tuple:
     """Cell ``idx`` and weights ``w`` of points ``x`` ((N, 3)) on each axis
-    (see :func:`_locate`), ``lut``'s outputs at the cell corners (a separable
-    cube's from its curves), ``corners[i, j, k]`` at red, green, blue offsets
-    i, j, k: (2, 2, 2, N, 3), and their trilinear blend, the tonemap at ``x``: (N, 3)."""
+    (see :func:`_locate`), ``lut``'s outputs at the cell corners, ``corners[i, j, k]``
+    at red, green, blue offsets i, j, k: (2, 2, 2, N, 3), and their trilinear
+    blend, the tonemap at ``x``: (N, 3)."""
     idx, w = _locate(knots, x)
     lo, shape = idx + lut.size - knots.size, (lut.size,) * 3  # the cells' lower grid indices
-    offsets, curves = np.indices((2, 2, 2))[..., None], lut.separable_channels()
-    corners = (np.stack([c[lo[:, a] + offsets[a]] for a, c in enumerate(curves)], axis=-1)
-               if curves is not None else lut.outputs.reshape(-1, 3).take(np.ravel_multi_index(
-                   lo.T, shape) + np.ravel_multi_index(offsets, shape), axis=0))
+    offsets = np.ravel_multi_index(np.indices((2, 2, 2))[..., None], shape)  # of the 8 corners
+    corners = lut.outputs.reshape(-1, 3).take(np.ravel_multi_index(lo.T, shape) + offsets, axis=0)
     wr, wg, wb = np.stack([1.0 - w.T, w.T], axis=1)  # (2, N) each: lower, upper
     out = np.zeros(x.shape)
     for i, j, k in np.ndindex(2, 2, 2):  # one corner at a time, in a fixed order

@@ -351,7 +351,8 @@ def load_display(file):
 
 def load_achromatic_csv(file) -> Measurement:
     """Read ``v,L`` measurement rows as one batch with ``v`` (N, 3)."""
-    (v, lum), problem, explain = read_table(file, "v,L", "ff", "measurement CSV")
+    (rows,), problem, explain = read_table(file, "v,L", "ff", "measurement CSV")
+    v, lum = rows.T
     reject_first(problem | (v < 0) | (v > 1) | (lum < 0), explain, "measurement CSV",
                  "v outside [0, 1] or L < 0")
     return Measurement(v=np.repeat(v[:, None], 3, axis=1), luminance=lum)
@@ -359,9 +360,8 @@ def load_achromatic_csv(file) -> Measurement:
 
 def load_chromatic_csv(file) -> Measurement:
     """Read ``v_r,v_g,v_b,X,Y,Z`` measurement rows as one (N, 3) batch."""
-    columns, problem, explain = read_table(file, "v_r,v_g,v_b,X,Y,Z", "ffffff",
+    (rows,), problem, explain = read_table(file, "v_r,v_g,v_b,X,Y,Z", "ffffff",
                                            "measurement CSV")
-    rows = np.column_stack(columns)
     reject_first(problem | np.any(rows < 0, axis=1) | np.any(rows[:, :3] > 1, axis=1),
                  explain, "measurement CSV", "v outside [0, 1] or X, Y, Z < 0")
     return Measurement(v=rows[:, :3], xyz=rows[:, 3:])

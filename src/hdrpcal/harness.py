@@ -296,13 +296,13 @@ def load_samples(file) -> SampleBatch:
     Ingested unit vectors are accepted within 1e-6 of unit norm (text
     round-tripping from external engines loses precision) and renormalized.
     """
-    (kinds, *fields), problem, explain = read_table(
+    (floats, kinds), problem, explain = read_table(
         file, SAMPLE_CSV_HEADER, "s" + "f" * 21, "sample CSV", SampleFormatError)
     lam = kinds == "lambertian"
-    rest = iter(fields)
-    columns = {"lambertian": lam} | {
-        name: np.column_stack([next(rest) for _ in range(3)]) if name in _TRIPLETS
-        else next(rest).copy() for name in _ROW_FIELDS}
+    ends = np.cumsum([3 if name in _TRIPLETS else 1 for name in _ROW_FIELDS]).tolist()
+    columns = {"lambertian": lam} | {  # views of the one float block
+        name: floats[:, end - 3:end] if name in _TRIPLETS else floats[:, end - 1]
+        for name, end in zip(_ROW_FIELDS, ends)}
     checks = np.column_stack([  # one column per _ROW_PROBLEMS entry
         problem == 1,
         problem == 2,
@@ -329,6 +329,7 @@ def load_samples(file) -> SampleBatch:
             norm = np.linalg.norm(vec, axis=1)
             off = lam & (np.abs(norm - 1.0) > 1e-12)
             vec[off] /= norm[off, None]
+    floats.setflags(write=False)
     return _freeze(object.__new__(SampleBatch), **columns)
 
 
@@ -364,9 +365,7 @@ class ValidationReport:
         file.write(f"# material_floor = {self.material_floor:.10g}\n")
 
     def to_svg(self, file) -> None:
-        actual = self.actual.ravel()
-        predicted = self.predicted.ravel()
-        errors = self.errors.ravel()
+        actual, predicted, errors = self.actual, self.predicted, self.errors
         guide = 1.0 / 255.0
         err_span = max(float(np.max(np.abs(errors))), guide) * 1.15
         svgplot.scatter_panels([

@@ -18,11 +18,12 @@ def _fmt(x: float) -> str:
 
 def _scale(v, lim: tuple[float, float], start: float, span: float) -> np.ndarray:
     """Pixel positions of the data values ``v`` on an axis that maps ``lim``
-    onto ``span`` pixels from pixel ``start``."""
-    v = np.asarray(v, dtype=float).ravel()
+    onto ``span`` pixels from pixel ``start``, flattened: a view of ``v`` is
+    not copied before the arithmetic."""
+    v = np.asarray(v, dtype=float)
     lo, hi = lim
     frac = (v - lo) / (hi - lo) if hi > lo else np.full(v.shape, 0.5)
-    return start + frac * span
+    return (start + frac * span).ravel()
 
 
 def _panel(file, x_off: int, spec: dict) -> None:

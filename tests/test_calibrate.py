@@ -609,19 +609,20 @@ class TestEstimateKnotsOptimize:
         # check reads the last accepted point's JᵀJ: no pass is repeated.
         _, datasets, init = self.perturbed_study()
         calls = []
-        for name in ("_predict", "_knot_jacobian"):
-            def counted(knots, u, lut, name=name, original=getattr(calibrate, name)):
+        for name in ("_predict", "_knot_normal_equations"):
+            def counted(knots, u, *rest, name=name, original=getattr(calibrate, name)):
                 calls.append((name, knots.tobytes(), id(u)))
-                return original(knots, u, lut)
+                return original(knots, u, *rest)  # the cube, and the residuals r
             monkeypatch.setattr(calibrate, name, counted)
         est, report = estimate_knots_optimize(datasets, init, seed=0)
-        train = {u for name, _, u in calls if name == "_knot_jacobian"}
+        train = {u for name, _, u in calls if name == "_knot_normal_equations"}
         training = [call for call in calls if call[2] in train]
         passes = {call[:2] for call in training}
         assert len(train) == 3 and len(calls) == len(training) + 3  # + the holdout scoring
         assert len(training) == len(set(training)) == 3 * len(passes)
         assert report.n_evaluations == len(passes)
-        jacobian_points = [knots for name, knots in passes if name == "_knot_jacobian"]
+        jacobian_points = [knots for name, knots in passes
+                           if name == "_knot_normal_equations"]
         assert est.active_values.tobytes() in jacobian_points
         assert set(jacobian_points) <= {knots for name, knots in passes if name == "_predict"}
 
@@ -754,3 +755,39 @@ class TestKnotJacobian:
         ref = self.central_differences(knots, u, lut)
         assert np.max(np.abs(jac - ref)) <= 1e-6 * np.max(np.abs(ref))
         assert not jac[:6].any()
+
+    @staticmethod
+    def cube(name):
+        grid = default_knot_grid()
+        if name == "impulse":  # zero slope in every cell but the two at knot 12
+            return make_delta_cube(12)
+        if name == "refined":
+            return build_correction_cube(GammaCorrectionSpec(DISPLAY, input_range=1.111),
+                                         grid, refine=True)
+        if name == "general":
+            return CubeLUT(np.random.default_rng(5).uniform(0.0, 1.0, (32, 32, 32, 3)))
+        _, datasets = study_datasets(quantize=False, seeds=(56, 57, 58), count=1)
+        return datasets[("linear", "sqrt", "square").index(name)][1]  # criterion 05's
+
+    @pytest.mark.parametrize("name", ["linear", "sqrt", "square", "impulse", "refined",
+                                      "general"])
+    def test_separable_normal_equations_match_dense(self, monkeypatch, name):
+        # JᵀJ and Jᵀr as the dense Jacobian gives them, and the same knots
+        # without support: the in-range points stop below 2, so the top knots
+        # have none, and points clamped at either end support no knot.
+        lut, rng = self.cube(name), np.random.default_rng(11)
+        knots = default_knot_grid().active_values * np.exp(rng.uniform(-0.02, 0.02, 30))
+        assert np.all(np.diff(knots) > 0)
+        u = np.exp(rng.uniform(np.log(1e-5), np.log(2.0), (800, 3)))
+        u[:4] = [[1e-7, 2e-6, 0.0], [70.0, 100.0, 80.0], knots[[3, 5, 7]], knots[:3]]
+        r = rng.normal(0.0, 0.01, u.size)
+        jac = _knot_jacobian(knots, u, lut)
+        dense = jac.T @ jac, r @ jac
+        if name != "general":  # a separable cube's path forms no Jacobian
+            monkeypatch.setattr(calibrate, "_knot_jacobian", None)
+        hess, grad = calibrate._knot_normal_equations(knots, u, lut, r)
+        for got, ref in zip((hess, grad), dense):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(np.diag(hess) == 0, np.diag(dense[0]) == 0)
+        assert 0 < np.sum(np.diag(hess) == 0) < 30

@@ -789,7 +789,7 @@ class TestCurveCubes:
                 separable_cube(default_knot_grid(), lambda x: np.clip(x / 60.0, 0, 1))]
             backs = [parse_cube(io.StringIO(serialize_cube(lut))) for lut in cubes]
             applied = [CubeTonemap(default_knot_grid(), lut).apply(u) for lut in backs]
-            # the knot fit's Jacobian takes the training cubes' corners from their curves
+            # the knot fit's normal equations read the training cubes' curves
             estimate_knots_optimize([(generate_samples(
                 200, seed=seed, tonemap=CubeTonemap(default_knot_grid(), lut), quantize=True,
                 exposure_choices=(-4.0, 0.0, 4.0)), lut) for seed, lut in enumerate(backs[3:])],

@@ -447,23 +447,27 @@ class TestSampleCsv:
 
 
 def test_reader_holds_one_block_of_lines(tmp_path):
-    # The CSV reader streams its file a block of lines at a time, so what it
-    # holds is set by the arrays it returns, not by the text.  Peaks measured
-    # against the file's size: 1.26x the sample file and 2.82x the sweep
-    # file, where a reader that held the text whole, one string per line,
-    # took 2.39x and 5.65x.  A 100-character comment line after every row
-    # then leaves the peak where it was; the whole-text reader's grew by
-    # 1.6 and 2.2 bytes per byte of comment.
+    # The CSV reader streams its file a block of lines at a time, and the
+    # loaders keep its float block as the columns they return, so what they
+    # hold is set by those arrays, not by the text.  Peaks measured against
+    # the file's size: 1.06x the sample file and 2.23x the sweep file, where
+    # loaders that copied the block's columns, and sorted all of a sweep's
+    # columns while holding them unsorted, took 1.16x and 2.83x; a reader
+    # that held the text whole, one string per line, took 2.39x and 5.65x
+    # (on a 4 000-row sample file).  A 100-character comment line after
+    # every row then leaves the peak where it was; the whole-text reader's
+    # grew by 1.6 and 2.2 bytes per byte of comment.
     samples, sweeps = tmp_path / "samples.csv", tmp_path / "sweeps.csv"
     with open(samples, "w") as fh:
-        save_samples(generate_samples(4000, seed=37), fh)
+        save_samples(generate_samples(8000, seed=37), fh)
     u = np.geomspace(1e-5, 100, 1000)
     sweeps.write_text("m,u,t\n" + "".join(
         f"{m},{x:.17g},{y:.17g}\n" for m in range(1, 33)
         for x, y in zip(u, np.clip(1 - np.abs(np.log2(u) + 16 - m), 0, 1))))
-    # Sweep rows hold 24 bytes of values in about 27 bytes of text, and
-    # load_sweeps sorts a copy of them.
-    for path, load, bound in ((samples, load_samples, 1.5), (sweeps, load_sweeps, 3.5)):
+    # Sweep rows hold 24 bytes of values in about 27 bytes of text, and each
+    # sweep copies its rows out of them.  At 8 000 sample rows, not fewer,
+    # a copy of the columns outgrows the reader's last block of lines.
+    for path, load, bound in ((samples, load_samples, 1.1), (sweeps, load_sweeps, 2.5)):
         size, peak = path.stat().st_size, traced_peak(path, "r", load)
         assert peak < bound * size, peak / size
         head, *rows = path.read_text().splitlines()
@@ -491,8 +495,8 @@ def test_line_numbers_across_block_edges(monkeypatch, block):
     text = "m,u,t\n" + "".join(f"{line}\n" for line, _ in body)
     rows = [(n, why) for n, (_, why) in enumerate(body, start=2) if why is not None]
     monkeypatch.setattr(_table, "BLOCK_ROWS", block)
-    (m, u, t), problem, explain = read_table(io.StringIO(text), "m,u,t", "iff",
-                                             "sweep CSV")
+    (ut, m), problem, explain = read_table(io.StringIO(text), "m,u,t", "iff",
+                                           "sweep CSV")
     assert explain(np.arange(len(problem))) == rows
     assert explain(np.flatnonzero(problem)) == [r for r in rows if r[1]]
     assert m.tolist() == [1, 0, 0, 4, 5, 0, 7, 8, 0]
@@ -501,10 +505,10 @@ def test_line_numbers_across_block_edges(monkeypatch, block):
 @pytest.mark.parametrize("text", ["m,u,t", "m,u,t\n", "m,u,t\n# only\n\n  \n#\n"])
 def test_table_without_rows_is_empty(monkeypatch, text):
     monkeypatch.setattr(_table, "BLOCK_ROWS", 2)
-    (m, u, t), problem, explain = read_table(io.StringIO(text), "m,u,t", "iff",
-                                             "sweep CSV")
-    assert [(c.dtype, c.shape) for c in (m, u, t, problem)] == [
-        (np.int64, (0,)), (float, (0,)), (float, (0,)), (np.int8, (0,))]
+    (ut, m), problem, explain = read_table(io.StringIO(text), "m,u,t", "iff",
+                                           "sweep CSV")
+    assert [(c.dtype, c.shape) for c in (m, ut, problem)] == [
+        (np.int64, (0,)), (float, (0, 2)), (np.int8, (0,))]
     assert explain(np.flatnonzero(problem)) == []
     assert load_sweeps(io.StringIO(text)) == []
     samples = load_samples(io.StringIO(SAMPLE_CSV_HEADER + text[5:]))

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._table import read_table, reject_first
-from .colorspace import (SRGB_LINEAR_BREAK, _Frozen, _checked, _finite_number, _freeze,
-                         srgb_decode, srgb_decode3)
+from .colorspace import (SRGB_LINEAR_BREAK, _Frozen, _checked, _finite_number,
+                         _floats, _freeze, srgb_decode, srgb_decode3)
 # Not called here; the benchmark tracer requires this module binding.
 from .colorspace import srgb_encode3  # noqa: F401
 from .cubelut import (ACTIVE_START, DEFAULT_GRID_SIZE, CubeLUT, KnotGrid,
@@ -239,22 +239,25 @@ def estimate_scale_constant(samples: SampleBatch) -> ScaleEstimate:
 
 @dataclass(frozen=True, eq=False)
 class DeltaSweep(_Frozen):
-    """Scalar tonemap response to one impulse cube: (input, output) pairs,
-    stored as read-only copies with the outputs clipped to [0, 1]."""
+    """Scalar tonemap response to impulse cube ``m``: (input, output) pairs,
+    stored as read-only copies, the inputs >= 0 and the outputs clipped to [0, 1]."""
 
     m: int
     inputs: np.ndarray
     outputs: np.ndarray
 
     def __post_init__(self):
-        u = np.array(self.inputs, dtype=float)
-        t = np.asarray(self.outputs, dtype=float)
+        u = _checked(_floats(self.inputs, "DeltaSweep inputs", copy=True), "DeltaSweep inputs",
+                     hi=np.inf)
+        t = _floats(self.outputs, "DeltaSweep outputs")
+        if not _finite_number(self.m, integer=True):
+            raise ValidationError(f"sweep index must be an integer, got {self.m!r}")
         if u.ndim != 1 or u.shape != t.shape or u.size < 4:
             raise ValidationError("sweep needs matching input/output vectors "
                                   "(length >= 4)")
         if np.any(np.diff(u) <= 0):
             raise ValidationError("sweep inputs must be strictly increasing")
-        if np.any(t < -1e-12) or np.any(t > 1 + 1e-12):
+        if not np.all((t >= -1e-12) & (t <= 1 + 1e-12)):  # NaN fails too
             raise ValidationError("sweep outputs must lie in [0, 1]")
         _freeze(self, inputs=u, outputs=np.clip(t, 0.0, 1.0))
 
@@ -281,43 +284,33 @@ class DeltaEstimateReport:
 
 
 def _sweep_apex(sweep: DeltaSweep) -> tuple[float, str | None]:
-    """Apex abscissa of a triangular response via flank-line intersection.
+    """Apex abscissa of a triangular response: where its two flank lines meet.
 
-    Falls back to the raw argmax (flagged as an anomaly) when the flanks
-    cannot be fit.
+    A flank is the line fit to its points within :data:`APEX_BAND` of the
+    peak or, where the peak's plateau reaches that end of the sweep, the
+    level line at the peak.  Falls back to the raw argmax (flagged as an
+    anomaly) when a flank has neither or the two lines are parallel.
     """
     u, t = sweep.inputs, sweep.outputs
     peak = float(t.max())
     near_peak = t >= peak * (1.0 - 1e-9)
     p_first = int(np.argmax(near_peak))
     p_last = int(len(t) - 1 - np.argmax(near_peak[::-1]))
-
-    rising = t[:p_first + 1]
-    falling = t[p_last:]
     anomaly = None
-    if (np.any(np.diff(rising) < -1e-9 * peak)
-            or np.any(np.diff(falling) > 1e-9 * peak)):
+    if (np.any(np.diff(t[:p_first + 1]) < -1e-9 * peak)
+            or np.any(np.diff(t[p_last:]) > 1e-9 * peak)):
         anomaly = "non-unimodal response"
 
-    lo, hi = APEX_BAND[0] * peak, APEX_BAND[1] * peak
-    left = np.flatnonzero((t >= lo) & (t <= hi) & (np.arange(t.size) < p_first))
-    right = np.flatnonzero((t >= lo) & (t <= hi) & (np.arange(t.size) > p_last))
+    def flank(side: np.ndarray, plateau: bool):  # its band points' line, or the level line
+        if np.count_nonzero(side) >= 2:
+            return np.polyfit(u[side], t[side], 1)
+        return (0.0, peak) if plateau else (np.nan, np.nan)
 
-    if left.size >= 2 and right.size >= 2:
-        a1, b1 = np.polyfit(u[left], t[left], 1)
-        a2, b2 = np.polyfit(u[right], t[right], 1)
-        if a1 - a2 != 0:
-            return (b2 - b1) / (a1 - a2), anomaly
-    elif left.size < 2 and p_first == 0 and right.size >= 2:
-        # Plateau reaches the low end of the sweep (clamped region): the apex
-        # is where the falling flank meets the plateau level.
-        a2, b2 = np.polyfit(u[right], t[right], 1)
-        if a2 != 0:
-            return (peak - b2) / a2, anomaly
-    elif right.size < 2 and p_last == t.size - 1 and left.size >= 2:
-        a1, b1 = np.polyfit(u[left], t[left], 1)
-        if a1 != 0:
-            return (peak - b1) / a1, anomaly
+    band, at = (t >= APEX_BAND[0] * peak) & (t <= APEX_BAND[1] * peak), np.arange(t.size)
+    (a1, b1), (a2, b2) = (flank(band & (at < p_first), p_first == 0),
+                          flank(band & (at > p_last), p_last == t.size - 1))
+    if abs(a1 - a2) > 0:  # false for parallel lines, and for a missing flank's NaN
+        return (b2 - b1) / (a1 - a2), anomaly
     return float(u[int(np.argmax(t))]), anomaly or "flank fit failed; used argmax"
 
 
@@ -333,30 +326,22 @@ def estimate_knots_delta(sweeps) -> tuple[KnotGrid, DeltaEstimateReport]:
     if missing:
         raise FitError(f"missing sweeps for knot indices {missing}")
 
-    no_response = []
-    anomalies: dict[int, str] = {}
-    for m in range(1, ACTIVE_START):
-        if m in by_m:
-            if float(by_m[m].outputs.max()) <= NO_RESPONSE_LEVEL:
-                no_response.append(m)
-            else:
-                anomalies[m] = "unexpected response at inactive knot"
-
+    inactive = [m for m in range(1, ACTIVE_START) if m in by_m]
+    no_response = [m for m in inactive if float(by_m[m].outputs.max()) <= NO_RESPONSE_LEVEL]
+    anomalies = {m: "unexpected response at inactive knot" for m in inactive
+                 if m not in no_response}
     estimates = np.empty(len(active))
     for m in active:
-        sweep = by_m[m]
-        if float(sweep.outputs.max()) <= NO_RESPONSE_LEVEL:
+        if float(by_m[m].outputs.max()) <= NO_RESPONSE_LEVEL:
             raise FitError(f"sweep {m} is flat; cannot estimate its knot")
-        apex, anomaly = _sweep_apex(sweep)
+        estimates[m - ACTIVE_START], anomaly = _sweep_apex(by_m[m])
         if anomaly:
             anomalies[m] = anomaly
-        estimates[m - ACTIVE_START] = apex
 
-    if np.any(np.diff(estimates) <= 0):
-        order = np.argsort(estimates, kind="stable")
-        if not np.array_equal(order, np.arange(estimates.size)):
-            anomalies[0] = "estimates were not monotone in m; sorted"
-        estimates = estimates[order]
+    order = np.argsort(estimates, kind="stable")
+    if not np.array_equal(order, np.arange(estimates.size)):
+        anomalies[0] = "estimates were not monotone in m; sorted"
+    estimates = estimates[order]
     try:
         grid = KnotGrid.from_active(estimates)
     except ValidationError as exc:
@@ -475,6 +460,8 @@ def estimate_knots_optimize(datasets, init: KnotGrid, *,
         raise FitError("need samples under at least 2 distinct cubes")
     if init.active_start != ACTIVE_START:
         raise FitError("optimization expects the standard active range")
+    if init.active_values[0] <= 0:  # the log-gap parameters cannot hold a zero knot
+        raise FitError("optimization needs a first active knot > 0")
 
     rng = np.random.default_rng(check_seed(seed))
     train_sets, holdout_sets = [], []

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import svgplot
 from ._table import PROBLEMS, read_table, write_rows
-from .colorspace import _Frozen, _checked, _finite_number, _freeze, quantize_8bit
+from .colorspace import _Frozen, _checked, _finite_number, _floats, _freeze, quantize_8bit
 # Not called here; the benchmark tracer requires this module binding.
 from .colorspace import srgb_encode3  # noqa: F401
 from .errors import SampleFormatError, ValidationError
@@ -149,8 +149,8 @@ class SampleBatch(_Frozen):
 
 
 def check_seed(seed) -> int:
-    """``seed`` as an int; seeds must be non-negative integers."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    """``seed`` as an int; a seed is an int >= 0, a numpy integer counts and a bool does not."""
+    if not _finite_number(seed, integer=True) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)
 
@@ -208,7 +208,7 @@ def generate_samples(count: int, seed: int, kind: str = "lambertian",
     :data:`DRAWS_PER_SAMPLE` uniforms from one Philox stream seeded by
     ``seed``, a non-negative integer.
     """
-    if count < 1:
+    if not _finite_number(count, integer=True) or count < 1:
         raise ValidationError("count must be >= 1")
     if kind not in _KINDS:
         raise ValidationError(f"unknown material kind {kind!r}")
@@ -218,7 +218,9 @@ def generate_samples(count: int, seed: int, kind: str = "lambertian",
             raise ValidationError(f"invalid {name} intensity range {rng_pair}")
     if not _finite_number(ambient_color_max) or ambient_color_max < 0:
         raise ValidationError("ambient_color_max must be >= 0")
-    choices = np.array([float(e) for e in exposure_choices])
+    choices = _floats(exposure_choices, "exposure_choices")
+    if choices.ndim != 1 or not np.all(np.isfinite(choices)):
+        raise ValidationError("exposure_choices must be a finite 1-D array")
     if not choices.size:
         raise ValidationError("exposure_choices must be nonempty")
     rng = np.random.Generator(np.random.Philox(check_seed(seed)))

@@ -8,7 +8,7 @@ import pytest
 from hdrpcal import calibrate
 from hdrpcal.calibrate import (HOLDOUT_FRACTION, DeltaSweep, GammaCorrectionSpec,
                                _knot_jacobian, _knots_from_log_gaps, _predict,
-                               build_correction_cube, estimate_knots_delta,
+                               _sweep_apex, build_correction_cube, estimate_knots_delta,
                                estimate_knots_optimize, estimate_scale_constant,
                                gamma_tonemap, load_sweeps)
 from hdrpcal.colorspace import srgb_decode, srgb_encode, srgb_encode3
@@ -369,10 +369,41 @@ def test_delta_sweep_stores_read_only_copies():
     ([0.1, 0.2, 0.2, 0.4], [0.0] * 4, "sweep inputs must be strictly increasing"),
     ([0.1, 0.2, 0.3, 0.4], [0.0, 1.5, 0.0, 0.0], "sweep outputs must lie in [0, 1]"),
     ([0.1, 0.2, 0.3, 0.4], [0.0, -0.1, 0.0, 0.0], "sweep outputs must lie in [0, 1]"),
-], ids=["inputs decrease", "inputs tie", "output above 1", "output below 0"])
+    ([0.1, 0.2, 0.3, 0.4], [0.0, 1 + 1e-9, 0.0, 0.0], "sweep outputs must lie in [0, 1]"),
+    ([0.1, 0.2, 0.3, 0.4], [0.0, -1e-9, 0.0, 0.0], "sweep outputs must lie in [0, 1]"),
+    ([0.1, 0.2, 0.3, 0.4], [0.0, np.nan, 0.0, 0.0], "sweep outputs must lie in [0, 1]"),
+    ([0.1, 0.2, 0.3, 0.4], [0.0, "x", 0.0, 0.0], "DeltaSweep outputs: input must be finite"),
+], ids=["inputs decrease", "inputs tie", "output above 1", "output below 0",
+        "output 1e-9 above 1", "output 1e-9 below 0", "output nan", "output non-numeric"])
 def test_delta_sweep_out_of_range_rejected(inputs, outputs, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         DeltaSweep(m=3, inputs=inputs, outputs=outputs)
+
+
+def test_delta_sweep_outputs_within_slack_are_clipped():
+    sweep = DeltaSweep(m=3, inputs=[0.1, 0.2, 0.3, 0.4], outputs=[-1e-13, 0.5, 1 + 1e-13, 0])
+    assert sweep.outputs.tolist() == [0.0, 0.5, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("m, points, apex, anomaly", [
+    (16, 400, 0.4405999999999998, None),
+    (3, 400, 0.00026060000000000053, None),
+    (32, 400, 58.9, None),
+    (16, 40, 0.4641588833612782, "flank fit failed; used argmax"),
+], ids=["both flanks", "plateau at the low end", "plateau at the high end", "argmax"])
+def test_sweep_apex_bits(m, points, apex, anomaly):
+    """Each outcome's apex, bit for bit: the two flank lines meet; a plateau
+    reaching the low (m = 3, clamped below the first knot) or high (m = 32)
+    end of the sweep is the level line the other flank meets; with 40 points
+    the falling flank of sweep 16 has one band point, so the argmax is used."""
+    sweep, = synthetic_sweeps(default_knot_grid(), points=points, indices=[m])
+    assert _sweep_apex(sweep) == (apex, anomaly)
+
+
+def test_sweep_flat_at_its_peak_uses_argmax():
+    # a plateau at both ends: two level lines, which never meet
+    sweep = DeltaSweep(m=3, inputs=[0.1, 0.2, 0.3, 0.4], outputs=[0.5] * 4)
+    assert _sweep_apex(sweep) == (0.1, "flank fit failed; used argmax")
 
 
 def test_load_sweeps_groups_by_index_sorted_by_input():
@@ -702,6 +733,24 @@ class TestEstimateKnotsOptimize:
         else:
             _, report = estimate_knots_optimize(datasets, grid, seed=0)
             assert (report.n_train, report.n_holdout) == (10, 0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_first_knot_rejected(self):
+        # Log-gap parameters cannot hold a first knot of 0: its log is -inf,
+        # which warns and makes the step test pass at the first step.
+        grid, datasets = study_datasets(quantize=False, seeds=(51, 52), count=40)
+        init = KnotGrid.from_active(np.concatenate([[0.0], grid.active_values[1:]]))
+        with pytest.raises(FitError, match=r"^optimization needs a first active knot > 0$"):
+            estimate_knots_optimize(datasets, init)
+
+    def test_knots_tied_by_their_log_gaps_rejected(self):
+        # Gaps of one ulp at 4096, taken to log gaps and summed back, tie knots 5 and 6.
+        init = KnotGrid.from_active(
+            np.concatenate([[1e-12], 4096.0 + np.arange(29) * np.spacing(4096.0)]))
+        _, datasets = study_datasets(quantize=False, seeds=(51, 52), count=40)
+        with pytest.raises(FitError, match="^initial knots are not strictly increasing "
+                                           "from their log gaps$"):
+            estimate_knots_optimize(datasets, init)
 
     def test_non_standard_active_range_rejected(self):
         grid, datasets = study_datasets(quantize=False, seeds=(51, 52), count=20)

@@ -249,6 +249,16 @@ class TestEstimateKnots:
         assert re.search(r"\(\d+ evaluations, converged: unsupported knots: [\d, ]+, 32\)",
                          capsys.readouterr().err)
 
+    def test_optimize_mode_zero_first_knot_exit_1(self, tmp_path, capsys):
+        init = tmp_path / "init.csv"
+        values = default_knot_grid().active_values.copy()
+        values[0] = 0.0
+        with open(init, "w") as fh:
+            KnotGrid.from_active(values).to_csv(fh)
+        assert run(*self.optimize_args(tmp_path), "--init", str(init)) == 1
+        err = capsys.readouterr().err
+        assert "optimization needs a first active knot > 0" in err and "Traceback" not in err
+
     def test_optimize_mode_reports_no_convergence(self, tmp_path, capsys,
                                                   monkeypatch):
         from hdrpcal import calibrate

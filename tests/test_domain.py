@@ -8,8 +8,8 @@ AchromaticDisplay and a GammaCorrectionSpec's input range take only int or
 float values of finite value, numpy scalars among them; the display writer
 writes them, and the fit report's fields, as plain JSON numbers, and writes
 nothing when a field cannot be written.  The other scalar inputs follow the
-same finite-number rule, and a grid size or knot index must also be an
-int."""
+same finite-number rule, and a grid size, a knot or sweep index, a sample
+count or a seed must also be an int."""
 
 import copy
 import io
@@ -70,6 +70,8 @@ ENTRY_POINTS = [
     ("KnotGrid", lambda x: KnotGrid([np.nan, np.nan, *x]), LEVELS, False, np.inf),
     ("simulate_characterization",
      lambda x: simulate_characterization(ACHROMATIC, x), LEVELS, False, np.inf),
+    ("DeltaSweep inputs", lambda x: DeltaSweep(m=3, inputs=x, outputs=LEVELS),
+     LEVELS, False, np.inf),
 ]
 
 
@@ -284,10 +286,31 @@ KNOT_RANGE = "knot grid needs 1 <= active_start < size <= 256, got active_start 
     (lambda: load_display(io.StringIO("[1]")), "display JSON must be an object"),
     (lambda: separable_cube(default_knot_grid(), (np.sqrt, np.sqrt)),
      "fn must be one callable or a triple"),
+    (lambda: DeltaSweep(m=2.5, inputs=LEVELS, outputs=LEVELS),
+     "sweep index must be an integer, got 2.5"),
+    (lambda: DeltaSweep(m="q", inputs=LEVELS, outputs=LEVELS),
+     "sweep index must be an integer, got 'q'"),
+    (lambda: DeltaSweep(m=True, inputs=LEVELS, outputs=LEVELS),
+     "sweep index must be an integer, got True"),
+    (lambda: generate_samples(2.5, seed=0), "count must be >= 1"),
+    (lambda: generate_samples(np.nan, seed=0), "count must be >= 1"),
+    (lambda: generate_samples("5", seed=0), "count must be >= 1"),
+    (lambda: generate_samples(True, seed=0), "count must be >= 1"),
+    (lambda: generate_samples(4, seed=True), "seed must be a non-negative integer, got True"),
+    (lambda: generate_samples(4, seed=np.True_),
+     f"seed must be a non-negative integer, got {np.True_!r}"),
+    (lambda: generate_samples(4, seed=2.0), "seed must be a non-negative integer, got 2.0"),
+    (lambda: generate_samples(4, seed=0, exposure_choices=["a"]),
+     "exposure_choices: input must be finite"),
+    (lambda: generate_samples(4, seed=0, exposure_choices=5),
+     "exposure_choices must be a finite 1-D array"),
 ], ids=["domain str", "domain 2**2000", "active_start str", "active_start 2.5",
         "active_start bool", "from_active size str", "from_active active_start float",
         "delta 2.5", "delta str", "delta size float", "delta bool", "spec display str",
-        "saved display str", "display JSON list", "fn pair"])
+        "saved display str", "display JSON list", "fn pair", "sweep index 2.5",
+        "sweep index str", "sweep index bool", "count 2.5", "count nan", "count str",
+        "count bool", "seed bool", "seed numpy bool", "seed float", "exposure str",
+        "exposure scalar"])
 def test_argument_of_the_wrong_type_rejected(make, message):
     """A bool is not a number, and a count or index must be an int."""
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -298,6 +321,9 @@ def test_numpy_integers_are_integers():
     assert make_delta_cube(np.int64(3), size=np.int32(4)).size == 4
     assert KnotGrid(KNOTS, active_start=np.int64(3)).active_values.tolist() == [1.0, 2.0]
     assert KnotGrid.from_active([1.0, 2.0], size=np.int64(4), active_start=np.int8(3)).size == 4
+    assert DeltaSweep(m=np.int64(3), inputs=LEVELS, outputs=LEVELS).m == 3
+    assert generate_samples(np.int64(2), seed=np.uint8(1)).v.tolist() == \
+        generate_samples(2, seed=1).v.tolist()
 
 
 ACHROMATIC_FIELDS = {"l0": 1.0, "l1": 10.0, "gamma": 2.2}
@@ -354,9 +380,14 @@ def test_input_range_not_a_finite_number_rejected(value):
     (lambda: generate_samples(4, seed=0, kind="metal"), "unknown material kind 'metal'"),
     (lambda: generate_samples(4, seed=0, exposure_choices=()),
      "exposure_choices must be nonempty"),
+    (lambda: generate_samples(4, seed=0, exposure_choices=(0.0, np.nan)),
+     "exposure_choices must be a finite 1-D array"),
+    (lambda: generate_samples(4, seed=0, exposure_choices=[[0.0]]),
+     "exposure_choices must be a finite 1-D array"),
+    (lambda: generate_samples(0, seed=0), "count must be >= 1"),
 ], ids=["input range -1", "angle str", "angle nan", "angle inf", "ambient max nan",
         "ambient max inf", "directional nan", "ambient range inf", "kind metal",
-        "no exposures"])
+        "no exposures", "exposure nan", "exposures 2-D", "count 0"])
 def test_scalar_outside_its_domain_rejected(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()

@@ -267,13 +267,17 @@ def load_sweeps(file) -> list[DeltaSweep]:
     :class:`DeltaSweep` per impulse index ``m``, in ascending ``m``, each
     with its rows in ascending ``u``."""
     (ut, m), problem, explain = read_table(file, "m,u,t", "iff", "sweep CSV")
-    reject_first(problem, explain, "sweep CSV")
+    reject_first(problem | (ut[:, 0] < 0) | (ut[:, 1] < -1e-12) | (ut[:, 1] > 1 + 1e-12),
+                 explain, "sweep CSV", "u < 0 or t outside [0, 1]")  # DeltaSweep's rules
     del problem, explain  # and the line numbers: only the sweeps' copies of their rows grow
     order = np.lexsort((ut[:, 0], m))  # stable: by m, then u
     indices, counts = np.unique(m, return_counts=True)
     del m
-    return [DeltaSweep(m=int(k), inputs=ut[rows, 0], outputs=ut[rows, 1])
-            for k, rows in zip(indices, np.split(order, np.cumsum(counts)[:-1]))]
+    try:  # a tied u, or fewer than 4 rows; k is the sweep being built
+        return [DeltaSweep(m=(k := index), inputs=ut[rows, 0], outputs=ut[rows, 1])
+                for index, rows in zip(indices.tolist(), np.split(order, np.cumsum(counts)[:-1]))]
+    except ValidationError as exc:
+        raise ValidationError(f"sweep CSV: sweep {k}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,11 +321,13 @@ def _sweep_apex(sweep: DeltaSweep) -> tuple[float, str | None]:
 def estimate_knots_delta(sweeps) -> tuple[KnotGrid, DeltaEstimateReport]:
     """Estimate the default grid's knot coordinates from impulse-cube sweeps.
 
-    Requires one sweep per active knot index; sweeps for the inactive
-    indices are optional and expected to be flat ("no response").
+    Takes one sweep per active knot index and at most one per other index
+    in 1..32, which is optional and expected to be flat ("no response").
     """
-    active = range(ACTIVE_START, DEFAULT_GRID_SIZE + 1)
-    by_m = {s.m: s for s in sweeps}
+    active, by_m = range(ACTIVE_START, DEFAULT_GRID_SIZE + 1), {}
+    for s in sweeps:
+        if not 1 <= s.m <= DEFAULT_GRID_SIZE or by_m.setdefault(s.m, s) is not s:
+            raise FitError(f"sweep {s.m}: expected one sweep per index in 1..{DEFAULT_GRID_SIZE}")
     missing = [m for m in active if m not in by_m]
     if missing:
         raise FitError(f"missing sweeps for knot indices {missing}")

@@ -69,8 +69,8 @@ ACTIVE_START = 3  # first knot index (1-based) that takes part in interpolation
 MAX_GRID_SIZE = 256
 
 # Built-in knot coordinate estimates for indices 3..32, shared by all axes.
-# "delta" comes from the responses to single-knot impulse cubes; "optimized"
-# from minimizing prediction error on rendered samples.
+# DELTA_KNOTS come from the responses to single-knot impulse cubes,
+# OPTIMIZED_KNOTS from minimizing prediction error on rendered samples.
 DELTA_KNOTS = np.array([
     0.0002606, 0.003104, 0.007305, 0.01288, 0.02056,
     0.03061, 0.04468, 0.06393, 0.09056, 0.1245,
@@ -139,10 +139,10 @@ class KnotGrid(_Frozen):
             raise ValidationError("knot grid size and active_start must be integers")
         if not 1 <= active_start <= size:
             raise ValidationError(f"active_start must be in 1..{size}, got {active_start}")
-        active = np.asarray(active, dtype=float)
-        if active.size != size - active_start + 1:
-            raise ValidationError(
-                f"expected {size - active_start + 1} active knots, got {active.size}")
+        active, n = _floats(active, "KnotGrid"), size - active_start + 1
+        if active.shape != (n,):
+            raise ValidationError(f"expected {n} active knots, got " + (
+                str(active.size) if active.ndim == 1 else f"shape {active.shape}"))
         values = np.full(size, np.nan)
         values[active_start - 1:] = active
         return cls(values, active_start)
@@ -173,13 +173,9 @@ class KnotGrid(_Frozen):
         return cls.from_active(u, size=size, active_start=start)
 
 
-def default_knot_grid(source: str = "delta") -> KnotGrid:
-    """Built-in knot grid; ``source`` is "delta" or "optimized"."""
-    if source == "delta":
-        return KnotGrid.from_active(DELTA_KNOTS)
-    if source == "optimized":
-        return KnotGrid.from_active(OPTIMIZED_KNOTS)
-    raise ValidationError(f"unknown knot source {source!r}")
+def default_knot_grid() -> KnotGrid:
+    """The built-in knot grid, :data:`DELTA_KNOTS`."""
+    return KnotGrid.from_active(DELTA_KNOTS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,7 +422,7 @@ def make_delta_cube(m: int, size: int = DEFAULT_GRID_SIZE) -> CubeLUT:
     return CubeLUT._from_curves((hit, hit, hit), title=f"delta_{m:02d}")
 
 
-def separable_cube(grid: KnotGrid, fn, title: str | None = None) -> CubeLUT:
+def separable_cube(grid: KnotGrid, fn) -> CubeLUT:
     """Cube whose channels apply per-axis functions of the knot coordinate.
 
     ``fn`` is one callable used for all channels or a (fr, fg, fb) triple;
@@ -436,10 +432,12 @@ def separable_cube(grid: KnotGrid, fn, title: str | None = None) -> CubeLUT:
     fns = fn if isinstance(fn, (tuple, list)) else (fn, fn, fn)
     if len(fns) != 3:
         raise ValidationError("fn must be one callable or a triple")
-    coords = np.asarray(grid.values, dtype=float).copy()
+    coords = grid.values.copy()
     coords[:grid.active_start - 1] = grid.active_values[0]
-    curves = [np.clip(np.asarray(f(coords), dtype=float), 0.0, 1.0) for f in fns]
-    return CubeLUT._from_curves(curves, title=title)
+    curves = [_floats(f(coords), "separable_cube") for f in fns]
+    if any(c.shape != coords.shape for c in curves):
+        raise ValidationError(f"separable_cube: expected curves of shape {coords.shape}")
+    return CubeLUT._from_curves([np.clip(c, 0.0, 1.0) for c in curves])
 
 
 def _separable_outputs(curves) -> np.ndarray:

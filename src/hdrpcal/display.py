@@ -79,7 +79,7 @@ class ChromaticDisplay(_Frozen):
     weights: np.ndarray
 
     def __post_init__(self):
-        arrays = {f.name: np.array(getattr(self, f.name), dtype=float) for f in fields(self)}
+        arrays = {f.name: _floats(getattr(self, f.name), f.name, copy=True) for f in fields(self)}
         for name, arr in arrays.items():
             if arr.shape != (3,) or not np.all(np.isfinite(arr)):
                 raise ValidationError(f"{name} must be a finite 3-vector")
@@ -193,10 +193,12 @@ def solve_background_weights(primary_r, primary_g, primary_b, background
     reports the residual norm (nonzero when the background has a component
     outside the primaries' span).
     """
-    m = np.column_stack([np.asarray(p, float) for p in (primary_r, primary_g, primary_b)])
-    z = np.asarray(background, dtype=float)
+    op = "solve_background_weights"
+    m, z = _floats([primary_r, primary_g, primary_b], op).T.copy(), _floats(background, op)
     if m.shape != (3, 3) or z.shape != (3,):
         raise ValidationError("primaries must be 3-vectors")
+    if not (np.isfinite(m).all() and np.isfinite(z).all()):
+        raise ValidationError(f"{op}: input must be finite")
     rank = int(np.linalg.matrix_rank(m))
     if rank == 0:
         raise FitError("all primaries are zero; background weights are undefined")

@@ -66,6 +66,9 @@ MATERIAL_FLOOR = 0.2
 #: Width of the block of uniforms each generated sample consumes.
 DRAWS_PER_SAMPLE = 16
 
+#: Generated directional and ambient intensities are uniform on [0, this].
+INTENSITY_MAX = 2.0
+
 _KINDS = ("lambertian", "unlit")
 _TRIPLETS = ("m", "n", "d", "l", "a", "v")
 #: Numeric batch columns, in CSV column order.
@@ -109,7 +112,7 @@ class SampleBatch(_Frozen):
             raise ValidationError("sample kind mask must be one-dimensional")
         columns = {"lambertian": lam}
         for name in _ROW_FIELDS:
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = _floats(getattr(self, name), f"sample column {name}", copy=True)
             shape = (lam.size, 3) if name in _TRIPLETS else (lam.size,)
             if arr.shape != shape:
                 raise ValidationError(f"sample column {name}: expected shape "
@@ -193,31 +196,21 @@ def _sphere(z_draw: np.ndarray, phi_draw: np.ndarray) -> np.ndarray:
 def generate_samples(count: int, seed: int, kind: str = "lambertian",
                      tonemap=None, quantize: bool = False,
                      scale_constant: float = DEFAULT_SCALE_CONSTANT,
-                     *, ambient_color_max: float = 1.0,
-                     directional_intensity_range: tuple[float, float] = (0.0, 2.0),
-                     ambient_intensity_range: tuple[float, float] = (0.0, 2.0),
-                     exposure_choices=(0.0,)) -> SampleBatch:
+                     *, exposure_choices=(0.0,)) -> SampleBatch:
     """Generate ``count`` random scene samples, rendered by the model itself.
 
-    Material and directional-light colors are uniform on [0, 1]^3; the
-    ambient color is uniform on [0, ambient_color_max]^3; intensities are
-    uniform on the given ranges; directions are uniform on the unit sphere
-    (normals restricted to the camera-facing hemisphere); the exposure is
-    drawn from ``exposure_choices``.  Sample i depends only on the
-    arguments other than ``count`` and on its own block of
-    :data:`DRAWS_PER_SAMPLE` uniforms from one Philox stream seeded by
+    Material, directional-light and ambient colors are uniform on [0, 1]^3;
+    both intensities are uniform on [0, :data:`INTENSITY_MAX`]; directions
+    are uniform on the unit sphere (normals restricted to the camera-facing
+    hemisphere); the exposure is drawn from ``exposure_choices``.  Sample i
+    depends only on the arguments other than ``count`` and on its own block
+    of :data:`DRAWS_PER_SAMPLE` uniforms from one Philox stream seeded by
     ``seed``, a non-negative integer.
     """
     if not _finite_number(count, integer=True) or count < 1:
         raise ValidationError("count must be >= 1")
     if kind not in _KINDS:
         raise ValidationError(f"unknown material kind {kind!r}")
-    for name, rng_pair in (("directional", directional_intensity_range),
-                           ("ambient", ambient_intensity_range)):
-        if not (all(map(_finite_number, rng_pair)) and 0 <= rng_pair[0] <= rng_pair[1]):
-            raise ValidationError(f"invalid {name} intensity range {rng_pair}")
-    if not _finite_number(ambient_color_max) or ambient_color_max < 0:
-        raise ValidationError("ambient_color_max must be >= 0")
     choices = _floats(exposure_choices, "exposure_choices")
     if choices.ndim != 1 or not np.all(np.isfinite(choices)):
         raise ValidationError("exposure_choices must be a finite 1-D array")
@@ -233,14 +226,11 @@ def generate_samples(count: int, seed: int, kind: str = "lambertian",
     else:
         n = _sphere(draws[:, 3], draws[:, 4])
         n[n @ CAMERA_DIRECTION < 0] *= -1.0
-        d_lo, d_hi = directional_intensity_range
-        a_lo, a_hi = ambient_intensity_range
         pick = np.minimum((draws[:, 15] * choices.size).astype(int),
                           choices.size - 1)
-        cols = dict(n=n, d=draws[:, 5:8], i_d=d_lo + (d_hi - d_lo) * draws[:, 8],
-                    l=_sphere(draws[:, 9], draws[:, 10]),
-                    a=ambient_color_max * draws[:, 11:14],
-                    i_a=a_lo + (a_hi - a_lo) * draws[:, 14], e=choices[pick])
+        cols = dict(n=n, d=draws[:, 5:8], i_d=INTENSITY_MAX * draws[:, 8],
+                    l=_sphere(draws[:, 9], draws[:, 10]), a=draws[:, 11:14],
+                    i_a=INTENSITY_MAX * draws[:, 14], e=choices[pick])
     cols.update(lambertian=np.full(count, kind == "lambertian"), m=draws[:, 0:3])
     v = predict_values(_freeze(object.__new__(SampleBatch), **cols), tonemap=tonemap,
                        scale_constant=scale_constant, quantize=quantize)
@@ -387,13 +377,13 @@ class ValidationReport:
 
 def validate_model(samples: SampleBatch, tonemap=None,
                    scale_constant: float = DEFAULT_SCALE_CONSTANT,
-                   quantize: bool = False,
                    material_floor: float = MATERIAL_FLOOR) -> ValidationReport:
-    """Compare model predictions against recorded sample values."""
+    """Compare unquantized model predictions against recorded sample values."""
     if not len(samples):
         raise ValidationError("validate_model needs at least one sample")
-    predicted = predict_values(samples, tonemap=tonemap,
-                               scale_constant=scale_constant, quantize=quantize)
+    if not (_finite_number(material_floor) and 0 <= material_floor <= 1):
+        raise ValidationError(f"material floor must be in [0, 1], got {material_floor!r}")
+    predicted = predict_values(samples, tonemap=tonemap, scale_constant=scale_constant)
     errors = predicted - samples.v
     median = float(np.median(np.abs(errors)) * 255.0)
     keep = np.all(samples.m >= material_floor, axis=1)

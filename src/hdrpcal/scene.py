@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .colorspace import _checked, _encode, _finite_number, srgb_decode3
+from .colorspace import _checked, _decode, _encode, _finite_number, _floats, srgb_decode3
 from .errors import ValidationError
 
 #: Default pipeline gain, estimated from rendered samples (see
@@ -39,7 +39,7 @@ def lambertian_unprocessed_arrays(m, n, d, i_d, l, a, i_a, e,
 
 def unlit_unprocessed(m) -> np.ndarray:
     """Unprocessed value of an unlit material: u = s(m), lighting ignored."""
-    return srgb_decode3(np.asarray(m, dtype=float))
+    return _decode(_checked(m, "unlit_unprocessed", triplet=True))
 
 
 def light_direction_from_rotation(x_deg: float, y_deg: float,
@@ -72,7 +72,9 @@ def post_process(u, tonemap=None) -> np.ndarray:
 def _post_process(u: np.ndarray, f=None) -> np.ndarray:
     """v = s^-1(clip(f(u))) for ``u`` its callers have checked; ``f`` maps
     (N, 3) arrays to tonemapped values and None is the clamped identity."""
-    t = np.clip(u, 0.0, 1.0) if f is None else np.asarray(f(u), dtype=float)
+    t = np.clip(u, 0.0, 1.0) if f is None else _floats(f(u), "tonemap output")
+    if t.shape != u.shape:
+        raise ValidationError(f"tonemap output: expected shape {u.shape}, got {t.shape}")
     # Rounding slack is clamped; NaN fails this test too.
     if not np.all((t >= -1e-12) & (t <= 1.0 + 1e-12)):
         raise ValidationError("tonemap output outside [0, 1]")

@@ -13,11 +13,12 @@ from hdrpcal.calibrate import (HOLDOUT_FRACTION, DeltaSweep, GammaCorrectionSpec
                                gamma_tonemap, load_sweeps)
 from hdrpcal.colorspace import srgb_decode, srgb_encode, srgb_encode3
 from hdrpcal.cubelut import (CubeLUT, CubeTonemap, DELTA_KNOTS, KnotGrid,
-                             default_knot_grid, make_delta_cube, parse_cube,
+                             OPTIMIZED_KNOTS, default_knot_grid, make_delta_cube, parse_cube,
                              separable_cube, serialize_cube)
 from hdrpcal.display import AchromaticDisplay, ChromaticDisplay
 from hdrpcal.errors import FitError, ValidationError
-from hdrpcal.harness import MATERIAL_FLOOR, generate_samples, predict_unprocessed
+from hdrpcal.harness import (MATERIAL_FLOOR, generate_samples, predict_unprocessed,
+                             predict_values)
 
 DISPLAY = AchromaticDisplay(l0=2.0, l1=98.0, gamma=2.2)
 
@@ -265,7 +266,7 @@ def lsq_linear_refinement(spec, grid):
 def test_refinement_matches_scipy_bvls():
     # 2 knot grids x 15 displays x 6 input ranges: 180 refined cubes
     worst, at_bounds = 0.0, set()
-    for grid in (default_knot_grid("delta"), default_knot_grid("optimized")):
+    for grid in (default_knot_grid(), KnotGrid.from_active(OPTIMIZED_KNOTS)):
         for display in refine_displays():
             for r in (0.5, 1.0, 1.111, 3.78, 20.0, 58.9):
                 spec = GammaCorrectionSpec(display, input_range=r)
@@ -278,6 +279,13 @@ def test_refinement_matches_scipy_bvls():
                     at_bounds.update(x[(x == 0) | (x == 1)].tolist())
     assert worst <= 1e-12
     assert at_bounds == {0.0, 1.0}
+
+
+def dim(samples, factor):
+    """``samples`` with both light intensities scaled by ``factor`` and ``v``
+    rendered again."""
+    dimmed = replace(samples, i_d=factor * samples.i_d, i_a=factor * samples.i_a)
+    return replace(dimmed, v=predict_values(dimmed))
 
 
 class TestEstimateScaleConstant:
@@ -302,11 +310,9 @@ class TestEstimateScaleConstant:
 
     def test_scale_equivariance(self):
         # scaling the recorded actual values by alpha scales c by alpha;
-        # low intensities keep every channel off the ceiling so the same
-        # observations enter both regressions
-        samples = generate_samples(400, seed=8, kind="lambertian",
-                                   directional_intensity_range=(0.0, 0.8),
-                                   ambient_intensity_range=(0.0, 0.8))
+        # intensities on [0, 0.8] keep every channel off the ceiling so the
+        # same observations enter both regressions
+        samples = dim(generate_samples(400, seed=8, kind="lambertian"), 0.4)
         est = estimate_scale_constant(samples)
         alpha = 0.5
         scaled = replace(samples, v=srgb_encode3(
@@ -337,9 +343,7 @@ class TestEstimateScaleConstant:
             estimate_scale_constant(type(samples)(**cols))
 
     def test_all_zero_degenerate(self):
-        samples = generate_samples(200, seed=11, kind="lambertian",
-                                   directional_intensity_range=(0.0, 0.0),
-                                   ambient_intensity_range=(0.0, 0.0))
+        samples = dim(generate_samples(200, seed=11, kind="lambertian"), 0.0)
         with pytest.raises(FitError, match="^all predictions or observations are zero$"):
             estimate_scale_constant(samples)
 
@@ -416,6 +420,9 @@ def test_load_sweeps_groups_by_index_sorted_by_input():
     assert sweeps[1].outputs.tolist() == [0.0, 1.0, 0.1, 0.0]
     with pytest.raises(ValidationError, match="^sweep CSV line 3: non-numeric field$"):
         load_sweeps(io.StringIO("m,u,t\n3,0.1,0\n3,x,0\n"))
+    # a value rule and a table problem: the first in file order is named
+    with pytest.raises(ValidationError, match=r"^sweep CSV line 3: u < 0 or t outside \[0, 1\]$"):
+        load_sweeps(io.StringIO("m,u,t\n3,0.1,0\n3,0.2,1.5\n3,x,0\n"))
 
 
 class TestEstimateKnotsDelta:
@@ -487,6 +494,17 @@ class TestEstimateKnotsDelta:
         est, _ = estimate_knots_delta(synthetic_sweeps(grid, points=400))
         rel = np.abs(est.active_values - grid.active_values) / grid.active_values
         assert rel.max() < 0.005
+
+    @pytest.mark.parametrize("m, message", [
+        (40, "sweep 40: expected one sweep per index in 1..32"),
+        (0, "sweep 0: expected one sweep per index in 1..32"),
+        (16, "sweep 16: expected one sweep per index in 1..32"),
+    ], ids=["index 40", "index 0", "second index 16"])
+    def test_sweep_index_outside_the_grid_or_repeated_is_error(self, m, message):
+        sweeps = synthetic_sweeps(default_knot_grid(), points=400)
+        sweeps.append(DeltaSweep(m=m, inputs=sweeps[15].inputs, outputs=sweeps[15].outputs))
+        with pytest.raises(FitError, match=f"^{re.escape(message)}$"):
+            estimate_knots_delta(sweeps)
 
 
 def study_datasets(quantize, seeds, count=500,

@@ -192,6 +192,29 @@ class TestEstimateKnots:
         err = capsys.readouterr().err
         assert f"line 4: {problem}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("rows, message", [
+        ("3,0.1,0\n3,0.2,0.5\n# note\n3,0.2,0.6\n3,0.3,0",
+         "sweep CSV: sweep 3: sweep inputs must be strictly increasing"),
+        ("3,0.1,0\n# note\n3,-0.1,0.5\n3,0.3,0\n3,0.4,0",
+         "sweep CSV line 4: u < 0 or t outside [0, 1]"),
+        ("3,0.1,0\n3,0.2,1.5\n3,0.3,0\n3,0.4,0",
+         "sweep CSV line 3: u < 0 or t outside [0, 1]"),
+        ("4,0.1,0\n4,0.2,1\n4,0.3,0\n4,0.4,0\n3,0.1,0\n3,0.2,1\n3,0.3,0",
+         "sweep CSV: sweep 3: sweep needs matching input/output vectors (length >= 4)"),
+    ], ids=["tied u", "negative u", "t above 1", "three rows"])
+    def test_delta_mode_sweep_value_error_names_line_or_sweep_exit_2(
+            self, tmp_path, capsys, rows, message):
+        sweep_csv = tmp_path / "sweeps.csv"
+        sweep_csv.write_text(f"m,u,t\n{rows}\n")
+        assert run("estimate-knots", "--mode", "delta", "--in", str(sweep_csv)) == 2
+        assert capsys.readouterr().err == f"hdrpcal: {message}\n"
+
+    def test_delta_mode_sweep_index_outside_the_grid_exit_1(self, tmp_path, capsys):
+        sweep_csv = tmp_path / "sweeps.csv"
+        sweep_csv.write_text("m,u,t\n40,0.1,0\n40,0.2,1\n40,0.3,0\n40,0.4,0\n")
+        assert run("estimate-knots", "--mode", "delta", "--in", str(sweep_csv)) == 1
+        assert capsys.readouterr().err == "hdrpcal: sweep 40: expected one sweep per index in 1..32\n"
+
     def test_delta_mode_takes_one_sweep_file_exit_64(self, tmp_path, capsys):
         sweeps = str(tmp_path / "sweeps.csv")
         assert run("estimate-knots", "--mode", "delta", "--in", sweeps, "--in", sweeps) == 64

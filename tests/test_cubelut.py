@@ -413,14 +413,14 @@ class TestSerializeGoldenBytes:
 
 class TestKnotGrid:
     def test_default_values_delta(self):
-        grid = default_knot_grid("delta")
+        grid = default_knot_grid()
         assert grid.size == 32
         assert grid.values[2] == pytest.approx(0.0002606)
         assert grid.values[15] == pytest.approx(0.4406)
         assert grid.values[31] == pytest.approx(58.90)
 
     def test_default_values_optimized(self):
-        grid = default_knot_grid("optimized")
+        grid = KnotGrid.from_active(OPTIMIZED_KNOTS)
         assert grid.values[31] == pytest.approx(57.66)
 
     @pytest.mark.parametrize("kind,table", [
@@ -439,8 +439,10 @@ class TestKnotGrid:
     def test_table_pinned_in_full(self, kind, table):
         # Every entry of both built-in tables, exactly, so that an edit to
         # any one knot fails.
-        assert {"delta": DELTA_KNOTS, "optimized": OPTIMIZED_KNOTS}[kind].tolist() == table
-        assert default_knot_grid(kind).active_values.tolist() == table
+        knots = {"delta": DELTA_KNOTS, "optimized": OPTIMIZED_KNOTS}[kind]
+        assert knots.tolist() == table
+        grid = default_knot_grid() if kind == "delta" else KnotGrid.from_active(knots)
+        assert grid.active_values.tolist() == table
 
     def test_both_tables_strictly_increasing(self):
         assert np.all(np.diff(DELTA_KNOTS) > 0)
@@ -468,10 +470,6 @@ class TestKnotGrid:
         back = KnotGrid.from_csv(buf)
         assert np.allclose(back.active_values, grid.active_values, rtol=1e-9)
         assert back.active_start == 3
-
-    def test_unknown_source(self):
-        with pytest.raises(ValidationError):
-            default_knot_grid("guessed")
 
 
 class TestDeltaCube:

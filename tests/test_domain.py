@@ -1,7 +1,9 @@
 """Every entry point that takes an input array rejects a non-finite value,
 a value below 0, a value above its upper bound and, for (..., 3) input, a
 wrong last axis, with a ValidationError that starts with the entry point's
-name; input numpy cannot convert to a float array counts as not finite.  Entry points that need a fixed number of axes reject the others.  A
+name; input numpy cannot convert to a float array counts as not finite,
+and so does such output from a tonemap or curve function.  Entry points
+that need a fixed number of axes reject the others.  A
 CubeLUT takes only a domain and a title that its writer and reader round-trip,
 and a .cube file whose domain breaks that rule names its DOMAIN line.  An
 AchromaticDisplay and a GammaCorrectionSpec's input range take only int or
@@ -17,6 +19,7 @@ import json
 import pickle
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,8 +34,9 @@ from hdrpcal.display import (AchromaticDisplay, ChromaticDisplay, FitReport,
                              Measurement, load_display, save_display,
                              solve_background_weights)
 from hdrpcal.errors import CubeFormatError, ValidationError
-from hdrpcal.harness import SampleBatch, generate_samples, simulate_characterization
-from hdrpcal.scene import light_direction_from_rotation, post_process
+from hdrpcal.harness import (SampleBatch, generate_samples, simulate_characterization,
+                             validate_model)
+from hdrpcal.scene import light_direction_from_rotation, post_process, unlit_unprocessed
 
 ACHROMATIC = AchromaticDisplay(l0=1.0, l1=10.0, gamma=2.2)
 CHROMATIC = ChromaticDisplay(primary_r=[41.24, 21.26, 1.93],
@@ -72,6 +76,7 @@ ENTRY_POINTS = [
      lambda x: simulate_characterization(ACHROMATIC, x), LEVELS, False, np.inf),
     ("DeltaSweep inputs", lambda x: DeltaSweep(m=3, inputs=x, outputs=LEVELS),
      LEVELS, False, np.inf),
+    ("unlit_unprocessed", unlit_unprocessed, TRIPLETS, True, 1.0),
 ]
 
 
@@ -173,9 +178,15 @@ def test_out_of_domain_rejected(call, x, message):
     (lambda x: KnotGrid.from_active(x, size=5), [1.0, 2.0], "expected 3 active knots, got 2"),
     (lambda x: KnotGrid.from_active(x, size=4, active_start=0), np.arange(1.0, 6.0),
      "active_start must be in 1..4, got 0"),
+    (KnotGrid.from_active, np.ones((5, 6)), "expected 30 active knots, got shape (5, 6)"),
+    (lambda x: post_process(TRIPLETS, SimpleNamespace(apply=lambda u: x)), np.zeros(4),
+     "tonemap output: expected shape (4, 3), got (4,)"),
+    (lambda x: separable_cube(default_knot_grid(), lambda u: x), np.zeros((2, 32)),
+     "separable_cube: expected curves of shape (32,)"),
 ], ids=["CubeLUT scalar", "CubeLUT 3-D", "levels scalar", "levels 2-D", "primary 2-vector",
         "background weights 2-vectors", "kind mask 2-D", "active knots 2 of 3",
-        "active_start 0 of size 4"])
+        "active_start 0 of size 4", "active knots 5x6", "tonemap output (4,)",
+        "curve (2, 32)"])
 def test_wrong_axes_rejected(call, x, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call(x)
@@ -304,13 +315,27 @@ KNOT_RANGE = "knot grid needs 1 <= active_start < size <= 256, got active_start 
      "exposure_choices: input must be finite"),
     (lambda: generate_samples(4, seed=0, exposure_choices=5),
      "exposure_choices must be a finite 1-D array"),
+    (lambda: KnotGrid.from_active(["a"] * 30), "KnotGrid: input must be finite"),
+    (lambda: ChromaticDisplay("abc", *[[1.0, 1.0, 1.0]] * 5), "primary_r: input must be finite"),
+    (lambda: SampleBatch([True], [["a", 0, 0]], *[None] * 8),
+     "sample column m: input must be finite"),
+    (lambda: unlit_unprocessed("x"), "unlit_unprocessed: input must be finite"),
+    (lambda: separable_cube(default_knot_grid(), lambda u: "x"),
+     "separable_cube: input must be finite"),
+    (lambda: post_process(TRIPLETS, SimpleNamespace(apply=lambda u: "x")),
+     "tonemap output: input must be finite"),
+    (lambda: solve_background_weights([np.nan, 1.0, 1.0], [0, 1, 0], [0, 0, 1], [1, 1, 1]),
+     "solve_background_weights: input must be finite"),
+    (lambda: validate_model(generate_samples(4, seed=0), material_floor="a"),
+     "material floor must be in [0, 1], got 'a'"),
 ], ids=["domain str", "domain 2**2000", "active_start str", "active_start 2.5",
         "active_start bool", "from_active size str", "from_active active_start float",
         "delta 2.5", "delta str", "delta size float", "delta bool", "spec display str",
         "saved display str", "display JSON list", "fn pair", "sweep index 2.5",
         "sweep index str", "sweep index bool", "count 2.5", "count nan", "count str",
         "count bool", "seed bool", "seed numpy bool", "seed float", "exposure str",
-        "exposure scalar"])
+        "exposure scalar", "active knots str", "primary str", "sample column str",
+        "unlit str", "curve text", "tonemap text", "primary nan", "material floor str"])
 def test_argument_of_the_wrong_type_rejected(make, message):
     """A bool is not a number, and a count or index must be an int."""
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -369,14 +394,6 @@ def test_input_range_not_a_finite_number_rejected(value):
     (lambda: light_direction_from_rotation(0.0, np.nan), "rotation angles must be finite"),
     (lambda: light_direction_from_rotation(0.0, 0.0, np.inf),
      "rotation angles must be finite"),
-    (lambda: generate_samples(4, seed=0, ambient_color_max=np.nan),
-     "ambient_color_max must be >= 0"),
-    (lambda: generate_samples(4, seed=0, ambient_color_max=np.inf),
-     "ambient_color_max must be >= 0"),
-    (lambda: generate_samples(4, seed=0, directional_intensity_range=(0.0, np.nan)),
-     "invalid directional intensity range (0.0, nan)"),
-    (lambda: generate_samples(4, seed=0, ambient_intensity_range=(0.0, np.inf)),
-     "invalid ambient intensity range (0.0, inf)"),
     (lambda: generate_samples(4, seed=0, kind="metal"), "unknown material kind 'metal'"),
     (lambda: generate_samples(4, seed=0, exposure_choices=()),
      "exposure_choices must be nonempty"),
@@ -385,9 +402,13 @@ def test_input_range_not_a_finite_number_rejected(value):
     (lambda: generate_samples(4, seed=0, exposure_choices=[[0.0]]),
      "exposure_choices must be a finite 1-D array"),
     (lambda: generate_samples(0, seed=0), "count must be >= 1"),
-], ids=["input range -1", "angle str", "angle nan", "angle inf", "ambient max nan",
-        "ambient max inf", "directional nan", "ambient range inf", "kind metal",
-        "no exposures", "exposure nan", "exposures 2-D", "count 0"])
+    (lambda: validate_model(generate_samples(4, seed=0), material_floor=np.nan),
+     "material floor must be in [0, 1], got nan"),
+    (lambda: validate_model(generate_samples(4, seed=0), material_floor=1.5),
+     "material floor must be in [0, 1], got 1.5"),
+], ids=["input range -1", "angle str", "angle nan", "angle inf", "kind metal",
+        "no exposures", "exposure nan", "exposures 2-D", "count 0", "material floor nan",
+        "material floor 1.5"])
 def test_scalar_outside_its_domain_rejected(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()

@@ -84,19 +84,13 @@ class TestGeneration:
         assert np.all(np.abs(np.linalg.norm(samples.l, axis=1) - 1) < 1e-9)
 
     def test_ranges_respected(self):
-        samples = generate_samples(300, seed=6,
-                                   directional_intensity_range=(0.5, 1.5),
-                                   ambient_intensity_range=(0.0, 0.25),
-                                   ambient_color_max=2.0,
-                                   exposure_choices=(-1.0, 3.0))
-        assert np.all((0.5 <= samples.i_d) & (samples.i_d <= 1.5))
-        assert np.all((0.0 <= samples.i_a) & (samples.i_a <= 0.25))
-        assert np.all(samples.a <= 2.0)
+        samples = generate_samples(300, seed=6, exposure_choices=(-1.0, 3.0))
+        for column in (samples.i_d, samples.i_a):
+            assert np.all((0.0 <= column) & (column <= harness.INTENSITY_MAX))
+        assert np.all((0.0 <= samples.a) & (samples.a <= 1.0))
         assert np.all(np.isin(samples.e, (-1.0, 3.0)))
 
     def test_invalid_ranges(self):
-        with pytest.raises(ValidationError):
-            generate_samples(10, seed=0, directional_intensity_range=(2.0, 1.0))
         with pytest.raises(ValidationError):
             generate_samples(0, seed=0)
 
@@ -547,8 +541,7 @@ class TestValidateModel:
 
     def test_quantize_assumption_matches_generation(self):
         samples = generate_samples(200, seed=28, quantize=True)
-        report = validate_model(samples, quantize=True)
-        assert report.median_abs_255 == 0.0
+        assert np.array_equal(predict_values(samples, quantize=True), samples.v)
 
     def test_median_definition(self):
         samples = generate_samples(1, seed=17, kind="unlit")

@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -12,6 +13,39 @@ def test_public_names_resolve_once():
     names = hdrpcal.__all__
     assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(hdrpcal, n)] == []
+
+
+#: The defaulted parameters of every public callable, constructors included:
+#: an option added or removed is an edit here.
+PUBLIC_OPTIONS = {
+    "CubeLUT": ["title", "domain_min", "domain_max"],
+    "GammaCorrectionSpec": ["input_range"],
+    "KnotGrid": ["active_start"],
+    "Measurement": ["luminance", "xyz"],
+    "build_correction_cube": ["knots", "refine"],
+    "estimate_knots_optimize": ["scale_constant", "seed"],
+    "generate_samples": ["kind", "tonemap", "quantize", "scale_constant", "exposure_choices"],
+    "light_direction_from_rotation": ["z_deg"],
+    "make_delta_cube": ["size"],
+    "post_process": ["tonemap"],
+    "predict_unprocessed": ["scale_constant"],
+    "predict_values": ["tonemap", "scale_constant", "quantize"],
+    "save_display": ["report"],
+    "serialize_cube": ["file"],
+    "simulate_characterization": ["tonemap", "mode"],
+    "validate_model": ["tonemap", "scale_constant", "material_floor"],
+}
+
+
+def test_public_options():
+    options = {}
+    for name in hdrpcal.__all__:
+        params = inspect.signature(getattr(hdrpcal, name)).parameters.values()
+        defaulted = [p.name for p in params if p.default is not inspect.Parameter.empty]
+        if defaulted:
+            options[name] = defaulted
+    assert options == PUBLIC_OPTIONS
+    assert sum(map(len, options.values())) == 30
 
 
 def test_scipy_loads_only_for_a_fit(tmp_path):
